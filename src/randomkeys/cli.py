@@ -153,15 +153,22 @@ def _load_problem(args):
     raise InstanceFormatError(f"unknown problem kind {args.kind!r}")
 
 
-def _budget_from_args(args, decoder) -> RunBudget:
+def _budget_from_args(args, kind: str, size: int) -> RunBudget:
+    """Budget from --time-limit and --decoder-calls; without either, the
+    wall-clock schedule of ``kind`` for an instance of ``size``."""
     time_limit = args.time_limit
     calls = args.decoder_calls
+    if args.deterministic and calls is None:
+        raise InstanceFormatError(
+            "--deterministic needs --decoder-calls: a wall-clock budget "
+            "does not reproduce"
+        )
     if time_limit is None and calls is None:
-        if args.kind == "mip":
+        if kind == "mip":
             raise InstanceFormatError(
                 "give --time-limit or --decoder-calls for MIP instances"
             )
-        time_limit = budget_for(args.kind, _instance_size(args, decoder))
+        time_limit = budget_for(kind, size)
     return RunBudget(time_limit=time_limit, decoder_calls=calls)
 
 
@@ -174,7 +181,7 @@ def _instance_size(args, decoder) -> int:
 
 
 def _run_seeds(args, decoder) -> list[RunReport]:
-    budget = _budget_from_args(args, decoder)
+    budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
     searchers = _parse_searchers(args.searchers)
     target = getattr(args, "target_cost", None)
     return [
@@ -279,7 +286,7 @@ def cmd_rpd(args) -> int:
 def cmd_ttt(args) -> int:
     decoder, _ = _load_problem(args)
     target = ttt_target(args.reference, args.target_percent)
-    budget = _budget_from_args(args, decoder)
+    budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
     # censoring point: wall clock if given, else the call budget
     # (which is what elapsed time counts in deterministic mode)
     if budget.time_limit is not None:
@@ -322,6 +329,7 @@ def cmd_frontier(args) -> int:
     if any(not 0.0 < lam < 1.0 for lam in lambdas):
         raise InstanceFormatError("frontier lambdas must lie strictly inside (0, 1)")
     searchers = _parse_searchers(args.searchers)
+    budget = _budget_from_args(args, "portfolio", means.shape[0])
     rows = []
     for lam in lambdas:
         try:
@@ -336,10 +344,6 @@ def cmd_frontier(args) -> int:
         except ValueError as exc:
             raise InstanceFormatError(str(exc)) from exc
         decoder = PortfolioDecoder(instance)
-        time_limit = args.time_limit
-        if time_limit is None and args.decoder_calls is None:
-            time_limit = budget_for("portfolio", instance.n_assets)
-        budget = RunBudget(time_limit=time_limit, decoder_calls=args.decoder_calls)
         best = None
         for seed in range(1, args.seeds + 1):
             report = run_ensemble(
@@ -461,7 +465,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="decoder-call budget")
     parser.add_argument("--deterministic", action="store_true",
                         help="single-threaded reproducible mode; time fields "
-                             "then count decoder calls")
+                             "then count decoder calls; needs --decoder-calls")
     parser.add_argument("--pool-size", type=int, default=20)
     parser.add_argument("--quantum", type=int, default=100,
                         help="decoder calls per searcher slice in deterministic mode")

@@ -8,7 +8,7 @@ calls issued here are charged to the run budget by the evaluator;
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,9 +45,8 @@ def swap_search(
 ) -> tuple[bool, EvaluatedSolution]:
     """Try exchanging key pairs (i, j), i < j, in random order."""
     d = current.keys.shape[0]
-    pairs = list(itertools.combinations(range(d), 2))
-    for p in rng.permutation(len(pairs)):
-        i, j = pairs[p]
+    for p in rng.permutation(d * (d - 1) // 2).tolist():
+        i, j = _pair(p, d)
         if current.keys[i] == current.keys[j]:
             continue
         cand = current.keys.copy()
@@ -56,6 +55,17 @@ def swap_search(
         if trial.cost < current.cost:
             return True, trial
     return False, current
+
+
+def _pair(p: int, d: int) -> tuple[int, int]:
+    """The p-th pair (i, j), i < j < d, in lexicographic order.
+
+    Counted back from the last pair, row i = d - 2 - r holds the r + 1
+    pairs numbered r(r+1)/2 to (r+1)(r+2)/2 - 1.
+    """
+    back = d * (d - 1) // 2 - 1 - p
+    r = (math.isqrt(8 * back + 1) - 1) // 2
+    return d - 2 - r, d - 1 - (back - r * (r + 1) // 2)
 
 
 def mirror_search(
@@ -101,9 +111,10 @@ def nelder_mead_search(
     shifted by +0.05 (or -0.05 where that would leave the box).
     Standard reflection/expansion/contraction/shrink steps with
     coefficients 1, 2, 0.5, 0.5.  Stops after 50 * dimension decoder
-    calls or when the simplex diameter falls below 1e-4; if the outer
-    budget runs out mid-descent, the best vertex found so far is
-    returned and the exhaustion is left for the caller's next call.
+    calls or when no vertex lies farther than 1e-4 from the best vertex
+    in any coordinate (max-norm); if the outer budget runs out
+    mid-descent, the best vertex found so far is returned and the
+    exhaustion is left for the caller's next call.
     """
     d = current.keys.shape[0]
     calls = 0
@@ -116,22 +127,27 @@ def nelder_mead_search(
         calls += 1
         return try_eval(np.clip(keys, 0.0, KEY_MAX))
 
+    # ``simplex[k]`` is vertex k; row k of ``points`` holds its keys.
+    # Every reorder and replacement updates both.
     simplex = [current]
+    points = np.empty((d + 1, d))
+    points[0] = current.keys
     try:
         for i in range(d):
             vertex = current.keys.copy()
             step = 0.05 if vertex[i] + 0.05 <= KEY_MAX else -0.05
             vertex[i] += step
             simplex.append(spend(vertex))
+            points[i + 1] = simplex[-1].keys
         while True:
-            simplex.sort(key=lambda s: s.cost)
-            spread = max(
-                float(np.max(np.abs(s.keys - simplex[0].keys))) for s in simplex
-            )
-            if spread < 1e-4:
+            costs = [s.cost for s in simplex]
+            order = sorted(range(d + 1), key=costs.__getitem__)
+            simplex = [simplex[k] for k in order]
+            points = points[order]
+            if np.abs(points - points[0]).max() < 1e-4:
                 break
             worst = simplex[-1]
-            centroid = np.mean([s.keys for s in simplex[:-1]], axis=0)
+            centroid = points[:-1].mean(axis=0)
             reflected = spend(centroid + (centroid - worst.keys))
             if reflected.cost < simplex[0].cost:
                 expanded = spend(centroid + 2.0 * (centroid - worst.keys))
@@ -143,13 +159,14 @@ def nelder_mead_search(
                 if contracted.cost <= reflected.cost:
                     simplex[-1] = contracted
                 else:
-                    _shrink(simplex, spend)
+                    _shrink(simplex, points, spend)
             else:
                 contracted = spend(centroid - 0.5 * (centroid - worst.keys))
                 if contracted.cost < worst.cost:
                     simplex[-1] = contracted
                 else:
-                    _shrink(simplex, spend)
+                    _shrink(simplex, points, spend)
+            points[-1] = simplex[-1].keys
     except (_NmDone, _RvndBudget, BudgetExhausted):
         pass
     best = min(simplex, key=lambda s: s.cost)
@@ -162,10 +179,12 @@ class _NmDone(Exception):
     """Internal: the Nelder-Mead call allowance ran out."""
 
 
-def _shrink(simplex: list[EvaluatedSolution], spend: Trial) -> None:
-    best = simplex[0]
+def _shrink(simplex: list[EvaluatedSolution], points: np.ndarray, spend: Trial) -> None:
+    """Pull every vertex but the best halfway towards it, in place."""
+    shrunk = points[0] + 0.5 * (points[1:] - points[0])
     for k in range(1, len(simplex)):
-        simplex[k] = spend(best.keys + 0.5 * (simplex[k].keys - best.keys))
+        simplex[k] = spend(shrunk[k - 1])
+        points[k] = simplex[k].keys
 
 
 def rvnd(

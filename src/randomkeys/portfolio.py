@@ -120,9 +120,9 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
         raise ValueError(f"expected {2 * k} keys, got {keys.shape[0]}")
     remaining = list(range(instance.n_assets))
     chosen: list[int] = []
-    for i in range(k):
+    for key in keys[:k].tolist():
         m = len(remaining)
-        position = max(1, math.ceil(float(keys[i]) * m))
+        position = max(1, math.ceil(key * m))
         chosen.append(remaining.pop(min(position, m) - 1))
 
     idx = np.array(chosen, dtype=np.intp)
@@ -133,9 +133,9 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
     weights = raw / total if total > 0.0 else np.full(k, 1.0 / k)
 
     penalty = float(
-        np.sum(np.maximum(0.0, weights - hi) + np.maximum(0.0, lo - weights))
+        (np.maximum(0.0, weights - hi) + np.maximum(0.0, lo - weights)).sum()
     )
-    sub_cov = instance.covariance[np.ix_(idx, idx)]
+    sub_cov = instance.covariance[idx[:, None], idx]
     risk = float(weights @ sub_cov @ weights)
     mean_return = float(instance.means[idx] @ weights)
     lam = instance.risk_aversion

@@ -217,3 +217,19 @@ def test_knapsack_solve_reports_feasible_solution(knapsack_path, tmp_path):
     assert summary["solution"]["feasible"] is True
     # optimum: x = (1, 0, 0) or better combos under 4x+3y+2z <= 5
     assert summary["best"]["cost"] <= -5.0
+
+
+@pytest.mark.parametrize("command", ["solve", "ttt", "frontier"])
+def test_deterministic_without_call_budget_is_refused(command, tdtsp_path, tmp_path):
+    port = tmp_path / "port.txt"
+    port.write_text("2\n0.001 0.01\n0.002 0.02\n1 1 1.0\n1 2 0.5\n2 2 1.0\n")
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["solve", "--instance", str(tdtsp_path), "--kind", "tdtsp"],
+        "ttt": ["ttt", "--instance", str(tdtsp_path), "--kind", "tdtsp",
+                "--reference", "12", "--time-limit", "0.5"],
+        "frontier": ["frontier", "--instance", str(port), "--lambdas", "0.5",
+                     "--cardinality", "1"],
+    }[command]
+    assert main(argv + ["--deterministic", "--out", str(out)]) == 2
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]

@@ -1,9 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from randomkeys import BudgetExhausted, Evaluator, RunBudget, SearchClock
+from randomkeys import (
+    BudgetExhausted,
+    Evaluator,
+    RunBudget,
+    SearchClock,
+    TdTspDecoder,
+    generate_tdtsp_instance,
+)
+from randomkeys.keys import KEY_MAX
 from randomkeys.localsearch import (
     FAREY_VALUES,
     farey_search,
@@ -134,3 +143,157 @@ def test_rvnd_key_range_closure():
         result = rvnd(start, ev.evaluate, rng, max_calls=60)
         assert np.all(result.keys >= 0.0)
         assert np.all(result.keys < 1.0)
+
+
+# Reference implementations: the swap search over an explicit pair list
+# and the simplex kept as a list of solutions.  The package versions
+# must decode the same vectors and return the same result.
+
+
+def reference_swap_search(current, try_eval, rng):
+    d = current.keys.shape[0]
+    pairs = list(itertools.combinations(range(d), 2))
+    for p in rng.permutation(len(pairs)):
+        i, j = pairs[p]
+        if current.keys[i] == current.keys[j]:
+            continue
+        cand = current.keys.copy()
+        cand[i], cand[j] = cand[j], cand[i]
+        trial = try_eval(cand)
+        if trial.cost < current.cost:
+            return True, trial
+    return False, current
+
+
+class _ReferenceNmDone(Exception):
+    pass
+
+
+def reference_nelder_mead_search(current, try_eval, rng, shrinks=None):
+    """List-based simplex; appends the call count at each shrink's start
+    to ``shrinks`` when given."""
+    d = current.keys.shape[0]
+    calls = 0
+    limit = 50 * d
+
+    def spend(keys):
+        nonlocal calls
+        if calls >= limit:
+            raise _ReferenceNmDone
+        calls += 1
+        return try_eval(np.clip(keys, 0.0, KEY_MAX))
+
+    def shrink():
+        if shrinks is not None:
+            shrinks.append(calls)
+        best = simplex[0]
+        for k in range(1, len(simplex)):
+            simplex[k] = spend(best.keys + 0.5 * (simplex[k].keys - best.keys))
+
+    simplex = [current]
+    try:
+        for i in range(d):
+            vertex = current.keys.copy()
+            step = 0.05 if vertex[i] + 0.05 <= KEY_MAX else -0.05
+            vertex[i] += step
+            simplex.append(spend(vertex))
+        while True:
+            simplex.sort(key=lambda s: s.cost)
+            spread = max(
+                float(np.max(np.abs(s.keys - simplex[0].keys))) for s in simplex
+            )
+            if spread < 1e-4:
+                break
+            worst = simplex[-1]
+            centroid = np.mean([s.keys for s in simplex[:-1]], axis=0)
+            reflected = spend(centroid + (centroid - worst.keys))
+            if reflected.cost < simplex[0].cost:
+                expanded = spend(centroid + 2.0 * (centroid - worst.keys))
+                simplex[-1] = expanded if expanded.cost < reflected.cost else reflected
+            elif reflected.cost < simplex[-2].cost:
+                simplex[-1] = reflected
+            elif reflected.cost < worst.cost:
+                contracted = spend(centroid + 0.5 * (reflected.keys - centroid))
+                if contracted.cost <= reflected.cost:
+                    simplex[-1] = contracted
+                else:
+                    shrink()
+            else:
+                contracted = spend(centroid - 0.5 * (centroid - worst.keys))
+                if contracted.cost < worst.cost:
+                    simplex[-1] = contracted
+                else:
+                    shrink()
+    except (_ReferenceNmDone, BudgetExhausted):
+        pass
+    best = min(simplex, key=lambda s: s.cost)
+    if best.cost < current.cost:
+        return True, best
+    return False, current
+
+
+def search_outcome(search, decoder, start_keys, calls=100_000, seed=0):
+    """Run one search from ``start_keys`` with ``calls`` decodes left
+    after the start; return its result, every key vector it decoded and
+    the state it left the generator in."""
+    ev = evaluator_for(decoder, calls=calls + 1)
+    start = ev.evaluate(start_keys.copy())
+    decoded = []
+
+    def evaluate(keys):
+        decoded.append(keys.tobytes())
+        return ev.evaluate(keys)
+
+    rng = np.random.default_rng(seed)
+    improved, result = search(start, evaluate, rng)
+    return (
+        improved,
+        result.cost,
+        result.keys.tobytes(),
+        result.decoded_at,
+        decoded,
+        rng.random(),
+    )
+
+
+def decoder_of(kind, d, seed):
+    if kind == "quadratic":
+        return QuadraticDecoder(np.random.default_rng(seed).random(d))
+    return TdTspDecoder(generate_tdtsp_instance(d, 3, seed=seed))
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "tdtsp"])
+@pytest.mark.parametrize("d", [1, 2, 5, 20, 50])
+def test_local_searches_match_list_references(kind, d):
+    decoder = decoder_of(kind, d, seed=d)
+    rng = np.random.default_rng(100 + d)
+    for trial in range(3):
+        keys = rng.random(d)
+        for search, reference in (
+            (nelder_mead_search, reference_nelder_mead_search),
+            (swap_search, reference_swap_search),
+        ):
+            assert search_outcome(search, decoder, keys, seed=trial) == (
+                search_outcome(reference, decoder, keys, seed=trial)
+            ), (search.__name__, trial)
+
+
+@pytest.mark.parametrize("kind,d", [("quadratic", 3), ("tdtsp", 5)])
+def test_nelder_mead_matches_reference_at_every_budget(kind, d):
+    """Budgets from zero to a full descent run out in the initial
+    simplex, inside steps and, on the route decoder, inside shrinks."""
+    decoder = decoder_of(kind, d, seed=7)
+    keys = np.random.default_rng(8).random(d)
+    shrinks = []
+    ev = evaluator_for(decoder)
+    reference_nelder_mead_search(
+        ev.evaluate(keys.copy()), ev.evaluate, None, shrinks=shrinks
+    )
+    full = ev.clock.calls - 1
+    assert full > d + 1
+    if kind == "tdtsp":
+        assert shrinks and shrinks[0] + d <= full
+    for calls in range(full + 1):
+        assert search_outcome(nelder_mead_search, decoder, keys, calls) == (
+            search_outcome(reference_nelder_mead_search, decoder, keys, calls)
+        ), calls

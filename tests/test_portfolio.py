@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,12 @@ from randomkeys import (
     brute_force_portfolio,
     check_portfolio,
     decode_portfolio,
+)
+from randomkeys.keys import KEY_MAX
+from randomkeys.portfolio import (
+    BOUND_PENALTY_WEIGHT,
+    INFEASIBILITY_OFFSET,
+    PortfolioSolution,
 )
 from conftest import toy_portfolio
 
@@ -145,3 +153,90 @@ def test_brute_force_rejects_misaligned_grid():
     )
     with pytest.raises(OracleGuardError):
         brute_force_portfolio(inst, grid_step=1e-2)
+
+
+def reference_decode_portfolio(instance, keys):
+    """Plain version of the decoder kernel; the package version must
+    agree with it bit for bit."""
+    k = instance.cardinality
+    remaining = list(range(instance.n_assets))
+    chosen = []
+    for i in range(k):
+        m = len(remaining)
+        position = max(1, math.ceil(float(keys[i]) * m))
+        chosen.append(remaining.pop(min(position, m) - 1))
+
+    idx = np.array(chosen, dtype=np.intp)
+    lo = instance.lower[idx]
+    hi = instance.upper[idx]
+    raw = lo + (hi - lo) * keys[k:]
+    total = float(raw.sum())
+    weights = raw / total if total > 0.0 else np.full(k, 1.0 / k)
+
+    penalty = float(
+        np.sum(np.maximum(0.0, weights - hi) + np.maximum(0.0, lo - weights))
+    )
+    sub_cov = instance.covariance[np.ix_(idx, idx)]
+    risk = float(weights @ sub_cov @ weights)
+    mean_return = float(instance.means[idx] @ weights)
+    lam = instance.risk_aversion
+    objective = lam * risk - (1.0 - lam) * mean_return
+    cost = objective + BOUND_PENALTY_WEIGHT * penalty
+    if penalty > 0.0:
+        cost += INFEASIBILITY_OFFSET
+    return PortfolioSolution(
+        assets=tuple(chosen),
+        weights=weights,
+        risk=risk,
+        mean_return=mean_return,
+        objective=objective,
+        penalty=penalty,
+        cost=cost,
+    )
+
+
+def assert_same_decode(instance, keys):
+    got = decode_portfolio(instance, keys)
+    want = reference_decode_portfolio(instance, keys)
+    assert got.assets == want.assets
+    assert got.weights.tobytes() == want.weights.tobytes()
+    for name in ("risk", "mean_return", "objective", "penalty", "cost"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert PortfolioDecoder(instance).cost(keys) == want.cost
+    return got
+
+
+def test_decoder_matches_reference_on_random_and_edge_keys():
+    inst = toy_portfolio(40, 10, seed=43)
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        assert_same_decode(inst, rng.random(20))
+    for value in (0.0, KEY_MAX):
+        assert_same_decode(inst, np.full(20, value))
+    for _ in range(50):
+        assert_same_decode(inst, rng.choice([0.0, KEY_MAX], size=20))
+
+
+def test_decoder_matches_reference_on_the_penalty_path():
+    rng = np.random.default_rng(45)
+    n = 12
+    a = rng.normal(size=(n, n))
+    inst = PortfolioInstance(
+        means=rng.uniform(0.001, 0.01, size=n),
+        covariance=(a @ a.T) / n * 1e-3,
+        cardinality=5,
+        risk_aversion=0.3,
+        lower=rng.uniform(0.02, 0.1, size=n),
+        upper=rng.uniform(0.25, 0.4, size=n),
+    )
+    penalized = sum(
+        assert_same_decode(inst, rng.random(10)).penalty > 0.0 for _ in range(300)
+    )
+    assert 0 < penalized < 300
+
+
+def test_decoder_matches_reference_on_the_equal_split_fallback():
+    inst = toy_portfolio(9, 4, seed=46)
+    keys = np.concatenate([np.random.default_rng(47).random(4), np.zeros(4)])
+    sol = assert_same_decode(inst, keys)
+    assert sol.weights.tolist() == [0.25] * 4
