@@ -54,5 +54,6 @@ for seed in range(1, 6):
     verdict = check_mip(instance, solution.x)
     gap = report.best_cost - optimum
     print(f"seed {seed}: value {-report.best_cost:.0f}  gap {gap:+.0f}  "
-          f"found by {report.searcher} after {report.decoder_calls} calls  "
+          f"found by {report.searcher} at call {report.time_to_best:.0f} "
+          f"of {report.decoder_calls}  "
           f"feasible {verdict.feasible}")

@@ -1,10 +1,11 @@
 """Run budgets and decoder-call accounting.
 
 Every decode in a run goes through one :class:`Evaluator`, which
-charges the shared :class:`SearchClock` before invoking the decoder.
-Charging raises :class:`~randomkeys.errors.BudgetExhausted` once the
-call limit or deadline is hit, so no decode is ever issued past the
-budget and the reported call count is exact.
+charges the shared :class:`SearchClock` before invoking the decoder and
+keeps the best decode of the run.  Charging raises
+:class:`~randomkeys.errors.BudgetExhausted` once the call limit or
+deadline is hit, so no decode is ever issued past the budget and the
+reported call count is exact.
 """
 
 from __future__ import annotations
@@ -59,15 +60,15 @@ class RunBudget:
 class SearchClock:
     """Shared decoder-call counter, wall deadline, and stop flag.
 
-    With ``virtual_time`` set, :meth:`elapsed` reports the decoder-call
-    count instead of wall seconds; deterministic runs use this so their
-    outputs do not depend on machine speed.
+    :meth:`elapsed` counts in the unit of the budget: decoder calls when
+    the budget has no ``time_limit``, wall seconds otherwise.  A run
+    under a call-only budget thus reports times that do not depend on
+    machine speed.
     """
 
-    def __init__(self, budget: RunBudget, virtual_time: bool = False) -> None:
+    def __init__(self, budget: RunBudget) -> None:
         self.calls = 0
         self.call_limit = budget.decoder_calls
-        self.virtual_time = virtual_time
         self._t0 = time.monotonic()
         self._deadline = (
             None if budget.time_limit is None else self._t0 + budget.time_limit
@@ -97,17 +98,29 @@ class SearchClock:
         self.calls += 1
 
     def elapsed(self) -> float:
-        if self.virtual_time:
+        if self._deadline is None:
             return float(self.calls)
         return time.monotonic() - self._t0
 
 
 class Evaluator:
-    """Binds a decoder to a clock and stamps evaluated solutions."""
+    """Binds a decoder to a clock, stamps evaluated solutions and keeps
+    the best decode.
 
-    def __init__(self, decoder: Decoder, clock: SearchClock) -> None:
+    ``best`` is the first decode of the run with the lowest cost and
+    ``time_to_best`` the clock's :meth:`~SearchClock.elapsed` right after
+    it.  A decode at or below ``target_cost`` stops the clock, so the
+    next charge ends the run.
+    """
+
+    def __init__(
+        self, decoder: Decoder, clock: SearchClock, target_cost: Optional[float] = None
+    ) -> None:
         self.decoder = decoder
         self.clock = clock
+        self.target_cost = target_cost
+        self.best: Optional[EvaluatedSolution] = None
+        self.time_to_best = 0.0
 
     def evaluate(self, keys: np.ndarray, origin: str = "") -> EvaluatedSolution:
         self.clock.charge()
@@ -119,9 +132,15 @@ class Evaluator:
             raise DecoderError(f"decoder failed on keys {keys!r}") from exc
         if not math.isfinite(cost):
             raise DecoderError(f"decoder returned non-finite cost {cost!r}")
-        return EvaluatedSolution(
+        solution = EvaluatedSolution(
             keys=keys, cost=cost, decoded_at=self.clock.calls, origin=origin
         )
+        if self.best is None or cost < self.best.cost:
+            self.best = solution
+            self.time_to_best = self.clock.elapsed()
+            if self.target_cost is not None and cost <= self.target_cost:
+                self.clock.stop()
+        return solution
 
     def bound_to(self, origin: str):
         """Return an ``evaluate(keys)`` callable tagged with ``origin``."""

@@ -158,10 +158,10 @@ def _budget_from_args(args, kind: str, size: int) -> RunBudget:
     wall-clock schedule of ``kind`` for an instance of ``size``."""
     time_limit = args.time_limit
     calls = args.decoder_calls
-    if args.deterministic and calls is None:
+    if args.deterministic and (calls is None or time_limit is not None):
         raise InstanceFormatError(
-            "--deterministic needs --decoder-calls: a wall-clock budget "
-            "does not reproduce"
+            "--deterministic needs --decoder-calls and no --time-limit: "
+            "a wall-clock budget does not reproduce"
         )
     if time_limit is None and calls is None:
         if kind == "mip":
@@ -180,21 +180,26 @@ def _instance_size(args, decoder) -> int:
     return decoder.dimension
 
 
+def _run(args, decoder, searchers, budget, seed, target=None) -> RunReport:
+    """One ensemble run with the pool size, quantum and determinism check
+    taken from the shared run flags."""
+    return run_ensemble(
+        decoder,
+        searchers,
+        budget,
+        seed,
+        pool_capacity=args.pool_size,
+        deterministic=args.deterministic,
+        quantum=args.quantum,
+        target_cost=target,
+    )
+
+
 def _run_seeds(args, decoder) -> list[RunReport]:
     budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
     searchers = _parse_searchers(args.searchers)
-    target = getattr(args, "target_cost", None)
     return [
-        run_ensemble(
-            decoder,
-            searchers,
-            budget,
-            seed,
-            pool_capacity=args.pool_size,
-            deterministic=args.deterministic,
-            quantum=args.quantum,
-            target_cost=target,
-        )
+        _run(args, decoder, searchers, budget, seed, args.target_cost)
         for seed in range(1, args.seeds + 1)
     ]
 
@@ -287,27 +292,16 @@ def cmd_ttt(args) -> int:
     decoder, _ = _load_problem(args)
     target = ttt_target(args.reference, args.target_percent)
     budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
-    # censoring point: wall clock if given, else the call budget
-    # (which is what elapsed time counts in deterministic mode)
+    # censoring point: the budget in the unit time_to_best counts, which
+    # is wall seconds when there is a time limit and decoder calls if not
     if budget.time_limit is not None:
         limit = budget.time_limit
-    elif budget.decoder_calls is not None:
-        limit = float(budget.decoder_calls)
     else:
-        limit = float("inf")
+        limit = float(budget.decoder_calls)
     searchers = _parse_searchers(args.searchers)
     results: list[Optional[float]] = []
     for seed in range(1, args.repetitions + 1):
-        report = run_ensemble(
-            decoder,
-            searchers,
-            budget,
-            seed,
-            pool_capacity=args.pool_size,
-            deterministic=args.deterministic,
-            quantum=args.quantum,
-            target_cost=target,
-        )
+        report = _run(args, decoder, searchers, budget, seed, target)
         results.append(report.time_to_best if report.best_cost <= target else None)
     curve = ttt_curve(results, target=target, limit=limit)
     rows = [
@@ -346,15 +340,7 @@ def cmd_frontier(args) -> int:
         decoder = PortfolioDecoder(instance)
         best = None
         for seed in range(1, args.seeds + 1):
-            report = run_ensemble(
-                decoder,
-                searchers,
-                budget,
-                seed,
-                pool_capacity=args.pool_size,
-                deterministic=args.deterministic,
-                quantum=args.quantum,
-            )
+            report = _run(args, decoder, searchers, budget, seed)
             if best is None or report.best_cost < best.best_cost:
                 best = report
         decoded = decoder.decode(best.best_keys)
@@ -464,11 +450,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--decoder-calls", type=int, default=None,
                         help="decoder-call budget")
     parser.add_argument("--deterministic", action="store_true",
-                        help="single-threaded reproducible mode; time fields "
-                             "then count decoder calls; needs --decoder-calls")
+                        help="refuse the run unless it reproduces: needs "
+                             "--decoder-calls and no --time-limit; changes "
+                             "nothing else")
     parser.add_argument("--pool-size", type=int, default=20)
     parser.add_argument("--quantum", type=int, default=100,
-                        help="decoder calls per searcher slice in deterministic mode")
+                        help="decoder calls per searcher slice of the "
+                             "round-robin driver")
 
 
 def _add_portfolio_flags(parser: argparse.ArgumentParser) -> None:

@@ -1,18 +1,18 @@
 """Run an ensemble of searchers against one decoder under one budget.
 
-All searchers share the elite pool and the decoder-call budget.  Two
-drivers are provided: a threaded one (default) and a deterministic
-single-threaded one that interleaves the searcher generators
-round-robin, switching at the first yield on or after a fixed quantum
-of decoder calls.  Given the same seed, decoder, searcher list, and
-budget, the deterministic driver reproduces a run exactly; its time
-fields count decoder calls instead of wall seconds so reports do not
-depend on machine speed.
+All searchers share the elite pool and the decoder-call budget.  One
+driver interleaves the searcher generators round-robin on the calling
+thread, switching at the first yield on or after a fixed quantum of
+decoder calls.  Every decode goes through one :class:`Evaluator`, which
+keeps the best decode of the run and stops it at the target cost.
+
+Time fields count in the unit of the budget: decoder calls when it has
+no ``time_limit``, wall seconds otherwise.  Under a call-only budget a
+run is a pure function of its seed, decoder, searcher list and budget.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,10 +32,12 @@ __all__ = ["RunReport", "run_ensemble"]
 class RunReport:
     """Outcome of one ensemble run.
 
-    ``time_to_best`` is wall seconds in threaded mode and the
-    decoder-call count at the best insertion in deterministic mode.
-    ``searcher`` is the label of the searcher that produced the best
-    solution ("init" when the initial random pool was never beaten).
+    The best is the first decode of the run with the lowest cost.
+    ``time_to_best`` is the time of that decode: its decoder-call
+    ordinal under a call-only budget, wall seconds since the start of
+    the run under a budget with a ``time_limit``.  ``searcher`` is the
+    label of the searcher that decoded it ("init" when the initial
+    random pool was never beaten).
     """
 
     best_cost: float
@@ -75,9 +77,12 @@ def run_ensemble(
     The pool is seeded with ``pool_capacity`` random evaluated vectors
     (these decodes count against the budget), then every searcher runs
     until the budget is exhausted or, when ``target_cost`` is given,
-    until some solution reaches it.  ``seed`` reproduces the run
-    exactly in deterministic mode.
+    until some decode reaches it.  Under a call-only budget ``seed``
+    reproduces the run exactly.  ``deterministic=True`` asks for that:
+    it raises ``ValueError`` when the budget has a ``time_limit``.
     """
+    if deterministic and budget.time_limit is not None:
+        raise ValueError("a run with a time_limit does not reproduce")
     if not searchers:
         raise ValueError("need at least one searcher")
     if quantum < 1:
@@ -86,18 +91,10 @@ def run_ensemble(
     if dimension < 1:
         raise ValueError(f"decoder dimension must be positive, got {dimension}")
 
-    clock = SearchClock(budget, virtual_time=deterministic)
-    evaluator = Evaluator(decoder, clock)
+    clock = SearchClock(budget)
+    evaluator = Evaluator(decoder, clock, target_cost)
     streams = np.random.SeedSequence(seed).spawn(len(searchers) + 1)
-
-    best_seen = {"time": 0.0}
-
-    def note_best(solution) -> None:
-        best_seen["time"] = clock.elapsed()
-        if target_cost is not None and solution.cost <= target_cost:
-            clock.stop()
-
-    pool = ElitePool(pool_capacity, on_new_best=note_best)
+    pool = ElitePool(pool_capacity)
     init_rng = np.random.default_rng(streams[0])
     init_evaluate = evaluator.bound_to("init")
     try:
@@ -116,55 +113,31 @@ def run_ensemble(
             )
             for i, spec in enumerate(searchers)
         ]
-        if deterministic:
-            _drive_round_robin(generators, clock, quantum)
-        else:
-            _drive_threads(generators)
+        _drive_round_robin(generators, clock, quantum)
 
-    best = pool.best()
+    best = evaluator.best
     if best is None:
         raise RuntimeError("budget expired before any vector was evaluated")
     return RunReport(
         best_cost=best.cost,
         best_keys=best.keys,
-        time_to_best=best_seen["time"],
+        time_to_best=evaluator.time_to_best,
         decoder_calls=clock.calls,
         seed=seed,
         searcher=best.origin,
     )
 
 
-def _drive_threads(generators) -> None:
-    failures: list[BaseException] = []
-
-    def run(gen) -> None:
-        try:
-            for _ in gen:
-                pass
-        except BudgetExhausted:
-            pass
-        except BaseException as exc:
-            failures.append(exc)
-
-    threads = [threading.Thread(target=run, args=(g,), daemon=True) for g in generators]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
-
-
 def _drive_round_robin(generators, clock: SearchClock, quantum: int) -> None:
+    """Resume each generator in turn until it has used ``quantum`` calls
+    since it was resumed, and drop it once it ends or hits the budget."""
     active = list(generators)
     while active:
         for gen in list(active):
             resumed_at = clock.calls
-            while True:
+            while clock.calls - resumed_at < quantum:
                 try:
                     next(gen)
                 except (StopIteration, BudgetExhausted):
                     active.remove(gen)
-                    break
-                if clock.calls - resumed_at >= quantum:
                     break

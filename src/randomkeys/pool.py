@@ -1,17 +1,17 @@
 """Bounded elite pool shared by all searchers in a run.
 
-The pool keeps the best distinct key vectors found so far, ordered by
-cost.  All mutating access goes through one lock so concurrent
-searchers can insert and sample safely.
+The pool keeps the best distinct key vectors that the searchers offer
+it, ordered by cost.  The searchers share it to exchange solutions; the
+best decode of a run is kept by the evaluator, not here, because a
+searcher offers only some of what it decodes.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,56 +53,39 @@ class ElitePool:
     the candidate, the one closest to it in Euclidean key distance.
     This keeps the pool diverse: the candidate displaces its most
     similar worse neighbour rather than the global worst.
-
-    ``on_new_best`` is invoked (while the pool lock is held) whenever an
-    insertion produces a new minimum cost; the callback must not call
-    back into the pool.
     """
 
-    def __init__(
-        self,
-        capacity: int = 20,
-        on_new_best: Optional[Callable[[EvaluatedSolution], None]] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 20) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.on_new_best = on_new_best
         self._entries: list[EvaluatedSolution] = []
-        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
     @property
     def entries(self) -> list[EvaluatedSolution]:
         """Snapshot of the pool ordered by ascending cost."""
-        with self._lock:
-            return list(self._entries)
+        return list(self._entries)
 
     def best(self) -> Optional[EvaluatedSolution]:
-        with self._lock:
-            return self._entries[0] if self._entries else None
+        return self._entries[0] if self._entries else None
 
     def random_entry(self, rng: np.random.Generator) -> EvaluatedSolution:
-        with self._lock:
-            if not self._entries:
-                raise LookupError("pool is empty")
-            return self._entries[int(rng.integers(len(self._entries)))]
+        if not self._entries:
+            raise LookupError("pool is empty")
+        return self._entries[int(rng.integers(len(self._entries)))]
 
     def insert(self, solution: EvaluatedSolution) -> InsertOutcome:
-        with self._lock:
-            for entry in self._entries:
-                if np.array_equal(entry.keys, solution.keys):
-                    return InsertOutcome.DUPLICATE
-            if len(self._entries) >= self.capacity:
-                worse = [e for e in self._entries if e.cost > solution.cost]
-                if not worse:
-                    return InsertOutcome.WORSE
-                victim = min(worse, key=lambda e: key_distance(e.keys, solution.keys))
-                self._entries.remove(victim)
-            bisect.insort(self._entries, solution, key=lambda e: e.cost)
-            if self._entries[0] is solution and self.on_new_best is not None:
-                self.on_new_best(solution)
-            return InsertOutcome.ACCEPTED
+        for entry in self._entries:
+            if np.array_equal(entry.keys, solution.keys):
+                return InsertOutcome.DUPLICATE
+        if len(self._entries) >= self.capacity:
+            worse = [e for e in self._entries if e.cost > solution.cost]
+            if not worse:
+                return InsertOutcome.WORSE
+            victim = min(worse, key=lambda e: key_distance(e.keys, solution.keys))
+            self._entries.remove(victim)
+        bisect.insort(self._entries, solution, key=lambda e: e.cost)
+        return InsertOutcome.ACCEPTED

@@ -1,11 +1,11 @@
 """The four metaheuristics that search the key hypercube.
 
 Each searcher is written as a generator: it evaluates candidates
-through the callable handed to it (which charges the shared budget and
-raises ``BudgetExhausted`` when the run is over) and yields control
-after every outer iteration.  Improvements are offered to the shared
-elite pool.  Drivers decide whether generators run on threads or are
-interleaved deterministically.
+through the callable handed to it (which charges the shared budget,
+keeps the run's best decode and raises ``BudgetExhausted`` when the run
+is over) and yields control after every outer iteration.  Improvements
+are offered to the shared elite pool.  The ensemble's round-robin driver
+interleaves the generators on one thread.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ def test_stop_flag_blocks_further_charges():
 
 
 def test_virtual_elapsed_counts_calls():
-    clock = SearchClock(RunBudget(decoder_calls=10), virtual_time=True)
+    clock = SearchClock(RunBudget(decoder_calls=10))
     assert clock.elapsed() == 0.0
     clock.charge()
     clock.charge()
@@ -66,6 +66,36 @@ def test_wall_elapsed_is_nonnegative_seconds():
     clock = SearchClock(RunBudget(time_limit=60.0))
     assert clock.elapsed() >= 0.0
     assert clock.elapsed() < 1.0
+    # a call limit beside the time limit does not change the unit
+    clock = SearchClock(RunBudget(time_limit=60.0, decoder_calls=10))
+    clock.charge()
+    clock.charge()
+    assert clock.elapsed() < 1.0
+
+
+def test_evaluator_keeps_first_strictly_lower_decode():
+    ev = Evaluator(CountingDecoder(), SearchClock(RunBudget(decoder_calls=10)))
+    assert ev.best is None
+    ev.evaluate(np.array([0.3, 0.3, 0.3]), origin="init")
+    first = ev.evaluate(np.array([0.1, 0.1, 0.1]), origin="sa")
+    ev.evaluate(np.array([0.1, 0.1, 0.1]), origin="ils")  # ties, not lower
+    ev.evaluate(np.array([0.5, 0.5, 0.5]), origin="vns")
+    assert ev.best is first
+    assert ev.time_to_best == 2.0
+
+
+def test_evaluator_stops_the_clock_at_the_target():
+    decoder = CountingDecoder()
+    clock = SearchClock(RunBudget(decoder_calls=10))
+    ev = Evaluator(decoder, clock, target_cost=0.5)
+    ev.evaluate(np.array([0.3, 0.3, 0.3]))
+    assert not clock.exhausted()
+    ev.evaluate(np.array([0.1, 0.1, 0.1]))
+    assert clock.stopped
+    with pytest.raises(BudgetExhausted):
+        ev.evaluate(np.array([0.0, 0.0, 0.0]))
+    assert decoder.calls == 2
+    assert ev.best.decoded_at == 2
 
 
 def test_evaluator_never_decodes_past_budget():

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from randomkeys import GenericMipInstance, generate_tdtsp_instance
 from randomkeys.cli import main
 from randomkeys.instances import write_mip, write_tdtsp
+
+DATA_TDTSP = Path(__file__).resolve().parent.parent / "data" / "tdtsp_n6_h2.json"
 
 
 @pytest.fixture()
@@ -110,6 +113,23 @@ def test_ttt_writes_ranked_rows(tdtsp_path, tmp_path):
     assert rows[0] == ["rank", "time_s", "prob", "censored"]
     assert len(rows) == 4
     assert [r[0] for r in rows[1:]] == ["1", "2", "3"]
+
+
+def test_ttt_times_count_calls_under_a_call_budget(tmp_path):
+    # the optimum of this instance is 18: some runs reach it in 150
+    # calls and some are censored, and both must be counted in calls
+    code = main([
+        "ttt", "--instance", str(DATA_TDTSP), "--kind", "tdtsp",
+        "--reference", "18", "--target-percent", "0",
+        "--repetitions", "6", "--decoder-calls", "150",
+        "--out", str(tmp_path / "ttt.csv"),
+    ])
+    assert code == 0
+    rows = read_csv(tmp_path / "ttt.csv")[1:]
+    assert {r[3] for r in rows} == {"0", "1"}
+    for _, time_s, _, _ in rows:
+        assert float(time_s) == int(float(time_s))
+        assert 1 <= float(time_s) <= 150
 
 
 def test_oracle_tdtsp_json(tdtsp_path, tmp_path, capsys):
@@ -219,7 +239,7 @@ def test_knapsack_solve_reports_feasible_solution(knapsack_path, tmp_path):
     assert summary["best"]["cost"] <= -5.0
 
 
-@pytest.mark.parametrize("command", ["solve", "ttt", "frontier"])
+@pytest.mark.parametrize("command", ["solve", "ttt", "frontier", "ttt-time-limit"])
 def test_deterministic_without_call_budget_is_refused(command, tdtsp_path, tmp_path):
     port = tmp_path / "port.txt"
     port.write_text("2\n0.001 0.01\n0.002 0.02\n1 1 1.0\n1 2 0.5\n2 2 1.0\n")
@@ -230,6 +250,10 @@ def test_deterministic_without_call_budget_is_refused(command, tdtsp_path, tmp_p
                 "--reference", "12", "--time-limit", "0.5"],
         "frontier": ["frontier", "--instance", str(port), "--lambdas", "0.5",
                      "--cardinality", "1"],
+        # a call budget does not help while a deadline can still cut the run
+        "ttt-time-limit": ["ttt", "--instance", str(tdtsp_path), "--kind", "tdtsp",
+                           "--reference", "12", "--time-limit", "5",
+                           "--decoder-calls", "150"],
     }[command]
     assert main(argv + ["--deterministic", "--out", str(out)]) == 2
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]

@@ -3,6 +3,7 @@ import pytest
 
 from randomkeys import (
     BrkgaParams,
+    DecoderError,
     IlsParams,
     RunBudget,
     SaParams,
@@ -24,6 +25,28 @@ class SphereDecoder:
     def cost(self, keys):
         self.calls += 1
         return float(np.sum((keys - self.target) ** 2))
+
+
+class RecordingDecoder:
+    """Wraps a decoder and records the cost of every charged decode."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.costs = []
+
+    @property
+    def dimension(self):
+        return self.inner.dimension
+
+    def cost(self, keys):
+        value = self.inner.cost(keys)
+        self.costs.append(value)
+        return value
+
+    def first_minimum(self):
+        """Lowest cost and the 1-based ordinal of its first decode."""
+        best = min(self.costs)
+        return best, self.costs.index(best) + 1
 
 
 ALL_SEARCHERS = [BrkgaParams(population_size=20), SaParams(),
@@ -58,7 +81,7 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.best_keys, b.best_keys)
 
 
-def test_threaded_driver_improves_too():
+def test_round_robin_driver_improves_too():
     report = run_ensemble(SphereDecoder(), ALL_SEARCHERS,
                           RunBudget(decoder_calls=4000), seed=3)
     assert report.best_cost < 0.05
@@ -113,3 +136,64 @@ def test_time_to_best_is_virtual_in_deterministic_mode():
     )
     assert report.time_to_best == int(report.time_to_best)
     assert 0 < report.time_to_best <= 2000
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_brkga_budget_ending_mid_generation_reports_the_minimum(seed):
+    # pool 5 + population 20 + 3 generations of 16 offspring + 9 more
+    decoder = RecordingDecoder(SphereDecoder(dim=6))
+    report = run_ensemble(
+        decoder, [BrkgaParams(population_size=20)],
+        RunBudget(decoder_calls=5 + 20 + 3 * 16 + 9), seed=seed, pool_capacity=5,
+    )
+    best, _ = decoder.first_minimum()
+    assert report.best_cost == best
+    assert SphereDecoder(dim=6).cost(report.best_keys) == best
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_time_to_best_is_the_ordinal_of_the_best_decode(seed):
+    decoder = RecordingDecoder(SphereDecoder())
+    report = run_ensemble(decoder, ALL_SEARCHERS, RunBudget(decoder_calls=2000), seed=seed)
+    best, ordinal = decoder.first_minimum()
+    assert report.best_cost == best
+    assert report.time_to_best == ordinal
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_target_stops_at_the_first_decode_that_reaches_it(seed):
+    decoder = RecordingDecoder(SphereDecoder())
+    target = 0.05
+    report = run_ensemble(
+        decoder, ALL_SEARCHERS, RunBudget(decoder_calls=50_000), seed=seed,
+        target_cost=target,
+    )
+    first_hit = next(i + 1 for i, c in enumerate(decoder.costs) if c <= target)
+    assert report.decoder_calls == first_hit == len(decoder.costs)
+    assert report.time_to_best == first_hit
+    assert report.best_cost <= target
+
+
+def test_decoder_error_inside_a_searcher_propagates():
+    class FailsLate(SphereDecoder):
+        def cost(self, keys):
+            if self.calls == 300:
+                raise KeyError("boom")
+            return super().cost(keys)
+
+    with pytest.raises(DecoderError):
+        run_ensemble(FailsLate(), ALL_SEARCHERS, RunBudget(decoder_calls=2000), seed=1)
+
+
+def test_call_budget_runs_repeat_exactly_without_the_flag():
+    a = run_ensemble(SphereDecoder(), ALL_SEARCHERS, RunBudget(decoder_calls=1500), seed=10)
+    b = run_ensemble(SphereDecoder(), ALL_SEARCHERS, RunBudget(decoder_calls=1500), seed=10)
+    assert (a.best_cost, a.time_to_best, a.searcher) == (b.best_cost, b.time_to_best, b.searcher)
+    assert np.array_equal(a.best_keys, b.best_keys)
+
+
+def test_deterministic_flag_refuses_a_time_limit():
+    with pytest.raises(ValueError):
+        run_ensemble(SphereDecoder(), ALL_SEARCHERS,
+                     RunBudget(time_limit=1.0, decoder_calls=100), seed=1,
+                     deterministic=True)

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -48,15 +46,6 @@ def test_eviction_prefers_nearest_worse_entry():
     assert keys == [0.0, 0.55, 0.9]
 
 
-def test_on_new_best_fires_for_first_and_improving_inserts():
-    seen = []
-    pool = ElitePool(capacity=3, on_new_best=lambda s: seen.append(s.cost))
-    pool.insert(entry(4.0, 0.1))
-    pool.insert(entry(5.0, 0.2))  # not a new best
-    pool.insert(entry(3.0, 0.3))
-    assert seen == [4.0, 3.0]
-
-
 def test_best_never_worsens_under_random_inserts():
     rng = np.random.default_rng(21)
     pool = ElitePool(capacity=4)
@@ -82,25 +71,6 @@ def test_empty_pool_behaviour():
     assert pool.best() is None
     with pytest.raises(LookupError):
         pool.random_entry(np.random.default_rng(0))
-
-
-def test_concurrent_inserts_stay_consistent():
-    pool = ElitePool(capacity=8)
-
-    def worker(seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(500):
-            pool.insert(EvaluatedSolution(keys=rng.random(4), cost=float(rng.random())))
-
-    threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    entries = pool.entries
-    assert len(entries) <= 8
-    costs = [e.cost for e in entries]
-    assert costs == sorted(costs)
 
 
 def test_entries_snapshot_is_detached():
