@@ -2,10 +2,11 @@
 
 Every decode in a run goes through one :class:`Evaluator`, which
 charges the shared :class:`SearchClock` before invoking the decoder and
-keeps the best decode of the run.  Charging raises
+keeps the best decode of the run.  The ensemble's driver is its only
+caller; the searchers only ask for key vectors.  Charging raises
 :class:`~randomkeys.errors.BudgetExhausted` once the call limit or
-deadline is hit, so no decode is ever issued past the budget and the
-reported call count is exact.
+deadline is hit or the target is reached, so no decode is ever issued
+past the budget and the reported call count is exact.
 """
 
 from __future__ import annotations
@@ -126,8 +127,6 @@ class Evaluator:
         self.clock.charge()
         try:
             cost = float(self.decoder.cost(keys))
-        except BudgetExhausted:
-            raise
         except Exception as exc:
             raise DecoderError(f"decoder failed on keys {keys!r}") from exc
         if not math.isfinite(cost):
@@ -141,11 +140,3 @@ class Evaluator:
             if self.target_cost is not None and cost <= self.target_cost:
                 self.clock.stop()
         return solution
-
-    def bound_to(self, origin: str):
-        """Return an ``evaluate(keys)`` callable tagged with ``origin``."""
-
-        def evaluate(keys: np.ndarray) -> EvaluatedSolution:
-            return self.evaluate(keys, origin)
-
-        return evaluate

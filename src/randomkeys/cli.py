@@ -84,6 +84,22 @@ def _parse_searchers(spec: str):
         ) from exc
 
 
+def _portfolio(args, means, covariance, risk_aversion: float) -> PortfolioInstance:
+    """The portfolio instance under the portfolio flags; an invalid flag
+    is an instance format error."""
+    try:
+        return PortfolioInstance(
+            means=means,
+            covariance=covariance,
+            cardinality=args.cardinality,
+            risk_aversion=risk_aversion,
+            lower=args.lower_bound,
+            upper=args.upper_bound,
+        )
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
+
+
 def _load_problem(args):
     """Build (decoder, describe_best) for the chosen kind and flags."""
     kind = args.kind
@@ -106,17 +122,7 @@ def _load_problem(args):
         return decoder, describe
     if kind == "portfolio":
         means, covariance = load_orlib_portfolio(path)
-        try:
-            instance = PortfolioInstance(
-                means=means,
-                covariance=covariance,
-                cardinality=args.cardinality,
-                risk_aversion=args.risk_aversion,
-                lower=args.lower_bound,
-                upper=args.upper_bound,
-            )
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+        instance = _portfolio(args, means, covariance, args.risk_aversion)
         decoder = PortfolioDecoder(instance)
 
         def describe(report: RunReport) -> dict:
@@ -326,18 +332,7 @@ def cmd_frontier(args) -> int:
     budget = _budget_from_args(args, "portfolio", means.shape[0])
     rows = []
     for lam in lambdas:
-        try:
-            instance = PortfolioInstance(
-                means=means,
-                covariance=covariance,
-                cardinality=args.cardinality,
-                risk_aversion=lam,
-                lower=args.lower_bound,
-                upper=args.upper_bound,
-            )
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
-        decoder = PortfolioDecoder(instance)
+        decoder = PortfolioDecoder(_portfolio(args, means, covariance, lam))
         best = None
         for seed in range(1, args.seeds + 1):
             report = _run(args, decoder, searchers, budget, seed)
@@ -398,17 +393,7 @@ def cmd_oracle(args) -> int:
         payload = {"kind": "mip", "cost": cost, "x": x.tolist()}
     elif args.kind == "portfolio":
         means, covariance = load_orlib_portfolio(Path(args.instance))
-        try:
-            instance = PortfolioInstance(
-                means=means,
-                covariance=covariance,
-                cardinality=args.cardinality,
-                risk_aversion=args.risk_aversion,
-                lower=args.lower_bound,
-                upper=args.upper_bound,
-            )
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
+        instance = _portfolio(args, means, covariance, args.risk_aversion)
         cost, assets, weights = brute_force_portfolio(instance, args.grid_step)
         payload = {
             "kind": "portfolio",

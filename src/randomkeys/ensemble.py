@@ -1,10 +1,11 @@
 """Run an ensemble of searchers against one decoder under one budget.
 
 All searchers share the elite pool and the decoder-call budget.  One
-driver interleaves the searcher generators round-robin on the calling
-thread, switching at the first yield on or after a fixed quantum of
-decoder calls.  Every decode goes through one :class:`Evaluator`, which
-keeps the best decode of the run and stops it at the target cost.
+driver resumes the ask/tell searchers round-robin on the calling
+thread, decodes what they ask for through one :class:`Evaluator`, and
+switches at the first pause on or after a fixed quantum of decoder
+calls.  The evaluator keeps the best decode of the run and stops it at
+the target cost; the first charge the budget refuses ends the run.
 
 Time fields count in the unit of the budget: decoder calls when it has
 no ``time_limit``, wall seconds otherwise.  Under a call-only budget a
@@ -23,7 +24,7 @@ from .budget import Decoder, Evaluator, RunBudget, SearchClock
 from .errors import BudgetExhausted
 from .keys import new_random_vector
 from .pool import ElitePool
-from .searchers import SearcherParams
+from .searchers import Search, SearcherParams
 
 __all__ = ["RunReport", "run_ensemble"]
 
@@ -94,26 +95,16 @@ def run_ensemble(
     clock = SearchClock(budget)
     evaluator = Evaluator(decoder, clock, target_cost)
     streams = np.random.SeedSequence(seed).spawn(len(searchers) + 1)
+    rngs = [np.random.default_rng(stream) for stream in streams]
     pool = ElitePool(pool_capacity)
-    init_rng = np.random.default_rng(streams[0])
-    init_evaluate = evaluator.bound_to("init")
+    labelled = [("init", _fill(pool, dimension, rngs[0]))] + [
+        (label, spec.search(dimension, pool, rng))
+        for label, spec, rng in zip(_unique_labels(searchers), searchers, rngs[1:])
+    ]
     try:
-        for _ in range(pool_capacity):
-            pool.insert(init_evaluate(new_random_vector(dimension, init_rng)))
+        _drive_round_robin(labelled, evaluator, quantum)
     except BudgetExhausted:
         pass
-    else:
-        labels = _unique_labels(searchers)
-        generators = [
-            spec.search(
-                dimension,
-                evaluator.bound_to(labels[i]),
-                pool,
-                np.random.default_rng(streams[i + 1]),
-            )
-            for i, spec in enumerate(searchers)
-        ]
-        _drive_round_robin(generators, clock, quantum)
 
     best = evaluator.best
     if best is None:
@@ -128,16 +119,30 @@ def run_ensemble(
     )
 
 
-def _drive_round_robin(generators, clock: SearchClock, quantum: int) -> None:
-    """Resume each generator in turn until it has used ``quantum`` calls
-    since it was resumed, and drop it once it ends or hits the budget."""
-    active = list(generators)
+def _fill(pool: ElitePool, dimension: int, rng: np.random.Generator) -> Search:
+    """Ask for random vectors until ``pool`` has had one offered per slot."""
+    for _ in range(pool.capacity):
+        pool.insert((yield new_random_vector(dimension, rng)))
+
+
+def _drive_round_robin(
+    labelled: list[tuple[str, Search]], evaluator: Evaluator, quantum: int
+) -> None:
+    """Resume each searcher in turn, decode what it asks for under its
+    label, and move on at its first pause once it has used ``quantum``
+    calls since it was resumed; drop a generator once it ends (only the
+    initial fill does).  The first decode the budget refuses raises
+    ``BudgetExhausted``."""
+    clock = evaluator.clock
+    active = list(labelled)
     while active:
-        for gen in list(active):
+        for entry in list(active):
+            label, search = entry
             resumed_at = clock.calls
-            while clock.calls - resumed_at < quantum:
-                try:
-                    next(gen)
-                except (StopIteration, BudgetExhausted):
-                    active.remove(gen)
-                    break
+            try:
+                keys = next(search)
+                while keys is not None or clock.calls - resumed_at < quantum:
+                    reply = None if keys is None else evaluator.evaluate(keys, label)
+                    keys = search.send(reply)
+            except StopIteration:
+                active.remove(entry)

@@ -19,8 +19,9 @@ class InstanceWarning(UserWarning):
 class BudgetExhausted(RuntimeError):
     """Raised by the search clock when no further decoder call is allowed.
 
-    Searchers treat this as the normal termination signal; it is not an
-    error condition for the caller of :func:`randomkeys.ensemble.run_ensemble`.
+    :func:`randomkeys.ensemble.run_ensemble` catches it in one place and
+    ends the run there; it never reaches the caller of a run.  Searchers
+    never see it: they only ask for key vectors.
     """
 
 

@@ -1,26 +1,31 @@
 """The four metaheuristics that search the key hypercube.
 
-Each searcher is written as a generator: it evaluates candidates
-through the callable handed to it (which charges the shared budget,
-keeps the run's best decode and raises ``BudgetExhausted`` when the run
-is over) and yields control after every outer iteration.  Improvements
-are offered to the shared elite pool.  The ensemble's round-robin driver
-interleaves the generators on one thread.
+Each searcher is an ask/tell generator that knows nothing of the
+problem: ``solution = yield keys`` asks for one decode and receives the
+evaluated solution, and ``yield None`` after every outer iteration marks
+a point where the driver may switch to another searcher.  Local search
+runs inside with ``yield from``.  The searchers never decode, charge
+the budget or stop the run; the ensemble's driver does all three.
+Improvements are offered to the shared elite pool.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Generator, Optional
 
 import numpy as np
 
 from .keys import BlendConfig, ShakeConfig, blend, new_random_vector, shake
-from .localsearch import rvnd
+from .localsearch import Moves, rvnd
 from .pool import ElitePool, EvaluatedSolution
 
 __all__ = ["BrkgaParams", "SaParams", "IlsParams", "VnsParams", "SearcherParams"]
+
+# Asks for key vectors (``None`` to pause), is told their evaluated
+# solutions, and runs until the driver stops resuming it.
+Search = Generator[Optional[np.ndarray], Optional[EvaluatedSolution], None]
 
 
 @dataclass(frozen=True)
@@ -56,33 +61,31 @@ class BrkgaParams:
             raise ValueError(f"exchange_interval must be >= 1, got {self.exchange_interval}")
 
     def search(
-        self,
-        dimension: int,
-        evaluate,
-        pool: ElitePool,
-        rng: np.random.Generator,
-    ) -> Iterator[None]:
+        self, dimension: int, pool: ElitePool, rng: np.random.Generator
+    ) -> Search:
         p = self.population_size
         n_elite = max(1, int(p * self.elite_fraction))
         n_mutant = min(int(p * self.mutant_fraction), p - n_elite - 1)
         crossover = BlendConfig(inherit_prob=self.inherit_bias)
 
-        population = [evaluate(new_random_vector(dimension, rng)) for _ in range(p)]
+        population = []
+        for _ in range(p):
+            population.append((yield new_random_vector(dimension, rng)))
         population.sort(key=lambda s: s.cost)
         generation = 0
         while True:
             pool.insert(population[0])
-            yield
+            yield None
             generation += 1
-            offspring = [
-                evaluate(new_random_vector(dimension, rng)) for _ in range(n_mutant)
-            ]
+            offspring = []
+            for _ in range(n_mutant):
+                offspring.append((yield new_random_vector(dimension, rng)))
             for _ in range(p - n_elite - n_mutant):
                 elite = population[int(rng.integers(n_elite))]
                 other = population[n_elite + int(rng.integers(p - n_elite))]
-                offspring.append(evaluate(blend(elite.keys, other.keys, crossover, rng)))
+                offspring.append((yield blend(elite.keys, other.keys, crossover, rng)))
             population = population[:n_elite] + offspring
-            if generation % self.exchange_interval == 0 and len(pool) > 0:
+            if generation % self.exchange_interval == 0:
                 migrant = pool.random_entry(rng)
                 slot = n_elite + int(rng.integers(p - n_elite))
                 population[slot] = migrant
@@ -118,20 +121,16 @@ class SaParams:
             raise ValueError("moves_per_temperature must be >= 1 when given")
 
     def search(
-        self,
-        dimension: int,
-        evaluate,
-        pool: ElitePool,
-        rng: np.random.Generator,
-    ) -> Iterator[None]:
+        self, dimension: int, pool: ElitePool, rng: np.random.Generator
+    ) -> Search:
         moves = self.moves_per_temperature or dimension
-        current = evaluate(new_random_vector(dimension, rng))
+        current = yield new_random_vector(dimension, rng)
         pool.insert(current)
         best = current
 
         deltas = []
         for _ in range(100):
-            neighbour = evaluate(shake(current.keys, self.shake, rng))
+            neighbour = yield shake(current.keys, self.shake, rng)
             deltas.append(neighbour.cost - current.cost)
         worsening = [d for d in deltas if d > 0]
         t_start = (
@@ -142,7 +141,7 @@ class SaParams:
         temperature = t_start
         while True:
             for _ in range(moves):
-                candidate = evaluate(shake(current.keys, self.shake, rng))
+                candidate = yield shake(current.keys, self.shake, rng)
                 delta = candidate.cost - current.cost
                 if delta < 0:
                     accept = True
@@ -156,23 +155,19 @@ class SaParams:
                     pool.insert(best)
             temperature *= self.cooling_rate
             if temperature < self.restart_floor:
-                try:
-                    current = pool.random_entry(rng)
-                except LookupError:
-                    pass
+                current = pool.random_entry(rng)
                 temperature = t_start
-            yield
+            yield None
 
 
 def _shake_then_descend(
     current: EvaluatedSolution,
     config: ShakeConfig,
-    evaluate,
     rng: np.random.Generator,
     rvnd_calls: Optional[int],
-) -> EvaluatedSolution:
-    candidate = evaluate(shake(current.keys, config, rng))
-    return rvnd(candidate, evaluate, rng, rvnd_calls)
+) -> Moves:
+    candidate = yield shake(current.keys, config, rng)
+    return (yield from rvnd(candidate, rng, rvnd_calls))
 
 
 @dataclass(frozen=True)
@@ -184,22 +179,18 @@ class IlsParams:
     label: str = "ils"
 
     def search(
-        self,
-        dimension: int,
-        evaluate,
-        pool: ElitePool,
-        rng: np.random.Generator,
-    ) -> Iterator[None]:
-        current = evaluate(new_random_vector(dimension, rng))
+        self, dimension: int, pool: ElitePool, rng: np.random.Generator
+    ) -> Search:
+        current = yield new_random_vector(dimension, rng)
         pool.insert(current)
         while True:
-            candidate = _shake_then_descend(
-                current, self.shake, evaluate, rng, self.rvnd_calls
+            candidate = yield from _shake_then_descend(
+                current, self.shake, rng, self.rvnd_calls
             )
             if candidate.cost < current.cost:
                 current = candidate
                 pool.insert(current)
-            yield
+            yield None
 
 
 @dataclass(frozen=True)
@@ -226,19 +217,15 @@ class VnsParams:
             raise ValueError(f"beta levels must increase: {self.beta_levels}")
 
     def search(
-        self,
-        dimension: int,
-        evaluate,
-        pool: ElitePool,
-        rng: np.random.Generator,
-    ) -> Iterator[None]:
+        self, dimension: int, pool: ElitePool, rng: np.random.Generator
+    ) -> Search:
         configs = [ShakeConfig(b, b) for b in self.beta_levels]
-        current = evaluate(new_random_vector(dimension, rng))
+        current = yield new_random_vector(dimension, rng)
         pool.insert(current)
         level = 0
         while True:
-            candidate = _shake_then_descend(
-                current, configs[level], evaluate, rng, self.rvnd_calls
+            candidate = yield from _shake_then_descend(
+                current, configs[level], rng, self.rvnd_calls
             )
             if candidate.cost < current.cost:
                 current = candidate
@@ -246,7 +233,7 @@ class VnsParams:
                 level = 0
             else:
                 level = (level + 1) % len(configs)
-            yield
+            yield None
 
 
 SearcherParams = BrkgaParams | SaParams | IlsParams | VnsParams

@@ -71,3 +71,20 @@ def toy_portfolio(n: int, k: int, seed: int, lam: float = 0.5) -> PortfolioInsta
         means=means, covariance=cov, cardinality=k, risk_aversion=lam,
         lower=0.0, upper=1.0,
     )
+
+
+def answer(search, evaluate):
+    """Run an ask/tell generator to its return value.
+
+    Each key vector it asks for is answered with ``evaluate(keys)``
+    (usually an ``Evaluator``'s bound ``evaluate``); its pauses are
+    passed over.  A searcher never returns, so on one this runs until
+    ``evaluate`` raises, e.g. ``BudgetExhausted``.
+    """
+    reply = None
+    try:
+        while True:
+            keys = search.send(reply)
+            reply = None if keys is None else evaluate(keys)
+    except StopIteration as stop:
+        return stop.value

@@ -51,7 +51,7 @@ from randomkeys import (
 from randomkeys import GenericMipInstance, MipDecoder, PenaltyModel
 from randomkeys.cli import main as cli_main
 from randomkeys.instances import load_orlib_portfolio
-from conftest import BENCH_KEYS, toy_portfolio
+from conftest import BENCH_KEYS, answer, toy_portfolio
 
 REPO = Path(__file__).resolve().parent.parent
 BENCH_PATH = REPO / "data" / "tdtsp_n6_h2.json"
@@ -272,7 +272,7 @@ def test_c7_invariant_suites(bench_instance):
     evaluator = Evaluator(Probe(), SearchClock(RunBudget(decoder_calls=10**8)))
     while rvnd_cases < 10_000:
         start = evaluator.evaluate(rng.random(4))
-        rvnd(start, evaluator.evaluate, rng, max_calls=400)
+        answer(rvnd(start, rng, max_calls=400), evaluator.evaluate)
 
     # pool capacity, monotonicity, dedup: 1e4 random inserts
     pool = ElitePool(capacity=7)

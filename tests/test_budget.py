@@ -8,6 +8,8 @@ from randomkeys import (
     RunBudget,
     SearchClock,
 )
+from randomkeys.localsearch import rvnd
+from conftest import answer
 
 
 class CountingDecoder:
@@ -110,13 +112,34 @@ def test_evaluator_never_decodes_past_budget():
     assert clock.calls == 2
 
 
+
+def test_evaluator_ends_a_search_at_the_target():
+    """A search answered through the evaluator gets no decode after the
+    first one at or below the target: its next ask ends it."""
+    decoder = CountingDecoder(dim=6)
+    clock = SearchClock(RunBudget(decoder_calls=10_000))
+    ev = Evaluator(decoder, clock, target_cost=1.5)
+    start = ev.evaluate(np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4]))
+    costs = []
+
+    def evaluate(keys):
+        solution = ev.evaluate(keys)
+        costs.append(solution.cost)
+        return solution
+
+    with pytest.raises(BudgetExhausted):
+        answer(rvnd(start, np.random.default_rng(1)), evaluate)
+    assert costs[-1] <= 1.5 < min(costs[:-1])
+    assert clock.calls == decoder.calls == len(costs) + 1
+    assert ev.best.cost == costs[-1]
+    assert ev.time_to_best == clock.calls
+
 def test_evaluator_stamps_origin_and_ordinal():
     ev = Evaluator(CountingDecoder(), SearchClock(RunBudget(decoder_calls=5)))
     first = ev.evaluate(np.array([0.1, 0.1, 0.1]), origin="sa")
     assert first.origin == "sa"
     assert first.decoded_at == 1
-    bound = ev.bound_to("ils")
-    second = bound(np.array([0.2, 0.2, 0.2]))
+    second = ev.evaluate(np.array([0.2, 0.2, 0.2]), "ils")
     assert second.origin == "ils"
     assert second.decoded_at == 2
     assert second.cost == pytest.approx(0.6)

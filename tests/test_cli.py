@@ -257,3 +257,20 @@ def test_deterministic_without_call_budget_is_refused(command, tdtsp_path, tmp_p
     }[command]
     assert main(argv + ["--deterministic", "--out", str(out)]) == 2
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+@pytest.mark.parametrize("command", ["solve", "ttt", "frontier", "oracle"])
+def test_invalid_portfolio_flag_exits_2(command, tmp_path):
+    port = tmp_path / "port.txt"
+    port.write_text("2\n0.001 0.01\n0.002 0.02\n1 1 1.0\n1 2 0.5\n2 2 1.0\n")
+    argv = {
+        "solve": ["solve", "--kind", "portfolio", "--decoder-calls", "100"],
+        "ttt": ["ttt", "--kind", "portfolio", "--reference", "0.001",
+                "--decoder-calls", "100"],
+        "frontier": ["frontier", "--lambdas", "0.5", "--decoder-calls", "100"],
+        "oracle": ["oracle", "--kind", "portfolio"],
+    }[command]
+    out = tmp_path / "out"
+    code = main(argv + ["--instance", str(port), "--cardinality", "0", "--out", str(out)])
+    assert code == 2
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]

@@ -15,12 +15,13 @@ from randomkeys import (
 from randomkeys.keys import KEY_MAX
 from randomkeys.localsearch import (
     FAREY_VALUES,
-    farey_search,
-    mirror_search,
-    nelder_mead_search,
+    farey_moves,
+    mirror_moves,
+    nelder_mead_moves,
     rvnd,
-    swap_search,
+    swap_moves,
 )
+from conftest import answer
 
 
 class QuadraticDecoder:
@@ -60,8 +61,8 @@ def test_swap_search_finds_an_improving_exchange():
     decoder = QuadraticDecoder([0.2, 0.8])
     ev = evaluator_for(decoder)
     start = ev.evaluate(np.array([0.8, 0.2]))
-    improved, result = swap_search(start, ev.evaluate, np.random.default_rng(1))
-    assert improved
+    result = answer(swap_moves(start, np.random.default_rng(1)), ev.evaluate)
+    assert result.cost < start.cost
     assert result.cost == pytest.approx(0.0)
 
 
@@ -70,8 +71,8 @@ def test_swap_search_skips_equal_keys():
     counting = evaluator_for(decoder)
     start = counting.evaluate(np.array([0.3, 0.3]))
     before = counting.clock.calls
-    improved, _ = swap_search(start, counting.evaluate, np.random.default_rng(1))
-    assert not improved
+    result = answer(swap_moves(start, np.random.default_rng(1)), counting.evaluate)
+    assert result is start
     assert counting.clock.calls == before  # the only pair was a no-op
 
 
@@ -79,8 +80,7 @@ def test_mirror_search_improves_when_mirror_is_better():
     decoder = QuadraticDecoder([0.9, 0.5])
     ev = evaluator_for(decoder)
     start = ev.evaluate(np.array([0.1, 0.5]))
-    improved, result = mirror_search(start, ev.evaluate, np.random.default_rng(2))
-    assert improved
+    result = answer(mirror_moves(start, np.random.default_rng(2)), ev.evaluate)
     assert result.cost < start.cost
     assert result.keys[0] == pytest.approx(0.9)
 
@@ -89,8 +89,7 @@ def test_farey_search_snaps_to_a_fraction():
     decoder = QuadraticDecoder([1 / 3, 1 / 2])
     ev = evaluator_for(decoder)
     start = ev.evaluate(np.array([0.11, 0.48]))
-    improved, result = farey_search(start, ev.evaluate, np.random.default_rng(3))
-    assert improved
+    result = answer(farey_moves(start, np.random.default_rng(3)), ev.evaluate)
     assert result.cost < start.cost
 
 
@@ -98,28 +97,39 @@ def test_nelder_mead_descends_a_quadratic():
     decoder = QuadraticDecoder([0.31, 0.62, 0.47])
     ev = evaluator_for(decoder)
     start = ev.evaluate(np.array([0.9, 0.1, 0.9]))
-    improved, result = nelder_mead_search(start, ev.evaluate, np.random.default_rng(4))
-    assert improved
+    result = answer(nelder_mead_moves(start, np.random.default_rng(4)), ev.evaluate)
     assert result.cost < 1e-4
     assert np.all(result.keys >= 0.0) and np.all(result.keys < 1.0)
 
 
-def test_nelder_mead_keeps_result_on_budget_exhaustion():
+def test_budget_ending_mid_descent_keeps_the_best_vertex():
+    """The budget ends a descent without a word to it; the run's best
+    is then the lowest vertex that Nelder-Mead had decoded."""
     decoder = QuadraticDecoder([0.31, 0.62, 0.47])
     ev = evaluator_for(decoder, calls=10)
     start = ev.evaluate(np.array([0.9, 0.1, 0.9]))
-    improved, result = nelder_mead_search(start, ev.evaluate, np.random.default_rng(4))
-    assert result.cost <= start.cost
-    # next global charge still reports exhaustion
+    vertices = []
+
+    def evaluate(keys):
+        vertices.append(ev.evaluate(keys))
+        return vertices[-1]
+
     with pytest.raises(BudgetExhausted):
-        ev.evaluate(start.keys)
+        answer(nelder_mead_moves(start, np.random.default_rng(4)), evaluate)
+    assert len(vertices) == 9  # the initial simplex and some steps
+    lowest = min(vertices, key=lambda s: s.cost)
+    assert lowest.cost < start.cost
+    assert ev.best is lowest
+    full = evaluator_for(decoder)
+    answer(nelder_mead_moves(full.evaluate(start.keys), None), full.evaluate)
+    assert full.clock.calls > ev.clock.calls  # the budget did cut it short
 
 
 def test_rvnd_never_worsens_and_reaches_local_optimum():
     decoder = QuadraticDecoder([0.25, 0.75, 0.5, 0.1])
     ev = evaluator_for(decoder)
     start = ev.evaluate(np.array([0.9, 0.2, 0.1, 0.8]))
-    result = rvnd(start, ev.evaluate, np.random.default_rng(5))
+    result = answer(rvnd(start, np.random.default_rng(5)), ev.evaluate)
     assert result.cost <= start.cost
     assert result.cost < 1e-3
 
@@ -129,7 +139,7 @@ def test_rvnd_respects_its_own_call_cap():
     ev = evaluator_for(decoder)
     start = ev.evaluate(np.array([0.9, 0.2]))
     before = ev.clock.calls
-    result = rvnd(start, ev.evaluate, np.random.default_rng(6), max_calls=7)
+    result = answer(rvnd(start, np.random.default_rng(6), max_calls=7), ev.evaluate)
     assert ev.clock.calls - before <= 7
     assert result.cost <= start.cost
 
@@ -140,7 +150,7 @@ def test_rvnd_key_range_closure():
     rng = np.random.default_rng(7)
     for _ in range(50):
         start = ev.evaluate(rng.random(3))
-        result = rvnd(start, ev.evaluate, rng, max_calls=60)
+        result = answer(rvnd(start, rng, max_calls=60), ev.evaluate)
         assert np.all(result.keys >= 0.0)
         assert np.all(result.keys < 1.0)
 
@@ -232,17 +242,36 @@ def reference_nelder_mead_search(current, try_eval, rng, shrinks=None):
     return False, current
 
 
+def ask_tell(moves, **kwargs):
+    """A package search in the references' form: ``search(start,
+    try_eval, rng)`` returns ``(improved, result)``."""
+
+    def search(start, try_eval, rng):
+        result = answer(moves(start, rng, **kwargs), try_eval)
+        return result.cost < start.cost, result
+
+    search.__name__ = moves.__name__
+    return search
+
+
 def search_outcome(search, decoder, start_keys, calls=100_000, seed=0):
     """Run one search from ``start_keys`` with ``calls`` decodes left
     after the start; return its result, every key vector it decoded and
-    the state it left the generator in."""
+    the state it left the generator in.
+
+    A reference meets the end of the budget as ``BudgetExhausted`` from
+    the evaluator; give a package search ``max_calls=calls`` instead,
+    the cap by which ``rvnd`` tells Nelder-Mead how many decodes it has
+    left.
+    """
     ev = evaluator_for(decoder, calls=calls + 1)
     start = ev.evaluate(start_keys.copy())
     decoded = []
 
     def evaluate(keys):
+        solution = ev.evaluate(keys)
         decoded.append(keys.tobytes())
-        return ev.evaluate(keys)
+        return solution
 
     rng = np.random.default_rng(seed)
     improved, result = search(start, evaluate, rng)
@@ -270,8 +299,8 @@ def test_local_searches_match_list_references(kind, d):
     for trial in range(3):
         keys = rng.random(d)
         for search, reference in (
-            (nelder_mead_search, reference_nelder_mead_search),
-            (swap_search, reference_swap_search),
+            (ask_tell(nelder_mead_moves), reference_nelder_mead_search),
+            (ask_tell(swap_moves), reference_swap_search),
         ):
             assert search_outcome(search, decoder, keys, seed=trial) == (
                 search_outcome(reference, decoder, keys, seed=trial)
@@ -294,6 +323,7 @@ def test_nelder_mead_matches_reference_at_every_budget(kind, d):
     if kind == "tdtsp":
         assert shrinks and shrinks[0] + d <= full
     for calls in range(full + 1):
-        assert search_outcome(nelder_mead_search, decoder, keys, calls) == (
+        search = ask_tell(nelder_mead_moves, max_calls=calls)
+        assert search_outcome(search, decoder, keys, calls) == (
             search_outcome(reference_nelder_mead_search, decoder, keys, calls)
         ), calls

@@ -13,6 +13,7 @@ from randomkeys import (
     ShakeConfig,
     VnsParams,
 )
+from conftest import answer
 
 
 class SphereDecoder:
@@ -33,12 +34,8 @@ def drive(params, calls=4000, seed=1, dim=4, decoder=None):
     clock = SearchClock(RunBudget(decoder_calls=calls))
     pool = ElitePool(capacity=10)
     ev = Evaluator(decoder, clock)
-    gen = params.search(dim, ev.bound_to(params.label), pool, np.random.default_rng(seed))
-    try:
-        for _ in gen:
-            pass
-    except BudgetExhausted:
-        pass
+    with pytest.raises(BudgetExhausted):
+        answer(params.search(dim, pool, np.random.default_rng(seed)), ev.evaluate)
     return pool
 
 
@@ -93,12 +90,9 @@ def test_brkga_respects_exact_call_budget():
     clock = SearchClock(RunBudget(decoder_calls=137))
     ev = Evaluator(decoder, clock)
     pool = ElitePool(capacity=5)
-    gen = BrkgaParams(population_size=20).search(
-        4, ev.bound_to("brkga"), pool, np.random.default_rng(2)
-    )
+    gen = BrkgaParams(population_size=20).search(4, pool, np.random.default_rng(2))
     with pytest.raises(BudgetExhausted):
-        for _ in gen:
-            pass
+        answer(gen, ev.evaluate)
     assert clock.calls == 137
 
 
@@ -108,12 +102,18 @@ def test_sa_yields_after_each_temperature_step():
     ev = Evaluator(decoder, clock)
     pool = ElitePool(capacity=5)
     params = SaParams(moves_per_temperature=5)
-    gen = params.search(4, ev.bound_to("sa"), pool, np.random.default_rng(3))
-    next(gen)
+    gen = params.search(4, pool, np.random.default_rng(3))
+
+    def to_next_pause():
+        reply = None
+        while (keys := gen.send(reply)) is not None:
+            reply = ev.evaluate(keys)
+
+    to_next_pause()
     after_first = clock.calls
     # 1 initial + 100 calibration + 5 moves
     assert after_first == 106
-    next(gen)
+    to_next_pause()
     assert clock.calls == 111
 
 
