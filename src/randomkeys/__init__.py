@@ -10,10 +10,9 @@ the time-dependent TSP come with independent feasibility checkers and
 small-instance brute-force oracles.
 """
 
-from .budget import Decoder, Evaluator, RunBudget, SearchClock
+from .budget import Decoder, Evaluator, RunBudget
 from .ensemble import RunReport, run_ensemble
 from .errors import (
-    BudgetExhausted,
     DecoderError,
     InstanceFormatError,
     InstanceWarning,
@@ -74,7 +73,6 @@ from .tdtsp import (
 __all__ = [
     "BlendConfig",
     "BrkgaParams",
-    "BudgetExhausted",
     "Decoder",
     "DecoderError",
     "ElitePool",
@@ -97,7 +95,6 @@ __all__ = [
     "RunBudget",
     "RunReport",
     "SaParams",
-    "SearchClock",
     "SearcherParams",
     "ShakeConfig",
     "TdTspDecoder",

@@ -427,19 +427,32 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _positive(kind):
+    """An argparse type that reads a ``kind`` and refuses values <= 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--searchers", default="brkga,sa,ils,vns",
                         help="comma list from brkga,sa,ils,vns")
-    parser.add_argument("--time-limit", type=float, default=None,
+    parser.add_argument("--time-limit", type=_positive(float), default=None,
                         help="wall-clock budget in seconds")
-    parser.add_argument("--decoder-calls", type=int, default=None,
+    parser.add_argument("--decoder-calls", type=_positive(int), default=None,
                         help="decoder-call budget")
     parser.add_argument("--deterministic", action="store_true",
                         help="refuse the run unless it reproduces: needs "
                              "--decoder-calls and no --time-limit; changes "
                              "nothing else")
-    parser.add_argument("--pool-size", type=int, default=20)
-    parser.add_argument("--quantum", type=int, default=100,
+    parser.add_argument("--pool-size", type=_positive(int), default=20)
+    parser.add_argument("--quantum", type=_positive(int), default=100,
                         help="decoder calls per searcher slice of the "
                              "round-robin driver")
 
@@ -464,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run the ensemble on an instance")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
-    solve.add_argument("--seeds", type=int, default=5,
+    solve.add_argument("--seeds", type=_positive(int), default=5,
                        help="number of runs, seeded 1..N")
     solve.add_argument("--target-cost", type=float, default=None, dest="target_cost",
                        help="stop a run early once this cost is reached")
@@ -489,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     ttt.add_argument("--reference", type=float, required=True)
     ttt.add_argument("--target-percent", type=float, default=1.0,
                      help="target is reference plus this percent of |reference|")
-    ttt.add_argument("--repetitions", type=int, default=10)
+    ttt.add_argument("--repetitions", type=_positive(int), default=10)
     ttt.add_argument("--penalty-weight", type=float, default=1e4)
     ttt.add_argument("--out", required=True)
     _add_run_flags(ttt)
@@ -504,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(f"{v / 100:.2f}" for v in range(2, 99, 2)),
         help="comma list of risk-aversion values strictly inside (0, 1)",
     )
-    frontier.add_argument("--seeds", type=int, default=1)
+    frontier.add_argument("--seeds", type=_positive(int), default=1)
     frontier.add_argument("--out", required=True)
     _add_run_flags(frontier)
     _add_portfolio_flags(frontier)

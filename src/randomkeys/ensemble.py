@@ -4,8 +4,9 @@ All searchers share the elite pool and the decoder-call budget.  One
 driver resumes the ask/tell searchers round-robin on the calling
 thread, decodes what they ask for through one :class:`Evaluator`, and
 switches at the first pause on or after a fixed quantum of decoder
-calls.  The evaluator keeps the best decode of the run and stops it at
-the target cost; the first charge the budget refuses ends the run.
+calls.  The evaluator charges the budget and keeps the best decode of
+the run; the run ends at the first decode it refuses, once the budget
+is spent or the target cost reached.
 
 Time fields count in the unit of the budget: decoder calls when it has
 no ``time_limit``, wall seconds otherwise.  Under a call-only budget a
@@ -20,8 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budget import Decoder, Evaluator, RunBudget, SearchClock
-from .errors import BudgetExhausted
+from .budget import Decoder, Evaluator, RunBudget
 from .keys import new_random_vector
 from .pool import ElitePool
 from .searchers import Search, SearcherParams
@@ -92,8 +92,7 @@ def run_ensemble(
     if dimension < 1:
         raise ValueError(f"decoder dimension must be positive, got {dimension}")
 
-    clock = SearchClock(budget)
-    evaluator = Evaluator(decoder, clock, target_cost)
+    evaluator = Evaluator(decoder, budget, target_cost)
     streams = np.random.SeedSequence(seed).spawn(len(searchers) + 1)
     rngs = [np.random.default_rng(stream) for stream in streams]
     pool = ElitePool(pool_capacity)
@@ -101,10 +100,7 @@ def run_ensemble(
         (label, spec.search(dimension, pool, rng))
         for label, spec, rng in zip(_unique_labels(searchers), searchers, rngs[1:])
     ]
-    try:
-        _drive_round_robin(labelled, evaluator, quantum)
-    except BudgetExhausted:
-        pass
+    _drive_round_robin(labelled, evaluator, quantum)
 
     best = evaluator.best
     if best is None:
@@ -113,7 +109,7 @@ def run_ensemble(
         best_cost=best.cost,
         best_keys=best.keys,
         time_to_best=evaluator.time_to_best,
-        decoder_calls=clock.calls,
+        decoder_calls=evaluator.calls,
         seed=seed,
         searcher=best.origin,
     )
@@ -131,18 +127,21 @@ def _drive_round_robin(
     """Resume each searcher in turn, decode what it asks for under its
     label, and move on at its first pause once it has used ``quantum``
     calls since it was resumed; drop a generator once it ends (only the
-    initial fill does).  The first decode the budget refuses raises
-    ``BudgetExhausted``."""
-    clock = evaluator.clock
+    initial fill does).  Return at the first decode the evaluator
+    refuses; no searcher is resumed after it."""
     active = list(labelled)
     while active:
         for entry in list(active):
             label, search = entry
-            resumed_at = clock.calls
+            resumed_at = evaluator.calls
             try:
                 keys = next(search)
-                while keys is not None or clock.calls - resumed_at < quantum:
-                    reply = None if keys is None else evaluator.evaluate(keys, label)
-                    keys = search.send(reply)
+                while keys is not None or evaluator.calls - resumed_at < quantum:
+                    if keys is None:
+                        keys = search.send(None)
+                    elif (solution := evaluator.evaluate(keys, label)) is None:
+                        return
+                    else:
+                        keys = search.send(solution)
             except StopIteration:
                 active.remove(entry)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 __all__ = [
-    "BudgetExhausted",
     "DecoderError",
     "InstanceFormatError",
     "InstanceWarning",
@@ -14,15 +13,6 @@ __all__ = [
 class InstanceWarning(UserWarning):
     """An instance is usable but looks suspicious (e.g. the terminal
     node's travel times differ from the depot's they should copy)."""
-
-
-class BudgetExhausted(RuntimeError):
-    """Raised by the search clock when no further decoder call is allowed.
-
-    :func:`randomkeys.ensemble.run_ensemble` catches it in one place and
-    ends the run there; it never reaches the caller of a run.  Searchers
-    never see it: they only ask for key vectors.
-    """
 
 
 class DecoderError(RuntimeError):

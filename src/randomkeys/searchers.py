@@ -5,7 +5,7 @@ problem: ``solution = yield keys`` asks for one decode and receives the
 evaluated solution, and ``yield None`` after every outer iteration marks
 a point where the driver may switch to another searcher.  Local search
 runs inside with ``yield from``.  The searchers never decode, charge
-the budget or stop the run; the ensemble's driver does all three.
+the budget or stop the run; the ensemble's driver and its evaluator do.
 Improvements are offered to the shared elite pool.
 """
 

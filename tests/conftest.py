@@ -78,13 +78,17 @@ def answer(search, evaluate):
 
     Each key vector it asks for is answered with ``evaluate(keys)``
     (usually an ``Evaluator``'s bound ``evaluate``); its pauses are
-    passed over.  A searcher never returns, so on one this runs until
-    ``evaluate`` raises, e.g. ``BudgetExhausted``.
+    passed over.  When ``evaluate`` refuses an ask by returning
+    ``None``, the generator is not resumed and this returns ``None``.
+    A searcher never returns, so on one this runs until the
+    evaluator's budget is spent.
     """
     reply = None
     try:
         while True:
             keys = search.send(reply)
             reply = None if keys is None else evaluate(keys)
+            if keys is not None and reply is None:
+                return None
     except StopIteration as stop:
         return stop.value

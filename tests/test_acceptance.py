@@ -26,7 +26,6 @@ from randomkeys import (
     PortfolioInstance,
     RunBudget,
     SaParams,
-    SearchClock,
     ShakeConfig,
     TdTspDecoder,
     VnsParams,
@@ -269,7 +268,7 @@ def test_c7_invariant_suites(bench_instance):
             rvnd_cases += 1
             return float(np.sum((keys - 0.37) ** 2))
 
-    evaluator = Evaluator(Probe(), SearchClock(RunBudget(decoder_calls=10**8)))
+    evaluator = Evaluator(Probe(), RunBudget(decoder_calls=10**8))
     while rvnd_cases < 10_000:
         start = evaluator.evaluate(rng.random(4))
         answer(rvnd(start, rng, max_calls=400), evaluator.evaluate)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from randomkeys import (
-    BudgetExhausted,
     DecoderError,
     Evaluator,
     RunBudget,
-    SearchClock,
 )
+from randomkeys import budget as budget_module
 from randomkeys.localsearch import rvnd
 from conftest import answer
 
@@ -28,6 +27,9 @@ class CountingDecoder:
         return float(keys.sum())
 
 
+KEYS = np.array([0.4, 0.5, 0.6])
+
+
 def test_budget_requires_a_limit():
     with pytest.raises(ValueError):
         RunBudget()
@@ -38,45 +40,63 @@ def test_budget_requires_a_limit():
 
 
 def test_charge_stops_exactly_at_call_limit():
-    clock = SearchClock(RunBudget(decoder_calls=3))
+    decoder = CountingDecoder()
+    ev = Evaluator(decoder, RunBudget(decoder_calls=3))
     for _ in range(3):
-        clock.charge()
-    with pytest.raises(BudgetExhausted):
-        clock.charge()
-    assert clock.calls == 3
+        assert ev.evaluate(KEYS) is not None
+    assert ev.evaluate(KEYS) is None
+    assert ev.calls == decoder.calls == 3
 
 
 def test_stop_flag_blocks_further_charges():
-    clock = SearchClock(RunBudget(decoder_calls=100))
-    clock.charge()
-    clock.stop()
-    assert clock.exhausted()
-    with pytest.raises(BudgetExhausted):
-        clock.charge()
-    assert clock.calls == 1
+    decoder = CountingDecoder()
+    ev = Evaluator(decoder, RunBudget(decoder_calls=100), target_cost=2.0)
+    ev.evaluate(KEYS)
+    assert ev.reached_target
+    assert ev.evaluate(np.array([0.1, 0.1, 0.1])) is None
+    assert ev.calls == decoder.calls == 1
 
 
 def test_virtual_elapsed_counts_calls():
-    clock = SearchClock(RunBudget(decoder_calls=10))
-    assert clock.elapsed() == 0.0
-    clock.charge()
-    clock.charge()
-    assert clock.elapsed() == 2.0
+    ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=10))
+    assert ev.elapsed() == 0.0
+    ev.evaluate(KEYS)
+    ev.evaluate(KEYS)
+    assert ev.elapsed() == 2.0
 
 
 def test_wall_elapsed_is_nonnegative_seconds():
-    clock = SearchClock(RunBudget(time_limit=60.0))
-    assert clock.elapsed() >= 0.0
-    assert clock.elapsed() < 1.0
+    ev = Evaluator(CountingDecoder(), RunBudget(time_limit=60.0))
+    assert ev.elapsed() >= 0.0
+    assert ev.elapsed() < 1.0
     # a call limit beside the time limit does not change the unit
-    clock = SearchClock(RunBudget(time_limit=60.0, decoder_calls=10))
-    clock.charge()
-    clock.charge()
-    assert clock.elapsed() < 1.0
+    ev = Evaluator(CountingDecoder(), RunBudget(time_limit=60.0, decoder_calls=10))
+    ev.evaluate(KEYS)
+    ev.evaluate(KEYS)
+    assert ev.elapsed() < 1.0
+
+
+def test_evaluator_refuses_past_the_deadline(monkeypatch):
+    now = [100.0]
+
+    class FakeTime:
+        @staticmethod
+        def monotonic():
+            return now[0]
+
+    monkeypatch.setattr(budget_module, "time", FakeTime)
+    decoder = CountingDecoder()
+    ev = Evaluator(decoder, RunBudget(time_limit=5.0, decoder_calls=10))
+    now[0] = 104.5
+    assert ev.evaluate(KEYS) is not None
+    assert ev.elapsed() == 4.5
+    now[0] = 105.0
+    assert ev.evaluate(KEYS) is None
+    assert ev.calls == decoder.calls == 1
 
 
 def test_evaluator_keeps_first_strictly_lower_decode():
-    ev = Evaluator(CountingDecoder(), SearchClock(RunBudget(decoder_calls=10)))
+    ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=10))
     assert ev.best is None
     ev.evaluate(np.array([0.3, 0.3, 0.3]), origin="init")
     first = ev.evaluate(np.array([0.1, 0.1, 0.1]), origin="sa")
@@ -88,54 +108,50 @@ def test_evaluator_keeps_first_strictly_lower_decode():
 
 def test_evaluator_stops_the_clock_at_the_target():
     decoder = CountingDecoder()
-    clock = SearchClock(RunBudget(decoder_calls=10))
-    ev = Evaluator(decoder, clock, target_cost=0.5)
+    ev = Evaluator(decoder, RunBudget(decoder_calls=10), target_cost=0.5)
     ev.evaluate(np.array([0.3, 0.3, 0.3]))
-    assert not clock.exhausted()
+    assert not ev.reached_target
     ev.evaluate(np.array([0.1, 0.1, 0.1]))
-    assert clock.stopped
-    with pytest.raises(BudgetExhausted):
-        ev.evaluate(np.array([0.0, 0.0, 0.0]))
-    assert decoder.calls == 2
+    assert ev.reached_target
+    assert ev.evaluate(np.array([0.0, 0.0, 0.0])) is None
+    assert decoder.calls == ev.calls == 2
     assert ev.best.decoded_at == 2
 
 
 def test_evaluator_never_decodes_past_budget():
     decoder = CountingDecoder()
-    clock = SearchClock(RunBudget(decoder_calls=2))
-    ev = Evaluator(decoder, clock)
+    ev = Evaluator(decoder, RunBudget(decoder_calls=2))
     ev.evaluate(np.array([0.1, 0.2, 0.3]))
     ev.evaluate(np.array([0.4, 0.5, 0.6]))
-    with pytest.raises(BudgetExhausted):
-        ev.evaluate(np.array([0.7, 0.8, 0.9]))
+    assert ev.evaluate(np.array([0.7, 0.8, 0.9])) is None
+    assert ev.evaluate(np.array([0.0, 0.0, 0.0])) is None
     assert decoder.calls == 2
-    assert clock.calls == 2
-
+    assert ev.calls == 2
 
 
 def test_evaluator_ends_a_search_at_the_target():
     """A search answered through the evaluator gets no decode after the
     first one at or below the target: its next ask ends it."""
     decoder = CountingDecoder(dim=6)
-    clock = SearchClock(RunBudget(decoder_calls=10_000))
-    ev = Evaluator(decoder, clock, target_cost=1.5)
+    ev = Evaluator(decoder, RunBudget(decoder_calls=10_000), target_cost=1.5)
     start = ev.evaluate(np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4]))
     costs = []
 
     def evaluate(keys):
         solution = ev.evaluate(keys)
-        costs.append(solution.cost)
+        if solution is not None:
+            costs.append(solution.cost)
         return solution
 
-    with pytest.raises(BudgetExhausted):
-        answer(rvnd(start, np.random.default_rng(1)), evaluate)
+    assert answer(rvnd(start, np.random.default_rng(1)), evaluate) is None
     assert costs[-1] <= 1.5 < min(costs[:-1])
-    assert clock.calls == decoder.calls == len(costs) + 1
+    assert ev.calls == decoder.calls == len(costs) + 1
     assert ev.best.cost == costs[-1]
-    assert ev.time_to_best == clock.calls
+    assert ev.time_to_best == ev.calls
+
 
 def test_evaluator_stamps_origin_and_ordinal():
-    ev = Evaluator(CountingDecoder(), SearchClock(RunBudget(decoder_calls=5)))
+    ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=5))
     first = ev.evaluate(np.array([0.1, 0.1, 0.1]), origin="sa")
     assert first.origin == "sa"
     assert first.decoded_at == 1
@@ -152,7 +168,7 @@ def test_evaluator_wraps_decoder_failures():
         def cost(self, keys):
             raise KeyError("boom")
 
-    ev = Evaluator(Broken(), SearchClock(RunBudget(decoder_calls=5)))
+    ev = Evaluator(Broken(), RunBudget(decoder_calls=5))
     with pytest.raises(DecoderError):
         ev.evaluate(np.array([0.1, 0.2]))
 
@@ -164,6 +180,6 @@ def test_evaluator_rejects_non_finite_cost():
         def cost(self, keys):
             return float("nan")
 
-    ev = Evaluator(Nan(), SearchClock(RunBudget(decoder_calls=5)))
+    ev = Evaluator(Nan(), RunBudget(decoder_calls=5))
     with pytest.raises(DecoderError):
         ev.evaluate(np.array([0.5]))

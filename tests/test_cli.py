@@ -274,3 +274,32 @@ def test_invalid_portfolio_flag_exits_2(command, tmp_path):
     code = main(argv + ["--instance", str(port), "--cardinality", "0", "--out", str(out)])
     assert code == 2
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("solve", "--decoder-calls", "0"),
+    ("solve", "--time-limit", "-1"),
+    ("solve", "--quantum", "0"),
+    ("solve", "--pool-size", "0"),
+    ("solve", "--seeds", "0"),
+    ("ttt", "--repetitions", "0"),
+    ("frontier", "--seeds", "0"),
+])
+def test_out_of_range_run_flag_exits_2(command, flag, value, tdtsp_path, tmp_path, capsys):
+    port = tmp_path / "port.txt"
+    port.write_text("2\n0.001 0.01\n0.002 0.02\n1 1 1.0\n1 2 0.5\n2 2 1.0\n")
+    argv = {
+        "solve": ["solve", "--instance", str(tdtsp_path), "--kind", "tdtsp"],
+        "ttt": ["ttt", "--instance", str(tdtsp_path), "--kind", "tdtsp",
+                "--reference", "12"],
+        "frontier": ["frontier", "--instance", str(port), "--lambdas", "0.5",
+                     "--cardinality", "1"],
+    }[command]
+    if flag != "--decoder-calls":
+        argv += ["--decoder-calls", "100"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(argv + [flag, value, "--out", str(out)])
+    assert exited.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from randomkeys import (
-    BudgetExhausted,
     Evaluator,
     RunBudget,
-    SearchClock,
     TdTspDecoder,
     generate_tdtsp_instance,
 )
@@ -39,7 +37,7 @@ class QuadraticDecoder:
 
 
 def evaluator_for(decoder, calls=100_000):
-    return Evaluator(decoder, SearchClock(RunBudget(decoder_calls=calls)))
+    return Evaluator(decoder, RunBudget(decoder_calls=calls))
 
 
 def test_farey_values_are_order_seven():
@@ -70,10 +68,10 @@ def test_swap_search_skips_equal_keys():
     decoder = QuadraticDecoder([0.5, 0.5])
     counting = evaluator_for(decoder)
     start = counting.evaluate(np.array([0.3, 0.3]))
-    before = counting.clock.calls
+    before = counting.calls
     result = answer(swap_moves(start, np.random.default_rng(1)), counting.evaluate)
     assert result is start
-    assert counting.clock.calls == before  # the only pair was a no-op
+    assert counting.calls == before  # the only pair was a no-op
 
 
 def test_mirror_search_improves_when_mirror_is_better():
@@ -111,18 +109,19 @@ def test_budget_ending_mid_descent_keeps_the_best_vertex():
     vertices = []
 
     def evaluate(keys):
-        vertices.append(ev.evaluate(keys))
-        return vertices[-1]
+        solution = ev.evaluate(keys)
+        if solution is not None:
+            vertices.append(solution)
+        return solution
 
-    with pytest.raises(BudgetExhausted):
-        answer(nelder_mead_moves(start, np.random.default_rng(4)), evaluate)
+    assert answer(nelder_mead_moves(start, np.random.default_rng(4)), evaluate) is None
     assert len(vertices) == 9  # the initial simplex and some steps
     lowest = min(vertices, key=lambda s: s.cost)
     assert lowest.cost < start.cost
     assert ev.best is lowest
     full = evaluator_for(decoder)
     answer(nelder_mead_moves(full.evaluate(start.keys), None), full.evaluate)
-    assert full.clock.calls > ev.clock.calls  # the budget did cut it short
+    assert full.calls > ev.calls  # the budget did cut it short
 
 
 def test_rvnd_never_worsens_and_reaches_local_optimum():
@@ -138,9 +137,9 @@ def test_rvnd_respects_its_own_call_cap():
     decoder = QuadraticDecoder([0.25, 0.75])
     ev = evaluator_for(decoder)
     start = ev.evaluate(np.array([0.9, 0.2]))
-    before = ev.clock.calls
+    before = ev.calls
     result = answer(rvnd(start, np.random.default_rng(6), max_calls=7), ev.evaluate)
-    assert ev.clock.calls - before <= 7
+    assert ev.calls - before <= 7
     assert result.cost <= start.cost
 
 
@@ -177,6 +176,10 @@ def reference_swap_search(current, try_eval, rng):
 
 class _ReferenceNmDone(Exception):
     pass
+
+
+class _Refused(Exception):
+    """The harness's evaluator refused a decode: the budget is spent."""
 
 
 def reference_nelder_mead_search(current, try_eval, rng, shrinks=None):
@@ -234,7 +237,7 @@ def reference_nelder_mead_search(current, try_eval, rng, shrinks=None):
                     simplex[-1] = contracted
                 else:
                     shrink()
-    except (_ReferenceNmDone, BudgetExhausted):
+    except (_ReferenceNmDone, _Refused):
         pass
     best = min(simplex, key=lambda s: s.cost)
     if best.cost < current.cost:
@@ -259,10 +262,10 @@ def search_outcome(search, decoder, start_keys, calls=100_000, seed=0):
     after the start; return its result, every key vector it decoded and
     the state it left the generator in.
 
-    A reference meets the end of the budget as ``BudgetExhausted`` from
-    the evaluator; give a package search ``max_calls=calls`` instead,
-    the cap by which ``rvnd`` tells Nelder-Mead how many decodes it has
-    left.
+    A reference meets the end of the budget as ``_Refused``, which the
+    harness raises when the evaluator refuses; give a package search
+    ``max_calls=calls`` instead, the cap by which ``rvnd`` tells
+    Nelder-Mead how many decodes it has left.
     """
     ev = evaluator_for(decoder, calls=calls + 1)
     start = ev.evaluate(start_keys.copy())
@@ -270,6 +273,8 @@ def search_outcome(search, decoder, start_keys, calls=100_000, seed=0):
 
     def evaluate(keys):
         solution = ev.evaluate(keys)
+        if solution is None:
+            raise _Refused
         decoded.append(keys.tobytes())
         return solution
 
@@ -318,7 +323,7 @@ def test_nelder_mead_matches_reference_at_every_budget(kind, d):
     reference_nelder_mead_search(
         ev.evaluate(keys.copy()), ev.evaluate, None, shrinks=shrinks
     )
-    full = ev.clock.calls - 1
+    full = ev.calls - 1
     assert full > d + 1
     if kind == "tdtsp":
         assert shrinks and shrinks[0] + d <= full
