@@ -535,17 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="brute-force reference optimum")
     oracle.add_argument("--instance", required=True)
     oracle.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
-    oracle.add_argument("--grid-step", type=float, default=1e-3)
+    oracle.add_argument("--grid-step", type=_positive(float), default=1e-3)
     oracle.add_argument("--penalty-weight", type=float, default=1e4)
     oracle.add_argument("--out", default=None)
     _add_portfolio_flags(oracle)
     oracle.set_defaults(func=cmd_oracle)
 
     generate = sub.add_parser("generate", help="write a random TD-TSP instance")
-    generate.add_argument("--customers", type=int, required=True)
-    generate.add_argument("--intervals", type=int, required=True)
+    generate.add_argument("--customers", type=_positive(int), required=True)
+    generate.add_argument("--intervals", type=_positive(int), required=True)
     generate.add_argument("--seed", type=int, required=True)
-    generate.add_argument("--horizon", type=float, default=54000.0)
+    generate.add_argument("--horizon", type=_positive(float), default=54000.0)
     generate.add_argument("--out", required=True)
     generate.set_defaults(func=cmd_generate)
 

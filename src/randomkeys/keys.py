@@ -86,7 +86,7 @@ def new_random_vector(dimension: int, rng: np.random.Generator) -> np.ndarray:
 
 def clip_keys(keys: np.ndarray) -> np.ndarray:
     """Clamp keys into [0, KEY_MAX] in place and return the array."""
-    return np.clip(keys, 0.0, KEY_MAX, out=keys)
+    return keys.clip(0.0, KEY_MAX, out=keys)
 
 
 def shake(keys: np.ndarray, config: ShakeConfig, rng: np.random.Generator) -> np.ndarray:
@@ -144,7 +144,7 @@ def blend(
     if a.shape != b.shape:
         raise ValueError(f"parent shapes differ: {a.shape} vs {b.shape}")
     d = a.shape[0]
-    base = b if config.factor == 1 else np.clip(1.0 - b, 0.0, KEY_MAX)
+    base = b if config.factor == 1 else (1.0 - b).clip(0.0, KEY_MAX)
     out = np.where(rng.random(d) < config.inherit_prob, a, base)
     mutate = rng.random(d) < config.mutation_prob
     if mutate.any():

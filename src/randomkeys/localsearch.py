@@ -120,7 +120,7 @@ def nelder_mead_moves(
 
 
 def _in_box(keys: np.ndarray) -> np.ndarray:
-    return np.clip(keys, 0.0, KEY_MAX)
+    return keys.clip(0.0, KEY_MAX)
 
 
 def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Generator:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -20,22 +19,36 @@ from .keys import key_distance
 __all__ = ["EvaluatedSolution", "InsertOutcome", "ElitePool"]
 
 
-@dataclass(frozen=True, eq=False)
 class EvaluatedSolution:
     """A key vector together with its decoded cost.
 
     ``decoded_at`` is the decoder-call ordinal at which the vector was
     evaluated, ``origin`` the searcher label that produced it.  The key
-    array is marked read-only on construction.
+    array is marked read-only on construction.  Solutions compare by
+    identity, so two decodes of equal keys stay distinct objects and
+    ``list.remove`` removes exactly the one it is given.
+
+    The evaluator builds one of these for every decode, so it is a
+    plain ``__slots__`` class: a frozen dataclass costs several times
+    as much to construct.  Treat its fields as read-only.
     """
 
-    keys: np.ndarray
-    cost: float
-    decoded_at: int = 0
-    origin: str = ""
+    __slots__ = ("keys", "cost", "decoded_at", "origin")
 
-    def __post_init__(self) -> None:
-        self.keys.setflags(write=False)
+    def __init__(
+        self, keys: np.ndarray, cost: float, decoded_at: int = 0, origin: str = ""
+    ) -> None:
+        keys.setflags(write=False)
+        self.keys = keys
+        self.cost = cost
+        self.decoded_at = decoded_at
+        self.origin = origin
+
+    def __repr__(self) -> str:
+        return (
+            f"EvaluatedSolution(keys={self.keys!r}, cost={self.cost!r}, "
+            f"decoded_at={self.decoded_at!r}, origin={self.origin!r})"
+        )
 
 
 class InsertOutcome(enum.Enum):
@@ -47,12 +60,17 @@ class InsertOutcome(enum.Enum):
 class ElitePool:
     """Fixed-capacity pool of elite solutions, deduplicated by exact keys.
 
-    Insertion below capacity always accepts a non-duplicate.  At
-    capacity, the candidate must cost strictly less than at least one
-    entry; the evicted entry is, among those costing strictly more than
-    the candidate, the one closest to it in Euclidean key distance.
-    This keeps the pool diverse: the candidate displaces its most
-    similar worse neighbour rather than the global worst.
+    A candidate whose keys equal an entry's, element by element, is a
+    duplicate; the check runs first.  Duplicates are found in a dict
+    keyed on the bytes of ``keys + 0.0``: the addition turns ``-0.0``
+    into ``0.0``, so keys that differ only in the sign of a zero, which
+    compare equal, also share their bytes.  Insertion below capacity
+    always accepts a non-duplicate.  At capacity, the candidate must
+    cost strictly less than at least one entry; the evicted entry is,
+    among those costing strictly more than the candidate, the one
+    closest to it in Euclidean key distance.  This keeps the pool
+    diverse: the candidate displaces its most similar worse neighbour
+    rather than the global worst.
     """
 
     def __init__(self, capacity: int = 20) -> None:
@@ -60,6 +78,7 @@ class ElitePool:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: list[EvaluatedSolution] = []
+        self._by_keys: dict[bytes, EvaluatedSolution] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -78,14 +97,22 @@ class ElitePool:
         return self._entries[int(rng.integers(len(self._entries)))]
 
     def insert(self, solution: EvaluatedSolution) -> InsertOutcome:
-        for entry in self._entries:
-            if np.array_equal(entry.keys, solution.keys):
-                return InsertOutcome.DUPLICATE
-        if len(self._entries) >= self.capacity:
-            worse = [e for e in self._entries if e.cost > solution.cost]
-            if not worse:
+        fingerprint = _fingerprint(solution.keys)
+        if fingerprint in self._by_keys:
+            return InsertOutcome.DUPLICATE
+        entries = self._entries
+        if len(entries) >= self.capacity:
+            # The entries are sorted by cost: nothing costs more than the last.
+            if not solution.cost < entries[-1].cost:
                 return InsertOutcome.WORSE
+            worse = [e for e in entries if e.cost > solution.cost]
             victim = min(worse, key=lambda e: key_distance(e.keys, solution.keys))
-            self._entries.remove(victim)
-        bisect.insort(self._entries, solution, key=lambda e: e.cost)
+            entries.remove(victim)
+            del self._by_keys[_fingerprint(victim.keys)]
+        bisect.insort(entries, solution, key=lambda e: e.cost)
+        self._by_keys[fingerprint] = solution
         return InsertOutcome.ACCEPTED
+
+
+def _fingerprint(keys: np.ndarray) -> bytes:
+    return (keys + 0.0).tobytes()

@@ -143,7 +143,7 @@ def decode_tdtsp(instance: TdTspInstance, keys: np.ndarray) -> TdTspSolution:
     t = instance._travel_lists
     s = instance._service_list
 
-    order = [v + 1 for v in np.argsort(keys, kind="stable").tolist()]
+    order = [v + 1 for v in keys.argsort(kind="stable").tolist()]
     arrival = np.zeros(n + 2)
     arcs: list[tuple[int, int, int]] = []
     flows: list[tuple[int, int, int]] = []
@@ -362,7 +362,7 @@ class TdTspDecoder:
         current = 0
         now = 0.0
         total = 0.0
-        for idx in np.argsort(keys, kind="stable").tolist():
+        for idx in keys.argsort(kind="stable").tolist():
             nxt = idx + 1
             leg = t[slot if slot < big_h else big_h - 1][current][nxt]
             now += leg + s[nxt]

@@ -303,3 +303,27 @@ def test_out_of_range_run_flag_exits_2(command, flag, value, tdtsp_path, tmp_pat
     assert exited.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("generate", "--customers", "0"),
+    ("generate", "--intervals", "0"),
+    ("generate", "--horizon", "-5"),
+    ("oracle", "--grid-step", "0"),
+])
+def test_out_of_range_instance_flag_exits_2(command, flag, value, tmp_path, capsys):
+    port = tmp_path / "port.txt"
+    port.write_text("2\n0.001 0.01\n0.002 0.02\n1 1 1.0\n1 2 0.5\n2 2 1.0\n")
+    argv = {
+        "generate": ["generate", "--customers", "4", "--intervals", "2", "--seed", "1"],
+        "oracle": ["oracle", "--instance", str(port), "--kind", "portfolio",
+                   "--cardinality", "1"],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(argv + [flag, value, "--out", str(out)])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -11,6 +11,7 @@ from randomkeys import (
     new_random_vector,
     shake,
 )
+from randomkeys.localsearch import _in_box
 
 
 def test_new_random_vector_range_and_determinism():
@@ -98,3 +99,23 @@ def test_key_distance_is_euclidean():
     a = np.array([0.0, 0.0])
     b = np.array([0.3, 0.4])
     assert key_distance(a, b) == pytest.approx(0.5)
+
+
+# Key values where a clamp can differ in its bytes: signed zeros, both
+# bounds, the values just outside them, and far outside values.
+EDGE_KEYS = np.array(
+    [-0.0, 0.0, KEY_MAX, 1.0, -0.3, -1e-300, 1.7, np.nextafter(KEY_MAX, 2.0), 0.5]
+)
+
+
+def test_clamps_match_np_clip_byte_for_byte():
+    expected = np.clip(EDGE_KEYS, 0.0, KEY_MAX).tobytes()
+    assert np.signbit(np.clip(EDGE_KEYS, 0.0, KEY_MAX)[0])  # np.clip keeps -0.0
+    assert _in_box(EDGE_KEYS).tobytes() == expected
+    assert clip_keys(EDGE_KEYS.copy()).tobytes() == expected
+    b = np.concatenate([EDGE_KEYS, 1.0 - EDGE_KEYS])
+    mirrored = blend(
+        np.full_like(b, 0.5), b, BlendConfig(inherit_prob=0.0, factor=-1),
+        np.random.default_rng(1),
+    )
+    assert mirrored.tobytes() == np.clip(1.0 - b, 0.0, KEY_MAX).tobytes()

@@ -1,7 +1,10 @@
+import bisect
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from randomkeys import ElitePool, EvaluatedSolution, InsertOutcome
+from randomkeys import ElitePool, EvaluatedSolution, InsertOutcome, key_distance
 
 
 def entry(cost, *keys):
@@ -85,3 +88,87 @@ def test_solution_keys_are_frozen():
     sol = entry(1.0, 0.1, 0.2)
     with pytest.raises(ValueError):
         sol.keys[0] = 0.9
+
+
+def test_solution_constructor_forms_and_defaults():
+    keys = np.array([0.1, 0.2])
+    positional = EvaluatedSolution(keys, 1.5)
+    assert positional.keys is keys and positional.cost == 1.5
+    assert positional.decoded_at == 0 and positional.origin == ""
+    named = EvaluatedSolution(keys=np.array([0.3]), cost=2.0, decoded_at=7, origin="sa")
+    assert (named.cost, named.decoded_at, named.origin) == (2.0, 7, "sa")
+    assert EvaluatedSolution(np.array([0.3]), 2.0, 7, "sa").origin == "sa"
+
+
+def test_solution_keys_frozen_also_for_a_row_view():
+    block = np.random.default_rng(3).random((4, 3))
+    sol = EvaluatedSolution(block[2], 1.0)
+    with pytest.raises(ValueError):
+        sol.keys[0] = 0.9
+    assert np.array_equal(sol.keys, block[2])
+
+
+def test_solutions_compare_by_identity():
+    a = entry(1.0, 0.1, 0.2)
+    b = entry(1.0, 0.1, 0.2)
+    assert a != b and a == a
+    listed = [a, b]
+    listed.remove(b)
+    assert len(listed) == 1 and listed[0] is a
+
+
+def reference_insert(entries, capacity, solution):
+    """The insert of an earlier version, which scanned every entry with
+    ``np.array_equal`` and only then looked at the capacity."""
+    for e in entries:
+        if np.array_equal(e.keys, solution.keys):
+            return InsertOutcome.DUPLICATE
+    if len(entries) >= capacity:
+        worse = [e for e in entries if e.cost > solution.cost]
+        if not worse:
+            return InsertOutcome.WORSE
+        victim = min(worse, key=lambda e: key_distance(e.keys, solution.keys))
+        entries.remove(victim)
+    bisect.insort(entries, solution, key=lambda e: e.cost)
+    return InsertOutcome.ACCEPTED
+
+
+def draw_keys(rng, offered, entries, d=3):
+    """Fresh keys, some of them zero, or an exact copy or a sign-of-zero
+    twin of an earlier offer (evicted ones too) or of a pool entry."""
+    kind = rng.integers(6)
+    if kind == 0 or not entries:
+        return rng.random(d) * (rng.random(d) < 0.7)
+    if kind == 1:
+        return rng.choice([0.0, -0.0, 0.5], size=d)
+    source = offered if kind < 4 else [e.keys for e in entries]
+    keys = source[rng.integers(len(source))].copy()
+    if kind % 2:
+        zero = keys == 0.0
+        keys[zero] = -keys[zero]
+    return keys
+
+
+@pytest.mark.parametrize("capacity", [1, 3, 20])
+def test_insert_matches_array_equal_scan(capacity):
+    rng = np.random.default_rng(capacity)
+    pool, reference, offered = ElitePool(capacity), [], []
+    seen = Counter()
+    for _ in range(3000):
+        keys = draw_keys(rng, offered, reference)
+        offered.append(keys)
+        solution = EvaluatedSolution(keys.copy(), float(rng.integers(12)))
+        at_capacity = len(reference) >= capacity
+        tie = at_capacity and solution.cost == reference[-1].cost
+        twin = any(
+            np.array_equal(e.keys, keys) and e.keys.tobytes() != keys.tobytes()
+            for e in reference
+        )
+        expected = reference_insert(reference, capacity, solution)
+        assert pool.insert(solution) is expected
+        assert len(pool.entries) == len(reference)
+        assert all(a is b for a, b in zip(pool.entries, reference))
+        seen[expected, tie, twin] += 1
+    assert {outcome for outcome, _, _ in seen} == set(InsertOutcome)
+    assert seen[InsertOutcome.WORSE, True, False] > 0
+    assert seen[InsertOutcome.DUPLICATE, False, True] + seen[InsertOutcome.DUPLICATE, True, True] > 0

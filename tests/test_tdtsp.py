@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randomkeys import (
+    KEY_MAX,
     InstanceWarning,
     OracleGuardError,
     TdTspDecoder,
@@ -105,6 +106,19 @@ def test_decoder_fast_path_matches_full_decode(bench_instance):
         keys = rng.random(6)
         assert decoder.cost(keys) == decode_tdtsp(bench_instance, keys).cost
 
+
+
+def test_decoder_fast_path_keeps_stable_order_on_tied_keys():
+    # Above 16 keys numpy's default sort is not stable, so this catches a
+    # kernel that sorts without ``kind="stable"``.
+    inst = generate_tdtsp_instance(40, 3, seed=53)
+    decoder = TdTspDecoder(inst)
+    rng = np.random.default_rng(54)
+    for _ in range(50):
+        keys = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=40)
+        sol = decode_tdtsp(inst, keys)
+        assert sol.order == tuple(i + 1 for i in sorted(range(40), key=keys.__getitem__))
+        assert decoder.cost(keys) == sol.cost
 
 def test_lower_bound_below_unpenalized_costs(bench_instance):
     bound = travel_time_lower_bound(bench_instance)
