@@ -24,13 +24,15 @@ class EvaluatedSolution:
 
     ``decoded_at`` is the decoder-call ordinal at which the vector was
     evaluated, ``origin`` the searcher label that produced it.  The key
-    array is marked read-only on construction.  Solutions compare by
+    array is marked read-only on construction, so the key bytes on which
+    :class:`ElitePool` finds duplicates (with ``-0.0`` read as ``0.0``)
+    cannot change while the solution is pooled.  Solutions compare by
     identity, so two decodes of equal keys stay distinct objects and
     ``list.remove`` removes exactly the one it is given.
 
     The evaluator builds one of these for every decode, so it is a
-    plain ``__slots__`` class: a frozen dataclass costs several times
-    as much to construct.  Treat its fields as read-only.
+    plain ``__slots__`` class: a frozen dataclass costs about twice as
+    much to construct.  Treat its fields as read-only.
     """
 
     __slots__ = ("keys", "cost", "decoded_at", "origin")
@@ -61,8 +63,8 @@ class ElitePool:
     """Fixed-capacity pool of elite solutions, deduplicated by exact keys.
 
     A candidate whose keys equal an entry's, element by element, is a
-    duplicate; the check runs first.  Duplicates are found in a dict
-    keyed on the bytes of ``keys + 0.0``: the addition turns ``-0.0``
+    duplicate; the check runs first.  Duplicates are found in a set of
+    the entries' ``keys + 0.0`` bytes: the addition turns ``-0.0``
     into ``0.0``, so keys that differ only in the sign of a zero, which
     compare equal, also share their bytes.  Insertion below capacity
     always accepts a non-duplicate.  At capacity, the candidate must
@@ -78,7 +80,7 @@ class ElitePool:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self._entries: list[EvaluatedSolution] = []
-        self._by_keys: dict[bytes, EvaluatedSolution] = {}
+        self._fingerprints: set[bytes] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -98,7 +100,7 @@ class ElitePool:
 
     def insert(self, solution: EvaluatedSolution) -> InsertOutcome:
         fingerprint = _fingerprint(solution.keys)
-        if fingerprint in self._by_keys:
+        if fingerprint in self._fingerprints:
             return InsertOutcome.DUPLICATE
         entries = self._entries
         if len(entries) >= self.capacity:
@@ -108,9 +110,9 @@ class ElitePool:
             worse = [e for e in entries if e.cost > solution.cost]
             victim = min(worse, key=lambda e: key_distance(e.keys, solution.keys))
             entries.remove(victim)
-            del self._by_keys[_fingerprint(victim.keys)]
+            self._fingerprints.remove(_fingerprint(victim.keys))
         bisect.insort(entries, solution, key=lambda e: e.cost)
-        self._by_keys[fingerprint] = solution
+        self._fingerprints.add(fingerprint)
         return InsertOutcome.ACCEPTED
 
 
