@@ -154,7 +154,13 @@ def blend(
 
 
 def key_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Euclidean distance between two key vectors of equal dimension."""
+    """Euclidean distance between two key vectors of equal dimension.
+
+    It computes what ``np.linalg.norm`` computes for a float vector,
+    ``sqrt(d.dot(d))``, byte for byte, without the wrapper's checks:
+    the pool calls it once per worse entry on every eviction.
+    """
     if a.shape != b.shape:
         raise ValueError(f"vector shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+    d = a - b
+    return math.sqrt(d.dot(d))

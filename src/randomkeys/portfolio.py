@@ -10,6 +10,14 @@ time from the shrinking set of those still available, the second block
 places each picked asset's raw weight inside its bounds.  Raw weights
 are then normalized onto the budget; bound violations that the
 normalization may introduce are charged as penalties.
+
+One kernel serves both :func:`decode_portfolio` and
+:meth:`PortfolioDecoder.cost`, so the cost a searcher is charged is the
+cost a re-decode reports, by construction.  ``cost`` returns the float
+and builds no :class:`PortfolioSolution`.  On an instance whose bounds
+are all [0, 1], and weight keys that are all finite and non-negative,
+the kernel skips the penalty expression: it is exactly ``+0.0`` there
+(see :func:`decode_portfolio`).
 """
 
 from __future__ import annotations
@@ -55,6 +63,12 @@ class PortfolioInstance:
     risk_aversion: float
     lower: np.ndarray = 0.0  # type: ignore[assignment]
     upper: np.ndarray = 1.0  # type: ignore[assignment]
+    # Derived from the fields above for the decoder kernel: the asset
+    # order its selection list starts from, and whether every asset's
+    # bounds are [0, 1], which makes the penalty of finite non-negative
+    # weight keys exactly zero.
+    _assets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _unit_bounds: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mu = np.asarray(self.means, dtype=float)
@@ -81,6 +95,10 @@ class PortfolioInstance:
         object.__setattr__(self, "covariance", sigma)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "_assets", tuple(range(n)))
+        object.__setattr__(
+            self, "_unit_bounds", bool(np.all(lower == 0.0) and np.all(upper == 1.0))
+        )
 
     @property
     def n_assets(self) -> int:
@@ -114,37 +132,22 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
     asset.  Raw weights are normalized to sum one (an all-zero raw
     vector falls back to equal weights); bound violations after
     normalization are penalized.
+
+    :meth:`PortfolioDecoder.cost` runs the same kernel and returns its
+    cost alone.  The kernel skips the penalty expression when every
+    asset's bounds are [0, 1] and every weight key is non-negative with
+    a finite sum, because it is exactly ``+0.0`` then: each raw weight
+    is its key, a rounded sum of non-negative numbers is at least each
+    of them, so each normalized weight (or the equal-split 1/K) lies in
+    [0, 1] and each penalty term is ``max(0, x)`` of some ``x <= 0``.
+    A negative weight key, or a sum that overflows, takes the full
+    penalty path.
     """
-    k = instance.cardinality
-    if keys.shape[0] != 2 * k:
-        raise ValueError(f"expected {2 * k} keys, got {keys.shape[0]}")
-    remaining = list(range(instance.n_assets))
-    chosen: list[int] = []
-    for key in keys[:k].tolist():
-        m = len(remaining)
-        position = max(1, math.ceil(key * m))
-        chosen.append(remaining.pop(min(position, m) - 1))
-
-    idx = np.array(chosen, dtype=np.intp)
-    lo = instance.lower[idx]
-    hi = instance.upper[idx]
-    raw = lo + (hi - lo) * keys[k:]
-    total = float(raw.sum())
-    weights = raw / total if total > 0.0 else np.full(k, 1.0 / k)
-
-    penalty = float(
-        (np.maximum(0.0, weights - hi) + np.maximum(0.0, lo - weights)).sum()
+    assets, weights, risk, mean_return, objective, penalty, cost = _decode(
+        instance, keys
     )
-    sub_cov = instance.covariance[idx[:, None], idx]
-    risk = float(weights @ sub_cov @ weights)
-    mean_return = float(instance.means[idx] @ weights)
-    lam = instance.risk_aversion
-    objective = lam * risk - (1.0 - lam) * mean_return
-    cost = objective + BOUND_PENALTY_WEIGHT * penalty
-    if penalty > 0.0:
-        cost += INFEASIBILITY_OFFSET
     return PortfolioSolution(
-        assets=tuple(chosen),
+        assets=tuple(assets),
         weights=weights,
         risk=risk,
         mean_return=mean_return,
@@ -152,6 +155,53 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
         penalty=penalty,
         cost=cost,
     )
+
+
+def _decode(
+    instance: PortfolioInstance, keys: np.ndarray
+) -> tuple[list[int], np.ndarray, float, float, float, float, float]:
+    """The decoder kernel: assets, weights, risk, mean return,
+    objective, penalty and cost, computed as :func:`decode_portfolio`
+    describes."""
+    k = instance.cardinality
+    if keys.shape[0] != 2 * k:
+        raise ValueError(f"expected {2 * k} keys, got {keys.shape[0]}")
+    remaining = list(instance._assets)
+    m = len(remaining)
+    chosen: list[int] = []
+    for key in keys[:k].tolist():
+        position = math.ceil(key * m)
+        if not 0 < position <= m:
+            position = 1 if position < 1 else m
+        chosen.append(remaining.pop(position - 1))
+        m -= 1
+
+    idx = np.array(chosen, dtype=np.intp)
+    lo = instance.lower[idx]
+    hi = instance.upper[idx]
+    weight_keys = keys[k:]
+    raw = lo + (hi - lo) * weight_keys
+    total = float(raw.sum())
+    weights = raw / total if total > 0.0 else np.full(k, 1.0 / k)
+
+    # A NaN key makes the total NaN and fails ``total < inf``, so the
+    # builtin min, which can step over a NaN, only sees NaN-free keys.
+    if instance._unit_bounds and total < math.inf and min(weight_keys.tolist()) >= 0.0:
+        penalty = 0.0
+    else:
+        penalty = float(
+            (np.maximum(0.0, weights - hi) + np.maximum(0.0, lo - weights)).sum()
+        )
+    # take() gathers the same values as cov[idx[:, None], idx], faster.
+    sub_cov = instance.covariance.take(idx, 0).take(idx, 1)
+    risk = float(weights @ sub_cov @ weights)
+    mean_return = float(instance.means[idx] @ weights)
+    lam = instance.risk_aversion
+    objective = lam * risk - (1.0 - lam) * mean_return
+    cost = objective + BOUND_PENALTY_WEIGHT * penalty
+    if penalty > 0.0:
+        cost += INFEASIBILITY_OFFSET
+    return chosen, weights, risk, mean_return, objective, penalty, cost
 
 
 def portfolio_objective(
@@ -218,7 +268,7 @@ class PortfolioDecoder:
         return 2 * self.instance.cardinality
 
     def cost(self, keys: np.ndarray) -> float:
-        return decode_portfolio(self.instance, keys).cost
+        return _decode(self.instance, keys)[-1]
 
     def decode(self, keys: np.ndarray) -> PortfolioSolution:
         return decode_portfolio(self.instance, keys)

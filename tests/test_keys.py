@@ -101,6 +101,16 @@ def test_key_distance_is_euclidean():
     assert key_distance(a, b) == pytest.approx(0.5)
 
 
+def test_key_distance_matches_linalg_norm_byte_for_byte():
+    # The pool picks its victim by these distances; a different rounding
+    # would flip near ties.
+    rng = np.random.default_rng(14)
+    for d in (1, 3, 20, 50, 200):
+        for _ in range(200):
+            a, b = rng.random(d), rng.random(d) * (rng.random(d) < 0.8)
+            assert key_distance(a, b) == float(np.linalg.norm(a - b))
+
+
 # Key values where a clamp can differ in its bytes: signed zeros, both
 # bounds, the values just outside them, and far outside values.
 EDGE_KEYS = np.array(

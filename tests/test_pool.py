@@ -119,7 +119,8 @@ def test_solutions_compare_by_identity():
 
 def reference_insert(entries, capacity, solution):
     """The insert of an earlier version, which scanned every entry with
-    ``np.array_equal`` and only then looked at the capacity."""
+    ``np.array_equal``, only then looked at the capacity, and measured
+    distances with ``np.linalg.norm``."""
     for e in entries:
         if np.array_equal(e.keys, solution.keys):
             return InsertOutcome.DUPLICATE
@@ -127,7 +128,7 @@ def reference_insert(entries, capacity, solution):
         worse = [e for e in entries if e.cost > solution.cost]
         if not worse:
             return InsertOutcome.WORSE
-        victim = min(worse, key=lambda e: key_distance(e.keys, solution.keys))
+        victim = min(worse, key=lambda e: float(np.linalg.norm(e.keys - solution.keys)))
         entries.remove(victim)
     bisect.insort(entries, solution, key=lambda e: e.cost)
     return InsertOutcome.ACCEPTED
@@ -172,3 +173,23 @@ def test_insert_matches_array_equal_scan(capacity):
     assert {outcome for outcome, _, _ in seen} == set(InsertOutcome)
     assert seen[InsertOutcome.WORSE, True, False] > 0
     assert seen[InsertOutcome.DUPLICATE, False, True] + seen[InsertOutcome.DUPLICATE, True, True] > 0
+
+    # Near ties: the midpoint of two entries lies at the same distance
+    # from both in exact arithmetic, and within a few ulps in floating
+    # point, so the victim hangs on how each distance is rounded.
+    if capacity == 1:
+        return
+    near_ties = 0
+    for _ in range(1000):
+        i, j = rng.choice(len(reference), size=2, replace=False)
+        first, second = reference[i], reference[j]
+        keys = (first.keys + second.keys) / 2
+        solution = EvaluatedSolution(keys, min(first.cost, second.cost) - 1.0)
+        distances = sorted(
+            np.linalg.norm(e.keys - keys) for e in reference if e.cost > solution.cost
+        )
+        near_ties += distances[1] - distances[0] <= 4 * np.spacing(distances[0])
+        expected = reference_insert(reference, capacity, solution)
+        assert pool.insert(solution) is expected
+        assert all(a is b for a, b in zip(pool.entries, reference))
+    assert near_ties > 0

@@ -240,3 +240,75 @@ def test_decoder_matches_reference_on_the_equal_split_fallback():
     keys = np.concatenate([np.random.default_rng(47).random(4), np.zeros(4)])
     sol = assert_same_decode(inst, keys)
     assert sol.weights.tolist() == [0.25] * 4
+
+
+def bounded_instance(seed, lower, upper, n=12, k=5):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    return PortfolioInstance(
+        means=rng.uniform(0.001, 0.01, size=n),
+        covariance=(a @ a.T) / n * 1e-3,
+        cardinality=k,
+        risk_aversion=0.3,
+        lower=lower,
+        upper=upper,
+    )
+
+
+def test_decoder_matches_reference_on_signed_zero_keys():
+    inst = toy_portfolio(40, 10, seed=48)
+    rng = np.random.default_rng(49)
+    assert_same_decode(inst, np.full(20, -0.0))
+    for _ in range(100):
+        keys = rng.random(20)
+        keys[rng.random(20) < 0.4] = -0.0
+        sol = assert_same_decode(inst, keys)
+        assert sol.penalty == 0.0
+
+
+def test_decoder_matches_reference_on_out_of_range_keys():
+    # On [0, 1] bounds a negative weight key gives a negative weight,
+    # which must be penalized; keys above one only scale the raw weights.
+    # Selection keys outside [0, 1) pick the first or last asset left.
+    inst = toy_portfolio(15, 5, seed=50)
+    rng = np.random.default_rng(51)
+    for _ in range(200):
+        keys = np.concatenate([rng.uniform(-0.5, 1.5, size=5), rng.uniform(0.0, 3.0, size=5)])
+        assert assert_same_decode(inst, keys).penalty == 0.0
+        keys[5 + rng.integers(5)] = -rng.uniform(1e-6, 0.5)
+        assert assert_same_decode(inst, keys).penalty > 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_decoder_matches_reference_on_non_finite_weight_keys():
+    # Infinite or NaN keys give NaN weights or costs, which == cannot
+    # compare, so the fields are compared by repr.
+    inst = toy_portfolio(12, 4, seed=52)
+    fields = ("risk", "mean_return", "objective", "penalty", "cost")
+    for tail in ([0.5, np.inf, 0.2, 0.1], [np.nan, 0.5, 0.2, 0.1], [-np.inf, 0.5, 0.2, 0.1],
+                 [1e308, 1e308, 0.2, 0.1]):
+        keys = np.array([0.3, 0.6, 0.1, 0.9] + tail)
+        got = decode_portfolio(inst, keys)
+        want = reference_decode_portfolio(inst, keys)
+        assert got.assets == want.assets
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert [repr(getattr(got, f)) for f in fields] == [repr(getattr(want, f)) for f in fields]
+        assert repr(PortfolioDecoder(inst).cost(keys)) == repr(want.cost)
+
+
+def test_decoder_matches_reference_with_caps_below_one():
+    inst = bounded_instance(53, lower=0.0, upper=np.linspace(0.25, 1.0, 12))
+    rng = np.random.default_rng(54)
+    penalized = sum(
+        assert_same_decode(inst, rng.random(10)).penalty > 0.0 for _ in range(300)
+    )
+    assert 0 < penalized < 300
+
+
+def test_decoder_matches_reference_with_buy_in_bounds():
+    inst = bounded_instance(55, lower=0.05, upper=1.0)
+    rng = np.random.default_rng(56)
+    penalized = sum(
+        assert_same_decode(inst, rng.random(10)).penalty > 0.0 for _ in range(300)
+    )
+    assert 0 < penalized < 300
