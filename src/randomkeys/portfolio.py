@@ -15,9 +15,9 @@ One kernel serves both :func:`decode_portfolio` and
 :meth:`PortfolioDecoder.cost`, so the cost a searcher is charged is the
 cost a re-decode reports, by construction.  ``cost`` returns the float
 and builds no :class:`PortfolioSolution`.  On an instance whose bounds
-are all [0, 1], and weight keys that are all finite and non-negative,
-the kernel skips the penalty expression: it is exactly ``+0.0`` there
-(see :func:`decode_portfolio`).
+are all [0, 1], and non-negative weight keys with a finite sum, the
+kernel skips the penalty expression: it is exactly ``+0.0`` there (see
+:func:`decode_portfolio`).
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
     is its key, a rounded sum of non-negative numbers is at least each
     of them, so each normalized weight (or the equal-split 1/K) lies in
     [0, 1] and each penalty term is ``max(0, x)`` of some ``x <= 0``.
-    A negative weight key, or a sum that overflows, takes the full
+    A negative weight key, or a sum that is not finite, takes the full
     penalty path.
     """
     assets, weights, risk, mean_return, objective, penalty, cost = _decode(

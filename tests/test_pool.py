@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from randomkeys import ElitePool, EvaluatedSolution, InsertOutcome, key_distance
+from randomkeys import ElitePool, EvaluatedSolution, InsertOutcome
 
 
 def entry(cost, *keys):
