@@ -94,38 +94,49 @@ def shake(keys: np.ndarray, config: ShakeConfig, rng: np.random.Generator) -> np
 
     Each move is drawn uniformly from four kinds: swap two distinct
     keys, swap a key with its immediate successor, mirror one key
-    through ``1 - key``, or overwrite one key with a fresh uniform
-    draw.  Indices are sampled with replacement across moves, so a key
-    may be touched more than once.  Moves that need two positions are
-    skipped for one-dimensional vectors.
+    through ``1 - key`` (clamped to [0, KEY_MAX]), or overwrite one key
+    with a fresh uniform draw (clamped to KEY_MAX).  Indices are
+    sampled with replacement across moves, so a key may be touched
+    more than once.  Moves that need two positions are skipped for
+    one-dimensional vectors.
+
+    The call draws its randomness in two calls: ``beta`` uniformly
+    from [beta_min, beta_max], then one ``(3, moves)`` block of
+    uniforms holding each move's kind, first index and second index
+    or fresh value.  An index is the floor of its uniform times the
+    number of valid positions, clamped to the last of them.  The moves
+    are then applied in order.
 
     Returns a new array; the input is not modified.
     """
-    out = np.array(keys, dtype=float, copy=True)
-    d = out.shape[0]
-    beta = rng.uniform(config.beta_min, config.beta_max)
-    for _ in range(math.ceil(beta * d)):
-        move = rng.integers(4)
+    out = np.asarray(keys, dtype=float).tolist()
+    d = len(out)
+    # The same value as rng.uniform(beta_min, beta_max), without the
+    # wrapper's argument handling.
+    beta = config.beta_min + (config.beta_max - config.beta_min) * rng.random()
+    kinds, firsts, seconds = rng.random((3, math.ceil(beta * d))).tolist()
+    last = d - 1
+    for u, v, w in zip(kinds, firsts, seconds):
+        move = int(u * 4.0)
         if move == 0:
             if d < 2:
                 continue
-            i = int(rng.integers(d))
-            j = int(rng.integers(d - 1))
+            i = min(int(v * d), last)
+            j = min(int(w * last), last - 1)
             if j >= i:
                 j += 1
             out[i], out[j] = out[j], out[i]
         elif move == 1:
             if d < 2:
                 continue
-            i = int(rng.integers(d - 1))
+            i = min(int(v * last), last - 1)
             out[i], out[i + 1] = out[i + 1], out[i]
         elif move == 2:
-            i = int(rng.integers(d))
+            i = min(int(v * d), last)
             out[i] = min(max(1.0 - out[i], 0.0), KEY_MAX)
         else:
-            i = int(rng.integers(d))
-            out[i] = rng.random()
-    return out
+            out[min(int(v * d), last)] = min(w, KEY_MAX)
+    return np.array(out, dtype=float)
 
 
 def blend(
@@ -134,21 +145,27 @@ def blend(
     config: BlendConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Combine two parent vectors key by key.
+    """Combine parent vectors key by key.
 
     Each position independently becomes a fresh uniform draw with
     probability ``mutation_prob``; otherwise it inherits from ``a``
     with probability ``inherit_prob`` and from ``b`` (mirrored when
     ``factor`` is -1) with the remaining probability.
+
+    ``a`` and ``b`` are two vectors, or two ``(k, d)`` stacks of
+    parents that give one child per row.  The inheritance and mutation
+    masks are each drawn as one block of the parents' shape, so a
+    ``(1, d)`` stack gives the bytes of the one-dimensional call from
+    the same generator.
     """
     if a.shape != b.shape:
         raise ValueError(f"parent shapes differ: {a.shape} vs {b.shape}")
-    d = a.shape[0]
+    shape = a.shape
     base = b if config.factor == 1 else (1.0 - b).clip(0.0, KEY_MAX)
-    out = np.where(rng.random(d) < config.inherit_prob, a, base)
-    mutate = rng.random(d) < config.mutation_prob
+    out = np.where(rng.random(shape) < config.inherit_prob, a, base)
+    mutate = rng.random(shape) < config.mutation_prob
     if mutate.any():
-        fresh = rng.random(d)
+        fresh = rng.random(shape)
         out = np.where(mutate, fresh, out)
     return out
 

@@ -7,6 +7,10 @@ a point where the driver may switch to another searcher.  Local search
 runs inside with ``yield from``.  The searchers never decode, charge
 the budget or stop the run; the ensemble's driver and its evaluator do.
 Improvements are offered to the shared elite pool.
+
+The key operators are looked up as this module's ``shake`` and
+``blend`` on every call.  Each draws its randomness in a few block
+draws; BRKGA breeds a whole generation with one ``blend`` call.
 """
 
 from __future__ import annotations
@@ -37,6 +41,13 @@ class BrkgaParams:
     blending one elite with one non-elite parent, inheriting elite keys
     with probability ``inherit_bias``.  Every ``exchange_interval``
     generations one pool member replaces a random non-elite individual.
+
+    A generation is drawn as blocks before its first ask: the mutants
+    as one ``(mutants, d)`` uniform block, whose rows are the vectors
+    that one draw per mutant would give, the parents as one index draw
+    per side, and the children as one ``blend`` of the stacked parents.
+    The mutants are asked for first, then the children, each as a copy
+    of its row.
     """
 
     population_size: int = 100
@@ -66,6 +77,7 @@ class BrkgaParams:
         p = self.population_size
         n_elite = max(1, int(p * self.elite_fraction))
         n_mutant = min(int(p * self.mutant_fraction), p - n_elite - 1)
+        n_children = p - n_elite - n_mutant
         crossover = BlendConfig(inherit_prob=self.inherit_bias)
 
         population = []
@@ -77,13 +89,16 @@ class BrkgaParams:
             pool.insert(population[0])
             yield None
             generation += 1
+            mutants = rng.random((n_mutant, dimension))
+            parents = np.stack([s.keys for s in population])
+            elites = rng.integers(n_elite, size=n_children)
+            others = n_elite + rng.integers(p - n_elite, size=n_children)
+            children = blend(parents[elites], parents[others], crossover, rng)
             offspring = []
-            for _ in range(n_mutant):
-                offspring.append((yield new_random_vector(dimension, rng)))
-            for _ in range(p - n_elite - n_mutant):
-                elite = population[int(rng.integers(n_elite))]
-                other = population[n_elite + int(rng.integers(p - n_elite))]
-                offspring.append((yield blend(elite.keys, other.keys, crossover, rng)))
+            # Each ask is a copy of its row: a row view would keep the
+            # whole block alive for as long as the solution lives.
+            for row in (*mutants, *children):
+                offspring.append((yield row.copy()))
             population = population[:n_elite] + offspring
             if generation % self.exchange_interval == 0:
                 migrant = pool.random_entry(rng)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,149 @@ def test_clamps_match_np_clip_byte_for_byte():
         np.random.default_rng(1),
     )
     assert mirrored.tobytes() == np.clip(1.0 - b, 0.0, KEY_MAX).tobytes()
+
+
+def reference_shake(keys, config, rng):
+    """The move-by-move shake that draws each kind and index with its own
+    generator call; the block-drawn ``shake`` must move keys with the
+    same distribution."""
+    out = np.array(keys, dtype=float, copy=True)
+    d = out.shape[0]
+    beta = rng.uniform(config.beta_min, config.beta_max)
+    for _ in range(math.ceil(beta * d)):
+        move = rng.integers(4)
+        if move == 0:
+            if d < 2:
+                continue
+            i = int(rng.integers(d))
+            j = int(rng.integers(d - 1))
+            if j >= i:
+                j += 1
+            out[i], out[j] = out[j], out[i]
+        elif move == 1:
+            if d < 2:
+                continue
+            i = int(rng.integers(d - 1))
+            out[i], out[i + 1] = out[i + 1], out[i]
+        elif move == 2:
+            i = int(rng.integers(d))
+            out[i] = min(max(1.0 - out[i], 0.0), KEY_MAX)
+        else:
+            i = int(rng.integers(d))
+            out[i] = rng.random()
+    return out
+
+
+def provenance_frequencies(shaker, d, config, calls, seed):
+    """Share of calls in which output position i holds input key j
+    (column j), its mirror 1 - key j (column d + j) or a fresh value
+    (column 2d).  The inputs are distinct odd multiples of 1/32 below
+    1/2, so every key and every mirror is exact and tells its source."""
+    keys = (2 * np.arange(d) + 1) / 32
+    sources = np.concatenate([keys, 1.0 - keys])
+    rng = np.random.default_rng(seed)
+    counts = np.zeros((d, 2 * d + 1))
+    rows = np.arange(d)
+    for _ in range(calls):
+        out = shaker(keys, config, rng)
+        match = out[:, None] == sources[None, :]
+        column = np.where(match.any(axis=1), match.argmax(axis=1), 2 * d)
+        counts[rows, column] += 1
+    return counts / calls
+
+
+@pytest.mark.parametrize("config", [ShakeConfig(), ShakeConfig(1.0, 1.0)],
+                         ids=["default", "beta1"])
+@pytest.mark.parametrize("d", [2, 5])
+def test_shake_moves_keys_like_the_move_by_move_reference(d, config):
+    # Each cell is a share of 20k independent calls, so the difference of
+    # two estimates of a share p has a standard error of
+    # sqrt(2 p (1 - p) / 20k), at most 0.005.  Cells may differ by five
+    # standard errors (plus 1e-3 for shares near 0 or 1); an index map
+    # that is off by one moves some cell by 0.05 or more.
+    calls = 20_000
+    expected = provenance_frequencies(reference_shake, d, config, calls, seed=21)
+    observed = provenance_frequencies(shake, d, config, calls, seed=22)
+    p = (expected + observed) / 2
+    tolerance = 5 * np.sqrt(2 * p * (1 - p) / calls) + 1e-3
+    assert np.all(np.abs(observed - expected) <= tolerance), (
+        np.abs(observed - expected) - tolerance
+    ).max()
+
+
+LOW, HIGH = 0.0, float(np.nextafter(1.0, 0.0))
+# The lowest and highest uniform that selects each of the four move
+# kinds (swap, adjacent swap, mirror, overwrite).
+KIND_EDGES = [LOW, float(np.nextafter(0.25, 0.0)), 0.25, float(np.nextafter(0.5, 0.0)),
+              0.5, float(np.nextafter(0.75, 0.0)), 0.75, HIGH]
+
+
+class EdgeRng:
+    """Stands in for a Generator in ``shake``: every uniform it returns
+    is ``edge``, except that the first row of a block (the move kinds)
+    is ``kinds``, repeated to the block's width."""
+
+    def __init__(self, edge, kinds=KIND_EDGES):
+        self.edge, self.kinds = edge, kinds
+
+    def random(self, size=None):
+        if size is None:
+            return self.edge
+        block = np.full(size, self.edge)
+        block[0] = np.resize(self.kinds, size[1])
+        return block
+
+
+@pytest.mark.parametrize("edge", [LOW, HIGH], ids=["low", "high"])
+@pytest.mark.parametrize("d", [1, 2, 3, 50, 64, 200])
+def test_shake_edge_uniforms_map_to_valid_indices(d, edge):
+    keys = (np.arange(d) + 0.5) / (d + 1)  # distinct, no end key is its mirror
+    # beta = 1 gives d moves, each kind at both ends of its quarter.
+    out = shake(keys, ShakeConfig(1.0, 1.0), EdgeRng(edge))
+    assert out.shape == (d,)
+    assert np.all(out >= 0.0) and np.all(out <= KEY_MAX)
+
+    # One move of each kind: the lowest uniform picks the first valid
+    # positions, the highest uniform the last ones.
+    one_move = ShakeConfig(1e-6, 1e-6)
+    swap, adjacent, mirror, overwrite = (
+        shake(keys, one_move, EdgeRng(edge, kinds=[kind / 4])) for kind in range(4)
+    )
+    swapped = keys.copy()
+    if d > 1:
+        pair = [0, 1] if edge == LOW else [d - 2, d - 1]
+        swapped[pair] = keys[pair[::-1]]
+    assert np.array_equal(swap, swapped)
+    assert np.array_equal(adjacent, swapped)
+    i = 0 if edge == LOW else d - 1
+    expected = keys.copy()
+    expected[i] = 1.0 - keys[i]
+    assert np.array_equal(mirror, expected)
+    expected[i] = min(edge, KEY_MAX)
+    assert np.array_equal(overwrite, expected)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [BlendConfig(), BlendConfig(inherit_prob=0.4, mutation_prob=0.3, factor=-1)],
+    ids=["default", "mirror-mutate"],
+)
+def test_blend_single_row_stack_gives_the_vector_call_bytes(config):
+    parents = np.random.default_rng(30).random((2, 50))
+    vector = blend(parents[0], parents[1], config, np.random.default_rng(31))
+    stacked = blend(parents[:1], parents[1:], config, np.random.default_rng(31))
+    assert stacked.shape == (1, 50)
+    assert stacked[0].tobytes() == vector.tobytes()
+
+
+def test_blend_stacked_parents_stay_in_the_key_box():
+    rng = np.random.default_rng(32)
+    a = rng.random((85, 50))
+    b = rng.random((85, 50))
+    b[:, :5] = 0.0  # mirrored to 1.0, which must be clamped
+    b[:, 5:10] = KEY_MAX
+    config = BlendConfig(inherit_prob=0.3, mutation_prob=0.2, factor=-1)
+    out = blend(a, b, config, rng)
+    assert out.shape == (85, 50)
+    assert np.all(out >= 0.0) and np.all(out <= KEY_MAX)
+    assert np.any(out == KEY_MAX)

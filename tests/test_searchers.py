@@ -4,6 +4,7 @@ import pytest
 from randomkeys import (
     BrkgaParams,
     ElitePool,
+    EvaluatedSolution,
     Evaluator,
     IlsParams,
     RunBudget,
@@ -144,3 +145,23 @@ def test_sa_flat_landscape_accepts_zero_delta():
 
     pool = drive(SaParams(), calls=400, dim=3, decoder=Flat())
     assert pool.best().cost == 2.5
+
+
+def test_brkga_asks_own_their_buffers():
+    # A generation is drawn as blocks, but an asked vector that were a
+    # row view would keep its whole block alive as long as its solution.
+    params = BrkgaParams(population_size=20)
+    n_elite = int(20 * params.elite_fraction)
+    calls = 20 + 2 * (20 - n_elite)  # the first population and two generations
+    asked = []
+
+    def evaluate(keys):
+        if len(asked) == calls:
+            return None
+        asked.append(keys)
+        return EvaluatedSolution(keys, float(np.sum(keys)), len(asked), "brkga")
+
+    gen = params.search(6, ElitePool(capacity=5), np.random.default_rng(4))
+    assert answer(gen, evaluate) is None
+    assert len(asked) == calls
+    assert all(keys.base is None and keys.shape == (6,) for keys in asked)

@@ -68,22 +68,22 @@ def signature(name):
 
 
 PINNED = {
-    "ensemble-1": (30.0, 3000, 1517.0, "ils",
-                   "de5d6ab4143b80022cc9683c13432c28e57d9ce6cb27f1fb9c5169e375bab31a"),
-    "ensemble-2": (36.0, 3000, 1268.0, "ils",
-                   "b946f809c0019c6988986e521840b3fc2090c248a5e632718a4dbdd05e24cde2"),
-    "ensemble-3": (34.0, 3000, 1489.0, "ils",
-                   "33b8258643478b99198e534a27fb76f9243862c91ed1f28b1844137b5ff282f7"),
-    "ils-rvnd-5": (38.0, 2000, 1214.0, "ils",
-                   "6b3d0c95333ba56dd6597fc00943229d179bebe61a2102dcaffe8f0d86c586a5"),
-    "ensemble-rvnd-50": (33.0, 3000, 1625.0, "sa",
-                         "23238ce9d6c9bca572803e74e10347d934e86cf033ef87a68210d44f4d664710"),
-    "population-quantum-37": (39.0, 2500, 945.0, "brkga",
-                              "a94e952354dc0d673845035881930176e23c6b36a28f94bc3256bf26be3024fc"),
-    "target": (27.0, 838, 838.0, "brkga",
-               "e7b1ef08a8ee8edb2fefe1052bfa355a84fedbfdd5842dc6152d7e6ea92deeb8"),
-    "portfolio": (-0.004267196925321054, 3000, 2915.0, "ils",
-                  "419d20b123cd34e63ca7e4201fd709e1ac8320ee31b66a3350edb5638bf9c96a"),
+    "ensemble-1": (32.0, 3000, 1212.0, "ils",
+                   "d295627882dc2c4ac307e38c2e7700b9e6d8b19032c57502c028545cb20632f1"),
+    "ensemble-2": (34.0, 3000, 672.0, "ils",
+                   "d2aa858fa58cd2fc9a0efdd24a74b67c28121b85c6f198abf7a0aebeeacc55a7"),
+    "ensemble-3": (30.0, 3000, 2922.0, "ils",
+                   "6de3f1803ddfc65b72a3f69429743534a6f2474845bb45e01b873d2899d881b7"),
+    "ils-rvnd-5": (34.0, 2000, 1279.0, "ils",
+                   "3d82f4b9cdd9a5365758616e9c55299710f9548e0d3db6cde169400029d10ee1"),
+    "ensemble-rvnd-50": (32.0, 3000, 2861.0, "brkga",
+                         "1852119fb1893d546586ac2c446306618d6da00c8d5ffb7b62a53ede9bf2da0d"),
+    "population-quantum-37": (37.0, 2500, 1923.0, "brkga",
+                              "98c0cef72e75c0560753d27f2c774b7f3b3f6cb6f0ca02728b548c0a23cb7195"),
+    "target": (27.0, 309, 309.0, "ils",
+               "b0aec191e5c216188a36fe9e59080c6cb9b4c0c4b4ebf65353897ddb7eec3c7b"),
+    "portfolio": (-0.004537546432863562, 3000, 2897.0, "ils",
+                  "259593cdb06d91890623e50132014869c861060d748d0f18b2dc816346a31f71"),
 }
 
 
