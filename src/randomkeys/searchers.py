@@ -8,9 +8,10 @@ runs inside with ``yield from``.  The searchers never decode, charge
 the budget or stop the run; the ensemble's driver and its evaluator do.
 Improvements are offered to the shared elite pool.
 
-The key operators are looked up as this module's ``shake`` and
-``blend`` on every call.  Each draws its randomness in a few block
-draws; BRKGA breeds a whole generation with one ``blend`` call.
+The searchers call the key operators by this module's names ``shake``
+and ``blend``, so a wrapper installed here sees every call.  Each
+operator draws its randomness in a few block draws, and BRKGA breeds a
+whole generation with one ``blend`` call.
 """
 
 from __future__ import annotations
