@@ -10,6 +10,7 @@ the offending line or field named.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -77,6 +78,10 @@ def parse_orlib_portfolio(text: str) -> tuple[np.ndarray, np.ndarray]:
             except ValueError:
                 raise InstanceFormatError(
                     f"line {lineno}: {name} of asset {i + 1} is not a number: {tok!r}"
+                )
+            if not math.isfinite(out[i]):
+                raise InstanceFormatError(
+                    f"line {lineno}: {name} of asset {i + 1} is not finite: {tok!r}"
                 )
     if np.any(stddev < 0):
         raise InstanceFormatError("negative standard deviation")

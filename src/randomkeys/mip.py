@@ -66,6 +66,8 @@ class GenericMipInstance:
                 raise ValueError(f"{name} must be a vector of length {c.shape[0]}")
         if b.shape[0] != a.shape[0]:
             raise ValueError(f"rhs length {b.shape[0]} does not match {a.shape[0]} rows")
+        if not all(np.isfinite(v).all() for v in (c, l, u, a, b)):
+            raise ValueError("costs, bounds, rows and rhs must be finite")
         if not 0 <= self.n_integer <= c.shape[0]:
             raise ValueError(f"n_integer outside [0, {c.shape[0]}]: {self.n_integer}")
         if np.any(l > u):

@@ -78,11 +78,14 @@ class PortfolioInstance:
             raise ValueError("means must be a non-empty vector")
         if sigma.shape != (n, n):
             raise ValueError(f"covariance must be {n}x{n}, got {sigma.shape}")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all()):
+            raise ValueError("means and covariance must be finite")
         if np.max(np.abs(sigma - sigma.T)) > 1e-12:
             raise ValueError("covariance is not symmetric")
         lower = np.broadcast_to(np.asarray(self.lower, dtype=float), (n,)).copy()
         upper = np.broadcast_to(np.asarray(self.upper, dtype=float), (n,)).copy()
-        if np.any(lower < 0) or np.any(upper > 1) or np.any(lower > upper):
+        # Written so that a NaN bound fails it too.
+        if not (np.all(0 <= lower) and np.all(lower <= upper) and np.all(upper <= 1)):
             raise ValueError("need 0 <= lower <= upper <= 1 per asset")
         if not 1 <= self.cardinality <= n:
             raise ValueError(f"cardinality outside [1, {n}]: {self.cardinality}")

@@ -11,6 +11,12 @@ The decoder simulates the route forward, picking each arc's travel
 time from the slot of its departure.  Once the simulated time leaves
 the horizon, remaining arcs fall back to the last slot and the route
 is penalized by 1000 * horizon on top of its travel cost.
+
+The rule lives in two places on purpose: the row-vectorised kernel
+``_simulate``, which :func:`decode_tdtsp` runs on one row and
+:func:`brute_force_tdtsp` on permutation chunks, and the scalar
+:meth:`TdTspDecoder.cost`, the plain-Python fast path charged on every
+decode.  The tests hold the two independent versions equal bit for bit.
 """
 
 from __future__ import annotations
@@ -68,8 +74,10 @@ class TdTspInstance:
             raise ValueError(f"need at least one customer, got {n}")
         if h < 1:
             raise ValueError(f"need at least one interval, got {h}")
-        if self.interval_length <= 0:
-            raise ValueError(f"interval_length must be positive, got {self.interval_length}")
+        if not 0.0 < self.interval_length < math.inf:
+            raise ValueError(
+                f"interval_length must be positive and finite, got {self.interval_length}"
+            )
         service = np.asarray(self.service, dtype=float)
         travel = np.asarray(self.travel, dtype=float)
         if service.shape != (n + 2,):
@@ -80,10 +88,12 @@ class TdTspInstance:
             )
         if service[0] != 0.0 or service[n + 1] != 0.0:
             raise ValueError("depot and terminal service times must be zero")
-        if np.any(service[1 : n + 1] <= 0.0):
-            raise ValueError("customer service times must be positive")
-        if np.any(travel < 0.0):
-            raise ValueError("travel times must be nonnegative")
+        # Written so that NaN fails the range tests too.
+        customers = service[1 : n + 1]
+        if not (0.0 < customers.min() and customers.max() < math.inf):
+            raise ValueError("customer service times must be positive and finite")
+        if not (0.0 <= travel.min() and travel.max() < math.inf):
+            raise ValueError("travel times must be nonnegative and finite")
         self.service = service
         self.travel = travel
         if not (
@@ -133,62 +143,73 @@ class TdTspSolution:
     cost: float
 
 
+def _simulate(
+    instance: TdTspInstance, orders: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate the routes in ``orders``, (rows, n) customer ids each in
+    visiting order, from the depot to the terminal.
+
+    Returns ``(slots, times, travel_cost, late, cost)``: per arc, as
+    (n + 1, rows) arrays, the departure slot and the time after the arc
+    (arrival plus service); per row the travel time, whether the route
+    is late, and the travel time plus the late penalty.  Times are
+    finite and non-negative, so the clock never runs back: a route past
+    the last slot stays past it, and no frozen slot needs keeping.
+    """
+    rows, n = orders.shape
+    big_h = instance.n_intervals
+    t_bar = instance.interval_length
+    horizon = instance.horizon
+    travel = instance.travel
+    service = instance.service
+    slots = np.empty((n + 1, rows), dtype=np.int64)
+    times = np.empty((n + 1, rows))
+    now = np.zeros(rows)
+    travel_cost = np.zeros(rows)
+    current = np.zeros(rows, dtype=np.int64)
+    for step in range(n):
+        slots[step] = np.minimum(now // t_bar, big_h - 1)
+        nxt = orders[:, step]
+        leg = travel[slots[step], current, nxt]
+        now += leg + service[nxt]
+        travel_cost += leg
+        times[step] = now
+        current = nxt
+    ahead = now // t_bar
+    slots[n] = np.minimum(ahead, big_h - 1)
+    late = (ahead >= big_h) | (now + travel[slots[n], current, 0] >= horizon)
+    slots[n][late] = big_h - 1
+    leg = travel[slots[n], current, 0]
+    times[n] = now + leg
+    travel_cost += leg
+    cost = travel_cost + np.where(late, horizon * LATE_PENALTY_FACTOR, 0.0)
+    return slots, times, travel_cost, late, cost
+
+
 def decode_tdtsp(instance: TdTspInstance, keys: np.ndarray) -> TdTspSolution:
     """Simulate the route encoded by ``keys`` and assemble the solution."""
     n = instance.n_customers
     if keys.shape[0] != n:
         raise ValueError(f"expected {n} keys, got {keys.shape[0]}")
-    big_h = instance.n_intervals
-    t_bar = instance.interval_length
-    t = instance._travel_lists
-    s = instance._service_list
-
-    order = [v + 1 for v in keys.argsort(kind="stable").tolist()]
+    order = keys.argsort(kind="stable") + 1
+    slots, times, travel_cost, late, cost = _simulate(instance, order[None])
     arrival = np.zeros(n + 2)
-    arcs: list[tuple[int, int, int]] = []
-    flows: list[tuple[int, int, int]] = []
-    slot = 0
-    current = 0
-    flow = n
-    now = 0.0
-    travel_cost = 0.0
-    for nxt in order:
-        used = slot if slot < big_h else big_h - 1
-        leg = t[used][current][nxt]
-        now += leg + s[nxt]
-        travel_cost += leg
-        arrival[nxt] = now
-        arcs.append((current, nxt, used))
-        if slot < big_h:
-            slot = int(now // t_bar)
-        flows.append((current, nxt, flow))
-        flows.append((nxt, current, n - flow))
-        flow -= 1
-        current = nxt
-
-    used = slot if slot < big_h else big_h - 1
-    leg = t[used][current][0]
-    penalized = not (slot < big_h and now + leg < instance.horizon)
-    if penalized:
-        leg = t[big_h - 1][current][0]
-        used = big_h - 1
-    arrival[n + 1] = now + leg
-    travel_cost += leg
-    arcs.append((current, n + 1, used))
-    flows.append((current, n + 1, flow))
-    flows.append((n + 1, current, n - flow))
-
-    cost = travel_cost
-    if penalized:
-        cost += instance.horizon * LATE_PENALTY_FACTOR
+    arrival[order] = times[:n, 0]
+    arrival[n + 1] = times[n, 0]
+    route = [0, *order.tolist(), n + 1]
+    steps = list(zip(route, route[1:]))
     return TdTspSolution(
-        order=tuple(order),
+        order=tuple(route[1:-1]),
         arrival=arrival,
-        arcs=tuple(arcs),
-        flows=tuple(flows),
-        travel_cost=travel_cost,
-        penalized=penalized,
-        cost=cost,
+        arcs=tuple((i, j, h) for (i, j), h in zip(steps, slots[:, 0].tolist())),
+        flows=tuple(
+            flow
+            for step, (i, j) in enumerate(steps)
+            for flow in ((i, j, n - step), (j, i, step))
+        ),
+        travel_cost=float(travel_cost[0]),
+        penalized=bool(late[0]),
+        cost=float(cost[0]),
     )
 
 
@@ -340,9 +361,12 @@ def travel_time_lower_bound(instance: TdTspInstance) -> float:
 class TdTspDecoder:
     """Searcher-facing binding: n keys to penalized route cost.
 
-    ``cost`` runs the simulation without assembling arcs and flows;
-    :func:`decode_tdtsp` is the assembling twin and both agree on
-    every vector.
+    ``cost`` is the scalar fast path: it simulates one route in plain
+    Python, without numpy calls and without assembling arcs and flows,
+    because it runs on every charged decode.  ``decode`` goes through
+    the row-vectorised kernel that the oracle also uses, so the cost a
+    searcher is charged is checked against a second implementation;
+    both return the same float on every vector.
     """
 
     def __init__(self, instance: TdTspInstance) -> None:
@@ -381,61 +405,33 @@ class TdTspDecoder:
 
 
 _PERMUTATION_GUARD = 10
+# Visiting orders simulated per kernel call.
+_PERMUTATION_CHUNK = 200_000
 
 
-def brute_force_tdtsp(
-    instance: TdTspInstance, chunk: int = 200_000
-) -> tuple[float, tuple[int, ...]]:
+def brute_force_tdtsp(instance: TdTspInstance) -> tuple[float, tuple[int, ...]]:
     """Exact optimum by enumerating all n! visiting orders.
 
-    Vectorized over permutation chunks; refuses instances with more
-    than 10 customers.  Returns (cost, visiting order).
+    Simulates permutation chunks in the route kernel; refuses
+    instances with more than 10 customers.  Returns (cost, visiting
+    order).
     """
     n = instance.n_customers
     if n > _PERMUTATION_GUARD:
         raise OracleGuardError(
             f"{n} customers means {math.factorial(n)} routes, above the guard"
         )
-    big_h = instance.n_intervals
-    t_bar = instance.interval_length
-    horizon = instance.horizon
-    travel = instance.travel
-    service = instance.service
-
     best_cost = math.inf
     best_order: tuple[int, ...] = ()
     source = itertools.permutations(range(1, n + 1))
-    while True:
-        block = list(itertools.islice(source, chunk))
-        if not block:
-            break
-        perms = np.array(block, dtype=np.int64)
-        rows = perms.shape[0]
-        now = np.zeros(rows)
-        cost = np.zeros(rows)
-        slot = np.zeros(rows, dtype=np.int64)
-        current = np.zeros(rows, dtype=np.int64)
-        for step in range(n):
-            nxt = perms[:, step]
-            leg = travel[np.minimum(slot, big_h - 1), current, nxt]
-            now += leg + service[nxt]
-            cost += leg
-            slot = np.where(
-                slot < big_h, (now // t_bar).astype(np.int64), slot
-            )
-            current = nxt
-        capped = np.minimum(slot, big_h - 1)
-        leg_direct = travel[capped, current, 0]
-        in_time = (slot < big_h) & (now + leg_direct < horizon)
-        cost += np.where(
-            in_time,
-            leg_direct,
-            travel[big_h - 1, current, 0] + horizon * LATE_PENALTY_FACTOR,
-        )
+    for _ in range(0, math.factorial(n), _PERMUTATION_CHUNK):
+        block = itertools.chain.from_iterable(itertools.islice(source, _PERMUTATION_CHUNK))
+        perms = np.fromiter(block, dtype=np.int64).reshape(-1, n)
+        cost = _simulate(instance, perms)[4]
         pos = int(np.argmin(cost))
         if cost[pos] < best_cost:
             best_cost = float(cost[pos])
-            best_order = tuple(int(v) for v in perms[pos])
+            best_order = tuple(perms[pos].tolist())
     return best_cost, best_order
 
 

@@ -144,6 +144,17 @@ def test_oracle_tdtsp_json(tdtsp_path, tmp_path, capsys):
     assert sorted(payload["order"]) == [1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_non_finite_tdtsp_instance_exits_2(command, tdtsp_path, tmp_path, capsys):
+    data = json.loads(tdtsp_path.read_text())
+    data["t"][0][1][2] = "PLACEHOLDER"
+    tdtsp_path.write_text(json.dumps(data).replace('"PLACEHOLDER"', "Infinity"))
+    extra = ["--decoder-calls", "100", "--out", str(tmp_path / "x")] if command == "solve" else []
+    code = main([command, "--instance", str(tdtsp_path), "--kind", "tdtsp", *extra])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_oracle_guard_maps_to_exit_3(tmp_path):
     big = tmp_path / "big.json"
     write_tdtsp(generate_tdtsp_instance(12, 2, seed=83), big)

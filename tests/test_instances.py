@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,8 +50,13 @@ def test_orlib_parse_builds_covariance_from_correlations():
         (lambda s: s + " 9\n", "trailing"),
         (lambda s: "\n".join(s.splitlines()[:-1]) + "\n", "ended while reading"),
         (lambda s: s.replace("1 2 0.562289", "1 9 0.562289"), "outside 1..3"),
+        (lambda s: s.replace("0.004177", "inf"), "not finite"),
+        (lambda s: s.replace("0.040258", "nan"), "not finite"),
+        (lambda s: s.replace("0.041342", "1e400"), "not finite"),
+        (lambda s: s.replace("1 3 0.746125", "1 3 nan"), "outside [-1, 1]"),
     ],
-    ids=["count", "number", "range", "diagonal", "dup", "trailing", "eof", "pair"],
+    ids=["count", "number", "range", "diagonal", "dup", "trailing", "eof", "pair",
+         "mean-inf", "stddev-nan", "stddev-overflow", "corr-nan"],
 )
 def test_orlib_parse_rejects_malformed_input(mutation, message):
     with pytest.raises(InstanceFormatError, match=None) as err:
@@ -82,6 +89,15 @@ def test_tdtsp_parse_rejects_bad_fields():
     ):
         with pytest.raises(InstanceFormatError):
             parse_tdtsp({**good, **breakage})
+    # json reads Infinity, NaN and 1e400 as non-finite floats.
+    for value in (math.inf, -math.inf, math.nan):
+        travel = inst.travel.copy()
+        travel[1, 2, 3] = value
+        service = inst.service.copy()
+        service[2] = value
+        for breakage in ({"Tbar": value}, {"t": travel.tolist()}, {"s": service.tolist()}):
+            with pytest.raises(InstanceFormatError, match="finite"):
+                parse_tdtsp({**good, **breakage})
     missing = dict(good)
     del missing["Tbar"]
     with pytest.raises(InstanceFormatError, match="Tbar"):
@@ -148,6 +164,11 @@ def test_mip_parse_rejects_inconsistencies():
         parse_mip({**base, "b": [1.0], "A_sparse": [[0, 5, 1.0]]})
     with pytest.raises(InstanceFormatError, match="A_dense"):
         parse_mip({**base, "b": [1.0], "A_dense": [[1.0, 1.0, 1.0]]})
+    for value in (math.inf, math.nan):
+        with pytest.raises(InstanceFormatError, match="finite"):
+            parse_mip({**base, "c": [value, 1.0]})
+        with pytest.raises(InstanceFormatError, match="finite"):
+            parse_mip({**base, "b": [1.0], "A_sparse": [[0, 1, value]]})
 
 
 def test_budget_schedule():

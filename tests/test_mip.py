@@ -82,6 +82,16 @@ def test_validation_rejects_bad_instances():
             costs=np.array([1.0]), lower=np.array([0.0]), upper=np.array([1.0]),
             rows=np.array([[1.0]]), rhs=np.array([1.0, 2.0]), n_integer=1,
         )
+    for field in ("costs", "lower", "upper", "rows", "rhs"):
+        for value in (np.inf, -np.inf, np.nan):
+            data = dict(
+                costs=np.array([1.0, 2.0]), lower=np.array([0.0, 0.0]),
+                upper=np.array([1.0, 1.0]), rows=np.array([[1.0, 1.0]]),
+                rhs=np.array([1.0]),
+            )
+            data[field].flat[0] = value
+            with pytest.raises(ValueError, match="finite"):
+                GenericMipInstance(n_integer=0, **data)
 
 
 def test_brute_force_matches_naive_enumeration():

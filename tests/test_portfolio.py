@@ -104,6 +104,18 @@ def test_instance_validation():
         # 2 assets at most 0.4 each cannot reach a total of 1
         PortfolioInstance(means=means, covariance=cov, cardinality=2,
                           risk_aversion=0.5, lower=0.0, upper=0.4)
+    for change in (
+        {"means": np.array([0.01, np.nan])},
+        {"means": np.array([np.inf, 0.02])},
+        {"covariance": np.array([[1.0, np.inf], [np.inf, 1.0]])},
+        {"covariance": np.array([[np.nan, 0.0], [0.0, 1.0]])},
+        {"lower": np.nan},
+        {"upper": np.array([1.0, np.nan])},
+    ):
+        data = dict(means=means, covariance=cov, cardinality=1,
+                    risk_aversion=0.5, lower=0.0, upper=1.0)
+        with pytest.raises(ValueError):
+            PortfolioInstance(**{**data, **change})
 
 
 def test_decoder_dimension_is_twice_cardinality():

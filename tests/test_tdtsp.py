@@ -99,6 +99,14 @@ def test_checker_rejects_tampered_times(bench_instance):
     assert not check_tdtsp(bench_instance, tampered).families["time_propagation"]
 
 
+def tight_fifty_customer_instance():
+    # The horizon lies 330 time units above the summed service times, so
+    # random orders split into routes on time, routes past the horizon
+    # before the return leg, and routes late only on the return leg.
+    service = generate_tdtsp_instance(50, 4, seed=55).service.sum()
+    return generate_tdtsp_instance(50, 4, seed=55, horizon=service + 330.0)
+
+
 def test_decoder_fast_path_matches_full_decode(bench_instance):
     decoder = TdTspDecoder(bench_instance)
     rng = np.random.default_rng(52)
@@ -106,6 +114,22 @@ def test_decoder_fast_path_matches_full_decode(bench_instance):
         keys = rng.random(6)
         assert decoder.cost(keys) == decode_tdtsp(bench_instance, keys).cost
 
+    tight = tight_fifty_customer_instance()
+    decoder = TdTspDecoder(tight)
+    outcomes = {"on time": 0, "late mid-route": 0, "late on return": 0}
+    for _ in range(120):
+        keys = rng.random(50)
+        sol = decode_tdtsp(tight, keys)
+        assert decoder.cost(keys) == sol.cost
+        if not sol.penalized:
+            outcomes["on time"] += 1
+            verdict = check_tdtsp(tight, sol)
+            assert verdict.feasible, verdict.reasons
+        elif sol.arrival[sol.order[-1]] >= tight.horizon:
+            outcomes["late mid-route"] += 1
+        else:
+            outcomes["late on return"] += 1
+    assert min(outcomes.values()) > 0, outcomes
 
 
 def test_decoder_fast_path_keeps_stable_order_on_tied_keys():
@@ -132,13 +156,23 @@ def test_lower_bound_below_unpenalized_costs(bench_instance):
 
 def test_brute_force_agrees_with_exhaustive_decoding():
     inst = generate_tdtsp_instance(5, 2, seed=61)
-    opt_cost, opt_order = brute_force_tdtsp(inst)
-    best = min(
-        decode_tdtsp(inst, np.array(perm, dtype=float) / 5.0).cost
-        for perm in itertools.permutations(range(5))
+    # Every route of this one is late, and its fractional travel times
+    # make the sum depend on the order in which the penalty is added.
+    late = TdTspInstance(
+        n_customers=5, n_intervals=2, interval_length=5.0,
+        service=inst.service, travel=inst.travel / 10.0, seed=None,
     )
-    assert opt_cost == pytest.approx(best)
-    assert sorted(opt_order) == [1, 2, 3, 4, 5]
+    for instance in (inst, late):
+        decoder = TdTspDecoder(instance)
+        opt_cost, opt_order = brute_force_tdtsp(instance)
+        best = min(
+            decoder.cost(np.array(perm, dtype=float))
+            for perm in itertools.permutations(range(5))
+        )
+        assert opt_cost == best
+        assert sorted(opt_order) == [1, 2, 3, 4, 5]
+        assert decode_tdtsp(instance, np.argsort(opt_order) / 5.0).order == opt_order
+    assert brute_force_tdtsp(late)[0] > late.horizon * 1000.0
 
 
 def test_brute_force_guard():
@@ -187,3 +221,4 @@ def test_mid_route_overflow_is_penalized():
     sol = decode_tdtsp(inst, np.array([0.1, 0.5, 0.9]))
     assert sol.penalized
     assert sol.cost > 1000.0
+
