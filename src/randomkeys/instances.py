@@ -153,6 +153,15 @@ def _require(data: dict, key: str, kind: type, where: str):
     return value
 
 
+def _numbers(values, key: str, where: str) -> np.ndarray:
+    """``values`` as a float array, or an :class:`InstanceFormatError`
+    naming ``key`` when an entry is not a number."""
+    try:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"{where}: field {key!r} has non-numeric entries: {exc}") from exc
+
+
 def parse_tdtsp(data: dict) -> TdTspInstance:
     """Build a TD-TSP instance from its JSON dictionary form."""
     where = "tdtsp instance"
@@ -167,11 +176,8 @@ def parse_tdtsp(data: dict) -> TdTspInstance:
     seed = data.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise InstanceFormatError(f"{where}: seed must be an integer or null")
-    try:
-        service_arr = np.array(service, dtype=float)
-        travel_arr = np.array(travel, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceFormatError(f"{where}: non-numeric entries: {exc}") from exc
+    service_arr = _numbers(service, "s", where)
+    travel_arr = _numbers(travel, "t", where)
     if travel_arr.ndim != 3:
         raise InstanceFormatError(
             f"{where}: field 't' must be a list of H square matrices"
@@ -228,32 +234,39 @@ def parse_mip(data: dict) -> GenericMipInstance:
         raise InstanceFormatError(f"{where}: format {fmt!r}, expected {MIP_FORMAT!r}")
     n = _require(data, "n", int, where)
     p = _require(data, "p", int, where)
-    c = np.array(_require(data, "c", list, where), dtype=float)
-    l = np.array(_require(data, "l", list, where), dtype=float)
-    u = np.array(_require(data, "u", list, where), dtype=float)
-    b = np.array(data.get("b", []), dtype=float)
+    c = _numbers(_require(data, "c", list, where), "c", where)
+    l = _numbers(_require(data, "l", list, where), "l", where)
+    u = _numbers(_require(data, "u", list, where), "u", where)
+    b = _numbers(data.get("b", []), "b", where)
+    if b.ndim != 1:
+        raise InstanceFormatError(f"{where}: field 'b' must be a flat list of numbers")
     m = b.shape[0]
     if "A_dense" in data and "A_sparse" in data:
         raise InstanceFormatError(f"{where}: give A_dense or A_sparse, not both")
     if "A_dense" in data:
-        rows = np.array(data["A_dense"], dtype=float)
+        rows = _numbers(data["A_dense"], "A_dense", where)
         if rows.ndim != 2 or rows.shape != (m, n):
             raise InstanceFormatError(
                 f"{where}: A_dense must be {m}x{n}, got {rows.shape}"
             )
     elif "A_sparse" in data:
         rows = np.zeros((m, n))
-        for entry in data["A_sparse"]:
+        for entry in _require(data, "A_sparse", list, where):
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise InstanceFormatError(
                     f"{where}: A_sparse entries are [row, col, value], got {entry!r}"
                 )
             i, j, value = entry
-            if not (0 <= i < m and 0 <= j < n):
+            if not (type(i) is int and type(j) is int and 0 <= i < m and 0 <= j < n):
                 raise InstanceFormatError(
-                    f"{where}: A_sparse index ({i}, {j}) outside {m}x{n}"
+                    f"{where}: A_sparse index ({i!r}, {j!r}) outside {m}x{n}"
                 )
-            rows[i, j] = value
+            try:
+                rows[i, j] = value
+            except (TypeError, ValueError) as exc:
+                raise InstanceFormatError(
+                    f"{where}: A_sparse value {value!r} is not a number"
+                ) from exc
     else:
         if m:
             raise InstanceFormatError(f"{where}: {m} rhs entries but no matrix")

@@ -17,6 +17,13 @@ The rule lives in two places on purpose: the row-vectorised kernel
 :func:`brute_force_tdtsp` on permutation chunks, and the scalar
 :meth:`TdTspDecoder.cost`, the plain-Python fast path charged on every
 decode.  The tests hold the two independent versions equal bit for bit.
+
+Many key vectors map to one visiting order, and the searchers often
+ask for a vector whose order is the one just decoded (a Nelder-Mead
+shrink mostly does).  The fast path therefore remembers its last route
+as one (order bytes, cost) pair and returns the stored float when the
+order repeats; it assumes, as the cached travel and service lists do,
+that an instance's arrays do not change after its first decode.
 """
 
 from __future__ import annotations
@@ -92,8 +99,19 @@ class TdTspInstance:
         customers = service[1 : n + 1]
         if not (0.0 < customers.min() and customers.max() < math.inf):
             raise ValueError("customer service times must be positive and finite")
-        if not (0.0 <= travel.min() and travel.max() < math.inf):
+        max_travel = float(travel.max())
+        if not (0.0 <= travel.min() and max_travel < math.inf):
             raise ValueError("travel times must be nonnegative and finite")
+        # A route runs n + 1 legs, so these bound its clock and its
+        # penalized cost; plain floats overflow to inf without a warning.
+        legs = (n + 1) * max_travel
+        if not (
+            legs + sum(service.tolist()) < math.inf
+            and legs + h * self.interval_length * LATE_PENALTY_FACTOR < math.inf
+        ):
+            raise ValueError(
+                "travel and service times must keep every route's time and cost finite"
+            )
         self.service = service
         self.travel = travel
         if not (
@@ -363,20 +381,38 @@ class TdTspDecoder:
 
     ``cost`` is the scalar fast path: it simulates one route in plain
     Python, without numpy calls and without assembling arcs and flows,
-    because it runs on every charged decode.  ``decode`` goes through
-    the row-vectorised kernel that the oracle also uses, so the cost a
-    searcher is charged is checked against a second implementation;
-    both return the same float on every vector.
+    because it runs on every charged decode.  It remembers the last
+    route it simulated, as the bytes of the stable argsort and the
+    cost, and a vector with the same order costs one comparison; the
+    pair is replaced in one assignment, so an order is never paired
+    with another order's cost.  The memo assumes that the instance's
+    arrays do not change after the first decode.  ``decode`` goes
+    through the row-vectorised kernel that the oracle also uses, so
+    the cost a searcher is charged is checked against a second
+    implementation; both return the same float on every vector.
     """
 
     def __init__(self, instance: TdTspInstance) -> None:
         self.instance = instance
+        # The last route as (order bytes, cost); no order has empty bytes.
+        self._last: tuple[bytes, float] = (b"", 0.0)
 
     @property
     def dimension(self) -> int:
         return self.instance.n_customers
 
     def cost(self, keys: np.ndarray) -> float:
+        order = keys.argsort(kind="stable")
+        stamp = order.tobytes()
+        last = self._last
+        if stamp == last[0]:
+            return last[1]
+        cost = self._route_cost(order.tolist())
+        # One assignment, so the stored order never pairs with another's cost.
+        self._last = (stamp, cost)
+        return cost
+
+    def _route_cost(self, order: list) -> float:
         inst = self.instance
         big_h = inst.n_intervals
         t_bar = inst.interval_length
@@ -386,7 +422,7 @@ class TdTspDecoder:
         current = 0
         now = 0.0
         total = 0.0
-        for idx in keys.argsort(kind="stable").tolist():
+        for idx in order:
             nxt = idx + 1
             leg = t[slot if slot < big_h else big_h - 1][current][nxt]
             now += leg + s[nxt]

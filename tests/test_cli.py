@@ -147,12 +147,45 @@ def test_oracle_tdtsp_json(tdtsp_path, tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "oracle"])
 def test_non_finite_tdtsp_instance_exits_2(command, tdtsp_path, tmp_path, capsys):
     data = json.loads(tdtsp_path.read_text())
-    data["t"][0][1][2] = "PLACEHOLDER"
-    tdtsp_path.write_text(json.dumps(data).replace('"PLACEHOLDER"', "Infinity"))
+    infinite = json.loads(json.dumps(data))
+    infinite["t"][0][1][2] = "PLACEHOLDER"
+    # Every time is finite, but a route's sum is not.
+    overflowing = {**data, "t": (np.array(data["t"]) * 1e307).tolist()}
     extra = ["--decoder-calls", "100", "--out", str(tmp_path / "x")] if command == "solve" else []
-    code = main([command, "--instance", str(tdtsp_path), "--kind", "tdtsp", *extra])
+    for text in (
+        json.dumps(infinite).replace('"PLACEHOLDER"', "Infinity"),
+        json.dumps(overflowing),
+    ):
+        tdtsp_path.write_text(text)
+        code = main([command, "--instance", str(tdtsp_path), "--kind", "tdtsp", *extra])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+
+# One non-numeric entry per field of the MIP format.
+NON_NUMERIC_MIP_FIELDS = {
+    "c": ["a", -4.0, -3.0],
+    "l": [0.0, "zero", 0.0],
+    "u": [1.0, 1.0, [1.0]],
+    "b": ["five"],
+    "A_dense": [[4.0, "x", 2.0]],
+    "A_sparse": [[0, 0, 4.0], [0, 1, "x"]],
+}
+
+
+@pytest.mark.parametrize("field", NON_NUMERIC_MIP_FIELDS)
+def test_non_numeric_mip_field_exits_2(field, knapsack_path, tmp_path, capsys):
+    data = json.loads(knapsack_path.read_text())
+    if field == "A_sparse":
+        del data["A_dense"]
+    data[field] = NON_NUMERIC_MIP_FIELDS[field]
+    knapsack_path.write_text(json.dumps(data))
+    code = main([
+        "solve", "--instance", str(knapsack_path), "--kind", "mip",
+        "--decoder-calls", "100", "--out", str(tmp_path / "x"),
+    ])
     assert code == 2
-    assert "finite" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
 
 
 def test_oracle_guard_maps_to_exit_3(tmp_path):

@@ -98,6 +98,11 @@ def test_tdtsp_parse_rejects_bad_fields():
         for breakage in ({"Tbar": value}, {"t": travel.tolist()}, {"s": service.tolist()}):
             with pytest.raises(InstanceFormatError, match="finite"):
                 parse_tdtsp({**good, **breakage})
+    # Finite times whose route sums overflow: a route's five legs, or
+    # its late penalty.
+    for breakage in ({"t": (inst.travel * 1e307).tolist()}, {"Tbar": 1e306}):
+        with pytest.raises(InstanceFormatError, match="finite"):
+            parse_tdtsp({**good, **breakage})
     missing = dict(good)
     del missing["Tbar"]
     with pytest.raises(InstanceFormatError, match="Tbar"):

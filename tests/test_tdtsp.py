@@ -5,14 +5,19 @@ import pytest
 
 from randomkeys import (
     KEY_MAX,
+    BrkgaParams,
+    IlsParams,
     InstanceWarning,
     OracleGuardError,
+    RunBudget,
+    SaParams,
     TdTspDecoder,
     TdTspInstance,
     brute_force_tdtsp,
     check_tdtsp,
     decode_tdtsp,
     generate_tdtsp_instance,
+    run_ensemble,
     travel_time_lower_bound,
 )
 from conftest import BENCH_KEYS
@@ -143,6 +148,107 @@ def test_decoder_fast_path_keeps_stable_order_on_tied_keys():
         sol = decode_tdtsp(inst, keys)
         assert sol.order == tuple(i + 1 for i in sorted(range(40), key=keys.__getitem__))
         assert decoder.cost(keys) == sol.cost
+
+def keys_in_order(order):
+    """Distinct keys whose stable sort is ``order``."""
+    keys = np.empty(len(order))
+    keys[order] = np.arange(len(order)) / len(order)
+    return keys
+
+
+def memo_sequence(rng, n, count):
+    """Key vectors that probe the decoder's memory of its last route:
+    back-to-back repeats (the same array and a copy), A-B-A
+    alternations, other keys in the same order, and tied keys followed
+    by distinct keys in the order of their default (unstable) sort and
+    of their reversed tie-break."""
+    for _ in range(count):
+        a, b = rng.random(n), rng.random(n)
+        yield from (a, a, a.copy(), b, a, b, b)
+        yield keys_in_order(a.argsort(kind="stable"))
+        yield a
+        tied = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=n)
+        yield from (tied, keys_in_order(tied.argsort()), tied)
+        yield keys_in_order(np.lexsort((-np.arange(n), tied)))
+        yield tied
+
+
+def test_route_memo_returns_the_decoded_cost():
+    # n = 50, above numpy's stable small-array sort, on an instance where
+    # routes end on time, late mid-route and late only on the return leg.
+    tight = tight_fifty_customer_instance()
+    decoder = TdTspDecoder(tight)
+    rng = np.random.default_rng(56)
+    late = set()
+    for keys in memo_sequence(rng, 50, 40):
+        sol = decode_tdtsp(tight, keys)
+        assert decoder.cost(keys) == sol.cost
+        late.add(sol.penalized)
+    assert late == {False, True}
+
+
+class CountingRows(list):
+    """Travel rows that count how often the simulation reads them."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def test_route_memo_skips_the_simulation_of_a_repeated_order():
+    instance = generate_tdtsp_instance(20, 3, seed=57)
+    rows = instance.__dict__["_travel_lists"] = CountingRows(instance.travel.tolist())
+    decoder = TdTspDecoder(instance)
+    keys = np.random.default_rng(58).random(20)
+    first = decoder.cost(keys)
+    reads = rows.reads
+    assert reads > 0
+    # The same order from other keys costs a comparison, not a route.
+    assert decoder.cost(keys_in_order(keys.argsort(kind="stable"))) == first
+    assert decoder.cost(keys * 0.5) == first
+    assert rows.reads == reads
+    decoder.cost(keys[::-1].copy())
+    assert rows.reads > reads
+
+
+class Interrupted(Exception):
+    pass
+
+
+class FailingRows(list):
+    def __getitem__(self, index):
+        raise Interrupted
+
+
+def test_interrupted_route_leaves_the_memo_unchanged(monkeypatch):
+    instance = generate_tdtsp_instance(8, 2, seed=59)
+    decoder = TdTspDecoder(instance)
+    rng = np.random.default_rng(60)
+    a, b = rng.random(8), rng.random(8)
+    decoder.cost(a)
+    with monkeypatch.context() as patch:
+        patch.setitem(instance.__dict__, "_travel_lists", FailingRows())
+        with pytest.raises(Interrupted):
+            decoder.cost(b)
+    assert decoder.cost(b) == decode_tdtsp(instance, b).cost
+    assert decoder.cost(a) == decode_tdtsp(instance, a).cost
+
+
+def test_shared_decoder_reports_as_a_fresh_one():
+    instance = generate_tdtsp_instance(30, 3, seed=61)
+    searchers = [BrkgaParams(), SaParams(), IlsParams()]
+    budget = RunBudget(decoder_calls=2000)
+    shared = TdTspDecoder(instance)
+    run_ensemble(shared, searchers, budget, 1, deterministic=True)
+    again = run_ensemble(shared, searchers, budget, 2, deterministic=True)
+    fresh = run_ensemble(TdTspDecoder(instance), searchers, budget, 2, deterministic=True)
+    assert again.best_keys.tobytes() == fresh.best_keys.tobytes()
+    assert (again.best_cost, again.time_to_best, again.decoder_calls, again.searcher) == (
+        fresh.best_cost, fresh.time_to_best, fresh.decoder_calls, fresh.searcher
+    )
+
 
 def test_lower_bound_below_unpenalized_costs(bench_instance):
     bound = travel_time_lower_bound(bench_instance)
