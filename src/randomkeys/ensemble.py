@@ -4,9 +4,11 @@ All searchers share the elite pool and the decoder-call budget.  One
 driver resumes the ask/tell searchers round-robin on the calling
 thread, decodes what they ask for through one :class:`Evaluator`, and
 switches at the first pause on or after a fixed quantum of decoder
-calls.  The evaluator charges the budget and keeps the best decode of
-the run; the run ends at the first decode it refuses, once the budget
-is spent or the target cost reached.
+calls.  A searcher asks for one key vector or for a block of
+independent vectors, whose rows are charged in order; the initial fill
+is one block.  The evaluator charges the budget and keeps the best
+decode of the run; the run ends at the first decode it refuses, once
+the budget is spent or the target cost reached.
 
 Time fields count in the unit of the budget: decoder calls when it has
 no ``time_limit``, wall seconds otherwise.  Under a call-only budget a
@@ -22,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .budget import Decoder, Evaluator, RunBudget
-from .keys import new_random_vector
 from .pool import ElitePool
 from .searchers import Search, SearcherParams
 
@@ -116,9 +117,10 @@ def run_ensemble(
 
 
 def _fill(pool: ElitePool, dimension: int, rng: np.random.Generator) -> Search:
-    """Ask for random vectors until ``pool`` has had one offered per slot."""
-    for _ in range(pool.capacity):
-        pool.insert((yield new_random_vector(dimension, rng)))
+    """Ask for one block of random vectors, one per slot of ``pool``, and
+    offer each of them to it."""
+    for solution in (yield rng.random((pool.capacity, dimension))):
+        pool.insert(solution)
 
 
 def _drive_round_robin(
@@ -127,8 +129,9 @@ def _drive_round_robin(
     """Resume each searcher in turn, decode what it asks for under its
     label, and move on at its first pause once it has used ``quantum``
     calls since it was resumed; drop a generator once it ends (only the
-    initial fill does).  Return at the first decode the evaluator
-    refuses; no searcher is resumed after it."""
+    initial fill does).  A 1-D ask is one decode, a 2-D ask a block
+    whose rows are decoded in order.  Return at the first decode the
+    evaluator refuses; no searcher is resumed after it."""
     active = list(labelled)
     while active:
         for entry in list(active):
@@ -139,9 +142,14 @@ def _drive_round_robin(
                 while keys is not None or evaluator.calls - resumed_at < quantum:
                     if keys is None:
                         keys = search.send(None)
-                    elif (solution := evaluator.evaluate(keys, label)) is None:
-                        return
-                    else:
+                    elif keys.ndim == 1:
+                        if (solution := evaluator.evaluate(keys, label)) is None:
+                            return
                         keys = search.send(solution)
+                    else:
+                        solutions = evaluator.evaluate_block(keys, label)
+                        if len(solutions) < len(keys):
+                            return
+                        keys = search.send(solutions)
             except StopIteration:
                 active.remove(entry)

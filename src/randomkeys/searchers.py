@@ -2,11 +2,21 @@
 
 Each searcher is an ask/tell generator that knows nothing of the
 problem: ``solution = yield keys`` asks for one decode and receives the
-evaluated solution, and ``yield None`` after every outer iteration marks
-a point where the driver may switch to another searcher.  Local search
-runs inside with ``yield from``.  The searchers never decode, charge
-the budget or stop the run; the ensemble's driver and its evaluator do.
-Improvements are offered to the shared elite pool.
+evaluated solution, ``solutions = yield block`` asks for the rows of a
+``(rows, d)`` block of independent vectors and receives the list of
+their solutions in row order, and ``yield None`` after every outer
+iteration marks a point where the driver may switch to another
+searcher.  Local search runs inside with ``yield from``.  The searchers
+never decode, charge the budget or stop the run; the ensemble's driver
+and its evaluator do, and a run that ends within a block never resumes
+the searcher that asked for it.  Improvements are offered to the shared
+elite pool.
+
+BRKGA asks for its first population and for each generation as one
+block, and SA for its 100 calibration neighbours; a decoder with
+``cost_batch`` can then decode each block in one call.  Every vector of
+a block is drawn before the ask, in the order in which one ask per
+vector would draw them, so the draw stream is that of row-by-row asks.
 
 The searchers call the key operators by this module's names ``shake``
 and ``blend``, so a wrapper installed here sees every call.  Each
@@ -18,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator, Optional, Union
 
 import numpy as np
 
@@ -28,9 +38,12 @@ from .pool import ElitePool, EvaluatedSolution
 
 __all__ = ["BrkgaParams", "SaParams", "IlsParams", "VnsParams", "SearcherParams"]
 
-# Asks for key vectors (``None`` to pause), is told their evaluated
-# solutions, and runs until the driver stops resuming it.
-Search = Generator[Optional[np.ndarray], Optional[EvaluatedSolution], None]
+# Asks for key vectors or blocks of them (``None`` to pause), is told
+# their evaluated solutions, one or a list, and runs until the driver
+# stops resuming it.
+Search = Generator[
+    Optional[np.ndarray], Union[EvaluatedSolution, list[EvaluatedSolution], None], None
+]
 
 
 @dataclass(frozen=True)
@@ -43,12 +56,13 @@ class BrkgaParams:
     with probability ``inherit_bias``.  Every ``exchange_interval``
     generations one pool member replaces a random non-elite individual.
 
-    A generation is drawn as blocks before its first ask: the mutants
-    as one ``(mutants, d)`` uniform block, whose rows are the vectors
-    that one draw per mutant would give, the parents as one index draw
-    per side, and the children as one ``blend`` of the stacked parents.
-    The mutants are asked for first, then the children, each as a copy
-    of its row.
+    The first population is asked for as one ``(population_size, d)``
+    uniform block.  A generation is drawn as blocks before its ask: the
+    mutants as one ``(mutants, d)`` uniform block, whose rows are the
+    vectors that one draw per mutant would give, the parents as one
+    index draw per side, and the children as one ``blend`` of the
+    stacked parents.  The mutants and then the children are asked for
+    as one block.
     """
 
     population_size: int = 100
@@ -81,9 +95,7 @@ class BrkgaParams:
         n_children = p - n_elite - n_mutant
         crossover = BlendConfig(inherit_prob=self.inherit_bias)
 
-        population = []
-        for _ in range(p):
-            population.append((yield new_random_vector(dimension, rng)))
+        population = yield rng.random((p, dimension))
         population.sort(key=lambda s: s.cost)
         generation = 0
         while True:
@@ -95,11 +107,7 @@ class BrkgaParams:
             elites = rng.integers(n_elite, size=n_children)
             others = n_elite + rng.integers(p - n_elite, size=n_children)
             children = blend(parents[elites], parents[others], crossover, rng)
-            offspring = []
-            # Each ask is a copy of its row: a row view would keep the
-            # whole block alive for as long as the solution lives.
-            for row in (*mutants, *children):
-                offspring.append((yield row.copy()))
+            offspring = yield np.concatenate((mutants, children))
             population = population[:n_elite] + offspring
             if generation % self.exchange_interval == 0:
                 migrant = pool.random_entry(rng)
@@ -113,7 +121,8 @@ class SaParams:
     """Simulated annealing over shake moves with Metropolis acceptance.
 
     The initial temperature is calibrated so the mean worsening delta
-    of 100 sampled neighbours is accepted with ``initial_acceptance``.
+    of 100 sampled neighbours is accepted with ``initial_acceptance``;
+    the neighbours are drawn first and asked for as one block.
     When the temperature decays below ``restart_floor`` the walk
     restarts from a random pool member at the calibrated temperature.
     ``moves_per_temperature`` defaults to the decoder dimension.
@@ -144,10 +153,8 @@ class SaParams:
         pool.insert(current)
         best = current
 
-        deltas = []
-        for _ in range(100):
-            neighbour = yield shake(current.keys, self.shake, rng)
-            deltas.append(neighbour.cost - current.cost)
+        neighbours = np.stack([shake(current.keys, self.shake, rng) for _ in range(100)])
+        deltas = [neighbour.cost - current.cost for neighbour in (yield neighbours)]
         worsening = [d for d in deltas if d > 0]
         t_start = (
             -float(np.mean(worsening)) / math.log(self.initial_acceptance)

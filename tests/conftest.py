@@ -78,17 +78,26 @@ def answer(search, evaluate):
 
     Each key vector it asks for is answered with ``evaluate(keys)``
     (usually an ``Evaluator``'s bound ``evaluate``); its pauses are
-    passed over.  When ``evaluate`` refuses an ask by returning
-    ``None``, the generator is not resumed and this returns ``None``.
-    A searcher never returns, so on one this runs until the
-    evaluator's budget is spent.
+    passed over.  A 2-D ask, a block of vectors, is answered as the
+    ensemble's driver answers it, with the ``evaluate_block`` of the
+    evaluator that ``evaluate`` is bound to.  When an ask is refused,
+    by ``None`` or by a list shorter than the block, the generator is
+    not resumed and this returns ``None``.  A searcher never returns,
+    so on one this runs until the evaluator's budget is spent.
     """
     reply = None
     try:
         while True:
             keys = search.send(reply)
-            reply = None if keys is None else evaluate(keys)
-            if keys is not None and reply is None:
-                return None
+            if keys is None:
+                reply = None
+            elif keys.ndim == 1:
+                reply = evaluate(keys)
+                if reply is None:
+                    return None
+            else:
+                reply = evaluate.__self__.evaluate_block(keys)
+                if len(reply) < len(keys):
+                    return None
     except StopIteration as stop:
         return stop.value

@@ -5,6 +5,8 @@ from randomkeys import (
     DecoderError,
     Evaluator,
     RunBudget,
+    TdTspDecoder,
+    generate_tdtsp_instance,
 )
 from randomkeys import budget as budget_module
 from randomkeys.localsearch import rvnd
@@ -183,3 +185,102 @@ def test_evaluator_rejects_non_finite_cost():
     ev = Evaluator(Nan(), RunBudget(decoder_calls=5))
     with pytest.raises(DecoderError):
         ev.evaluate(np.array([0.5]))
+
+
+class BatchRecordingDecoder(CountingDecoder):
+    """Sums the keys, in one call per block too; records each block."""
+
+    def __init__(self, dim=3):
+        super().__init__(dim)
+        self.blocks = []
+
+    def cost_batch(self, block):
+        self.blocks.append(block.copy())
+        return block.sum(axis=1).tolist()
+
+
+def test_evaluator_refuses_a_key_vector_of_the_wrong_length():
+    decoder = TdTspDecoder(generate_tdtsp_instance(6, 2, seed=1))
+    ev = Evaluator(decoder, RunBudget(decoder_calls=10))
+    for keys in (np.array([0.3, 0.1, 0.2]), np.zeros(7), np.zeros((1, 6)), np.float64(0.5)):
+        with pytest.raises(DecoderError):
+            ev.evaluate(keys)
+    assert ev.calls == 0
+    assert ev.best is None
+
+
+@pytest.mark.parametrize("decoder_type", [CountingDecoder, BatchRecordingDecoder])
+def test_evaluator_refuses_a_block_of_the_wrong_shape(decoder_type):
+    decoder = decoder_type()
+    ev = Evaluator(decoder, RunBudget(decoder_calls=10))
+    for block in (KEYS, np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 4, 3))):
+        with pytest.raises(DecoderError):
+            ev.evaluate_block(block)
+    assert ev.calls == decoder.calls == 0
+    assert getattr(decoder, "blocks", []) == []
+
+
+def test_block_crossing_the_call_limit_is_cut_before_it_is_decoded():
+    decoder = BatchRecordingDecoder()
+    ev = Evaluator(decoder, RunBudget(decoder_calls=5))
+    ev.evaluate(KEYS)
+    ev.evaluate(KEYS)
+    block = np.random.default_rng(1).random((4, 3))
+    solutions = ev.evaluate_block(block, "brkga")
+    assert len(decoder.blocks) == 1
+    assert decoder.blocks[0].tobytes() == block[:3].tobytes()
+    assert [s.keys.tobytes() for s in solutions] == [row.tobytes() for row in block[:3]]
+    assert [s.decoded_at for s in solutions] == [3, 4, 5]
+    assert {s.origin for s in solutions} == {"brkga"}
+    assert ev.calls == 5
+    # A block asked for once the budget is spent decodes nothing.
+    assert ev.evaluate_block(block) == []
+    assert len(decoder.blocks) == 1
+    assert decoder.calls == 2
+
+
+@pytest.mark.parametrize(
+    "budget, target",
+    [(RunBudget(decoder_calls=100), 1.0), (RunBudget(time_limit=100.0), None)],
+    ids=["target", "deadline"],
+)
+def test_target_and_deadline_runs_decode_blocks_row_by_row(budget, target):
+    decoder = BatchRecordingDecoder()
+    ev = Evaluator(decoder, budget, target_cost=target)
+    block = np.array([[0.5, 0.5, 0.5], [0.5, 0.25, 0.5], [0.25, 0.25, 0.25], [0.0, 0.0, 0.125]])
+    solutions = ev.evaluate_block(block)
+    assert decoder.blocks == []
+    if target is None:
+        assert len(solutions) == decoder.calls == ev.calls == 4
+    else:
+        # The third row reaches the target; the fourth is never decoded.
+        assert len(solutions) == decoder.calls == ev.calls == 3
+        assert ev.reached_target
+        assert ev.evaluate_block(block) == []
+        assert decoder.calls == 3
+
+
+@pytest.mark.parametrize("decoder_type", [CountingDecoder, BatchRecordingDecoder])
+def test_block_best_is_its_first_minimum(decoder_type):
+    decoder = decoder_type()
+    ev = Evaluator(decoder, RunBudget(decoder_calls=10))
+    ev.evaluate(np.array([0.5, 0.5, 0.5]))
+    block = np.array(
+        [[0.75, 0.75, 0.75], [0.25, 0.125, 0.125], [0.125, 0.125, 0.25], [0.25, 0.25, 0.25]]
+    )
+    solutions = ev.evaluate_block(block, "sa")
+    assert [s.cost for s in solutions] == [float(row.sum()) for row in block]
+    assert ev.best is solutions[1]
+    assert ev.best.decoded_at == ev.time_to_best == 3
+    assert all(s.keys.base is None and not s.keys.flags.writeable for s in solutions)
+
+
+@pytest.mark.parametrize("costs", [[1.0, float("nan"), 2.0], [1.0, 2.0]], ids=["nan", "short"])
+def test_block_decoder_must_return_a_finite_cost_per_row(costs):
+    class Broken(BatchRecordingDecoder):
+        def cost_batch(self, block):
+            return costs
+
+    ev = Evaluator(Broken(), RunBudget(decoder_calls=10))
+    with pytest.raises(DecoderError):
+        ev.evaluate_block(np.zeros((3, 3)))

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from randomkeys import (
     IlsParams,
     RunBudget,
     SaParams,
+    TdTspDecoder,
     VnsParams,
+    generate_tdtsp_instance,
     run_ensemble,
 )
 
@@ -197,3 +201,55 @@ def test_deterministic_flag_refuses_a_time_limit():
         run_ensemble(SphereDecoder(), ALL_SEARCHERS,
                      RunBudget(time_limit=1.0, decoder_calls=100), seed=1,
                      deterministic=True)
+
+
+def row_by_row(search):
+    """The same search, asking for the rows of each block one at a time."""
+    reply = None
+    while True:
+        keys = search.send(reply)
+        if keys is not None and keys.ndim == 2:
+            reply = []
+            for row in keys:
+                reply.append((yield row.copy()))
+        else:
+            reply = yield keys
+
+
+@dataclass(frozen=True)
+class RowByRow:
+    """Searcher parameters whose search asks for one vector at a time."""
+
+    inner: object
+
+    @property
+    def label(self):
+        return self.inner.label
+
+    def search(self, dimension, pool, rng):
+        return row_by_row(self.inner.search(dimension, pool, rng))
+
+
+class ScalarOnly:
+    """A decoder's ``cost`` without its ``cost_batch``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self.cost = inner.cost
+
+
+@pytest.mark.parametrize("calls", [1237, 3001])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_block_asks_report_as_row_by_row_asks(seed, calls):
+    instance = generate_tdtsp_instance(20, 3, seed=seed)
+    searchers = [BrkgaParams(population_size=30), SaParams(), IlsParams(rvnd_calls=100),
+                 VnsParams(rvnd_calls=100)]
+    budget = RunBudget(decoder_calls=calls)
+    blocks = run_ensemble(TdTspDecoder(instance), searchers, budget, seed, deterministic=True)
+    rows = run_ensemble(ScalarOnly(TdTspDecoder(instance)), [RowByRow(s) for s in searchers],
+                        budget, seed, deterministic=True)
+    assert blocks.best_keys.tobytes() == rows.best_keys.tobytes()
+    assert (blocks.best_cost, blocks.time_to_best, blocks.decoder_calls, blocks.searcher) == (
+        rows.best_cost, rows.time_to_best, rows.decoder_calls, rows.searcher
+    )

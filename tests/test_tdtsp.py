@@ -149,6 +149,29 @@ def test_decoder_fast_path_keeps_stable_order_on_tied_keys():
         assert sol.order == tuple(i + 1 for i in sorted(range(40), key=keys.__getitem__))
         assert decoder.cost(keys) == sol.cost
 
+def test_cost_batch_equals_cost_on_every_row():
+    # Random sizes and slot counts, horizons short enough that routes
+    # end on time, late mid-route or late on the return leg, blocks of
+    # one row, tied keys, and a memo primed with one of the block's
+    # routes: the block costs are the scalar costs, byte for byte.
+    rng = np.random.default_rng(62)
+    late = set()
+    for case in range(80):
+        n, h = int(rng.integers(1, 61)), int(rng.integers(1, 8))
+        service = generate_tdtsp_instance(n, h, seed=case).service.sum()
+        horizon = service + rng.uniform(0.0, 1.5) * 6.5 * (n + 1)
+        decoder = TdTspDecoder(generate_tdtsp_instance(n, h, seed=case, horizon=horizon))
+        block = rng.random((1 if case % 4 == 0 else int(rng.integers(2, 90)), n))
+        block[1::2] = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=block[1::2].shape)
+        decoder.cost(block[-1])
+        batch = decoder.cost_batch(block)
+        expected = [decoder.cost(row) for row in block]
+        assert np.array(batch).tobytes() == np.array(expected).tobytes()
+        assert [decoder.cost(row) for row in block] == expected
+        late.update(cost >= decoder.instance.horizon for cost in batch)
+    assert late == {False, True}
+
+
 def keys_in_order(order):
     """Distinct keys whose stable sort is ``order``."""
     keys = np.empty(len(order))
