@@ -54,7 +54,9 @@ class PortfolioInstance:
 
     Requires a symmetric covariance, 0 <= lower <= upper <= 1, and
     K * min(lower) <= 1 <= K * max(upper) so that some K-subset can
-    carry a unit budget at all.
+    carry a unit budget at all.  The instance keeps its own read-only
+    copies of the arrays, so that the fields derived from them below
+    cannot go stale.
     """
 
     means: np.ndarray
@@ -71,8 +73,8 @@ class PortfolioInstance:
     _unit_bounds: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mu = np.asarray(self.means, dtype=float)
-        sigma = np.asarray(self.covariance, dtype=float)
+        mu = np.array(self.means, dtype=float)
+        sigma = np.array(self.covariance, dtype=float)
         n = mu.shape[0]
         if mu.ndim != 1 or n < 1:
             raise ValueError("means must be a non-empty vector")
@@ -94,6 +96,8 @@ class PortfolioInstance:
         k = self.cardinality
         if k * float(lower.min()) > 1.0 or k * float(upper.max()) < 1.0:
             raise ValueError("no K-subset can meet the unit budget within bounds")
+        for array in (mu, sigma, lower, upper):
+            array.setflags(write=False)
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covariance", sigma)
         object.__setattr__(self, "lower", lower)

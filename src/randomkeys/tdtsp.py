@@ -20,12 +20,21 @@ and :func:`brute_force_tdtsp` on permutation chunks, and the scalar
 vector asked for on its own.  The tests hold the two independent
 versions equal bit for bit.
 
+The fast path reads nested lists indexed by customer, cached on the
+instance, and keeps the travel row of the customer it stands at.  The
+rounded product ``k * interval_length`` lies at or below the smallest
+clock that floor division puts in slot k, so a clock below it is still
+in the current slot; only a clock that reaches it has its slot looked
+up by floor division, as ``_simulate`` does.  Each arc costs three list
+reads, two additions and one comparison, and every clock and cost keeps
+the bits of ``_simulate``'s.
+
 Many key vectors map to one visiting order, and the searchers often
 ask for a vector whose order is the one just decoded (a Nelder-Mead
 shrink mostly does).  The fast path therefore remembers its last route
 as one (order bytes, cost) pair and returns the stored float when the
-order repeats; it assumes, as the cached travel and service lists do,
-that an instance's arrays do not change after its first decode.
+order repeats.  An instance holds read-only copies of its arrays, so
+neither the memo nor the cached lists can go stale.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,7 +67,20 @@ __all__ = [
 LATE_PENALTY_FACTOR = 1000.0
 
 
-@dataclass(eq=False)
+class _RouteTables(NamedTuple):
+    """An instance's travel and service times as nested Python lists,
+    indexed by 0-based customer, for the scalar route loop of
+    :meth:`TdTspDecoder.cost`; lists index several times faster than
+    numpy scalars there."""
+
+    start: list  # start[c]: depot to customer c in slot 0
+    out: list  # out[h][c][j]: customer c to customer j in slot h
+    back: list  # back[h][c]: customer c to the terminal in slot h
+    service: list  # service[c]
+    edges: list  # edges[h]: (h + 1) * interval_length; inf for the last slot
+
+
+@dataclass(frozen=True, eq=False)
 class TdTspInstance:
     """Instance data.
 
@@ -67,7 +89,9 @@ class TdTspInstance:
     slot h, shape (n_intervals, n + 2, n + 2).  The terminal row and
     column are expected to copy the depot's; a mismatch is reported as
     an :class:`InstanceWarning` since costs through the terminal would
-    then differ from costs through the depot.
+    then differ from costs through the depot.  The instance keeps its
+    own read-only copies of both arrays, so that the lists and the
+    route memo derived from them cannot go stale.
     """
 
     n_customers: int
@@ -87,8 +111,8 @@ class TdTspInstance:
             raise ValueError(
                 f"interval_length must be positive and finite, got {self.interval_length}"
             )
-        service = np.asarray(self.service, dtype=float)
-        travel = np.asarray(self.travel, dtype=float)
+        service = np.array(self.service, dtype=float)
+        travel = np.array(self.travel, dtype=float)
         if service.shape != (n + 2,):
             raise ValueError(f"service must have shape ({n + 2},), got {service.shape}")
         if travel.shape != (h, n + 2, n + 2):
@@ -114,8 +138,10 @@ class TdTspInstance:
             raise ValueError(
                 "travel and service times must keep every route's time and cost finite"
             )
-        self.service = service
-        self.travel = travel
+        service.setflags(write=False)
+        travel.setflags(write=False)
+        object.__setattr__(self, "service", service)
+        object.__setattr__(self, "travel", travel)
         if not (
             np.array_equal(travel[:, n + 1, :], travel[:, 0, :])
             and np.array_equal(travel[:, :, n + 1], travel[:, :, 0])
@@ -131,14 +157,15 @@ class TdTspInstance:
         return self.n_intervals * self.interval_length
 
     @cached_property
-    def _travel_lists(self) -> list:
-        # Nested python lists index several times faster than numpy
-        # scalars in the per-arc simulation loop.
-        return self.travel.tolist()
-
-    @cached_property
-    def _service_list(self) -> list:
-        return self.service.tolist()
+    def _route_tables(self) -> _RouteTables:
+        n = self.n_customers
+        return _RouteTables(
+            start=self.travel[0, 0, 1 : n + 1].tolist(),
+            out=self.travel[:, 1 : n + 1, 1 : n + 1].tolist(),
+            back=self.travel[:, 1 : n + 1, 0].tolist(),
+            service=self.service[1 : n + 1].tolist(),
+            edges=[k * self.interval_length for k in range(1, self.n_intervals)] + [math.inf],
+        )
 
 
 @dataclass(frozen=True)
@@ -383,19 +410,21 @@ class TdTspDecoder:
 
     ``cost`` is the scalar fast path: it simulates one route in plain
     Python, without numpy calls and without assembling arcs and flows,
-    because it runs on every charged decode.  It remembers the last
-    route it simulated, as the bytes of the stable argsort and the
-    cost, and a vector with the same order costs one comparison; the
-    pair is replaced in one assignment, so an order is never paired
-    with another order's cost.  The memo assumes that the instance's
-    arrays do not change after the first decode.  ``cost_batch`` and
+    because it runs on every charged decode.  Per arc it reads the leg
+    from the current customer's travel row, adds it to the clock and
+    the cost, and compares the clock with the start of the next slot;
+    only a clock at or past that edge looks the slot up again.  It
+    remembers the last route it simulated, as the bytes of the stable
+    argsort and the cost, and a vector with the same order costs one
+    comparison; the pair is replaced in one assignment, so an order is
+    never paired with another order's cost.  ``cost_batch`` and
     ``decode`` go through the row-vectorised kernel that the oracle
     also uses.  The first costs a block of independent vectors in one
     kernel call, whose per-step overhead makes it cheaper per row than
-    ``cost`` only from about 20 rows at n = 50 (about 3 times at 80);
-    the second assembles one route, so the cost a searcher is charged
-    is checked against a second implementation.  All three return the
-    same float on every vector.
+    ``cost`` only from about 40 rows at n = 50 (8-10 us a row at 80
+    rows, against about 10 us a call); the second assembles one route,
+    so the cost a searcher is charged is checked against a second
+    implementation.  All three return the same float on every vector.
     """
 
     def __init__(self, instance: TdTspInstance) -> None:
@@ -427,25 +456,29 @@ class TdTspDecoder:
         inst = self.instance
         big_h = inst.n_intervals
         t_bar = inst.interval_length
-        t = inst._travel_lists
-        s = inst._service_list
-        slot = 0
-        current = 0
+        cur, out, back, s, edges = inst._route_tables
+        rows = out[0]
+        edge = edges[0]
         now = 0.0
         total = 0.0
         for idx in order:
-            nxt = idx + 1
-            leg = t[slot if slot < big_h else big_h - 1][current][nxt]
-            now += leg + s[nxt]
+            leg = cur[idx]
+            now += leg + s[idx]
             total += leg
-            if slot < big_h:
-                slot = int(now // t_bar)
-            current = nxt
+            # Below the edge the slot has not changed (see the module
+            # docstring); at or past it, floor division decides the
+            # slot, as in _simulate.
+            if now >= edge:
+                slot = min(int(now // t_bar), big_h - 1)
+                rows = out[slot]
+                edge = edges[slot]
+            cur = rows[idx]
+        slot = int(now // t_bar)
         if slot < big_h:
-            leg = t[slot][current][0]
+            leg = back[slot][idx]
             if now + leg < big_h * t_bar:
                 return total + leg
-        return total + t[big_h - 1][current][0] + big_h * t_bar * LATE_PENALTY_FACTOR
+        return total + back[big_h - 1][idx] + big_h * t_bar * LATE_PENALTY_FACTOR
 
     def decode(self, keys: np.ndarray) -> TdTspSolution:
         return decode_tdtsp(self.instance, keys)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,25 @@ def test_instance_validation():
                     risk_aversion=0.5, lower=0.0, upper=1.0)
         with pytest.raises(ValueError):
             PortfolioInstance(**{**data, **change})
+
+
+def test_instance_keeps_read_only_copies_of_its_arrays():
+    means, cov = np.array([0.01, 0.02, 0.03]), np.eye(3)
+    lower, upper = np.zeros(3), np.ones(3)
+    inst = PortfolioInstance(means=means, covariance=cov, cardinality=2,
+                             risk_aversion=0.5, lower=lower, upper=upper)
+    keys = np.array([0.2, 0.7, 0.4, 0.9])
+    cost = PortfolioDecoder(inst).cost(keys)
+    for name in ("means", "covariance", "lower", "upper"):
+        with pytest.raises(ValueError):
+            getattr(inst, name)[0] = 0.2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(inst, name, np.zeros(3))
+    # The caller's arrays stay its own and writable.
+    means[:] = 0.5
+    cov *= 2.0
+    lower[:] = 0.2
+    assert PortfolioDecoder(inst).cost(keys) == decode_portfolio(inst, keys).cost == cost
 
 
 def test_decoder_dimension_is_twice_cardinality():

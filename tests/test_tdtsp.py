@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -149,18 +151,55 @@ def test_decoder_fast_path_keeps_stable_order_on_tied_keys():
         assert sol.order == tuple(i + 1 for i in sorted(range(40), key=keys.__getitem__))
         assert decoder.cost(keys) == sol.cost
 
+
+def tenths_instance(n, h, seed, rng):
+    """Tenths of a generated instance's travel times, service times of
+    0.1 to 0.3 and slots of 0.3: the clocks are sums of inexact floats
+    that often land on a slot edge k * 0.3 or one ulp below it."""
+    service = np.zeros(n + 2)
+    service[1 : n + 1] = rng.integers(1, 4, size=n) * 0.1
+    return TdTspInstance(
+        n_customers=n, n_intervals=h, interval_length=0.3, service=service,
+        travel=generate_tdtsp_instance(n, h, seed=seed).travel * 0.1, seed=None,
+    )
+
+
+def slot_edge_clocks(instance, block):
+    """Which kinds of clock at a slot edge, ``k * interval_length`` for
+    k = 1..H-1 or the float just below it, the block's routes reach on
+    leaving a customer."""
+    edges = {k * instance.interval_length for k in range(1, instance.n_intervals)}
+    below = {math.nextafter(edge, -math.inf) for edge in edges}
+    kinds = set()
+    for row in block:
+        for clock in decode_tdtsp(instance, row).arrival[1:-1].tolist():
+            if clock in edges:
+                kinds.add("on an edge")
+            elif clock in below:
+                kinds.add("an ulp below")
+    return kinds
+
+
 def test_cost_batch_equals_cost_on_every_row():
     # Random sizes and slot counts, horizons short enough that routes
     # end on time, late mid-route or late on the return leg, blocks of
     # one row, tied keys, and a memo primed with one of the block's
-    # routes: the block costs are the scalar costs, byte for byte.
+    # routes: the block costs are the scalar costs, byte for byte.  The
+    # last 80 cases have fractional times whose clocks land on slot
+    # edges and one ulp below them.
     rng = np.random.default_rng(62)
     late = set()
-    for case in range(80):
-        n, h = int(rng.integers(1, 61)), int(rng.integers(1, 8))
-        service = generate_tdtsp_instance(n, h, seed=case).service.sum()
-        horizon = service + rng.uniform(0.0, 1.5) * 6.5 * (n + 1)
-        decoder = TdTspDecoder(generate_tdtsp_instance(n, h, seed=case, horizon=horizon))
+    edge_clocks = set()
+    for case in range(160):
+        if case < 80:
+            n, h = int(rng.integers(1, 61)), int(rng.integers(1, 8))
+            service = generate_tdtsp_instance(n, h, seed=case).service.sum()
+            horizon = service + rng.uniform(0.0, 1.5) * 6.5 * (n + 1)
+            instance = generate_tdtsp_instance(n, h, seed=case, horizon=horizon)
+        else:
+            n, h = int(rng.integers(1, 61)), int(rng.integers(1, 41))
+            instance = tenths_instance(n, h, case, rng)
+        decoder = TdTspDecoder(instance)
         block = rng.random((1 if case % 4 == 0 else int(rng.integers(2, 90)), n))
         block[1::2] = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=block[1::2].shape)
         decoder.cost(block[-1])
@@ -169,7 +208,47 @@ def test_cost_batch_equals_cost_on_every_row():
         assert np.array(batch).tobytes() == np.array(expected).tobytes()
         assert [decoder.cost(row) for row in block] == expected
         late.update(cost >= decoder.instance.horizon for cost in batch)
+        if case >= 80:
+            edge_clocks.update(slot_edge_clocks(instance, block))
     assert late == {False, True}
+    assert edge_clocks == {"on an edge", "an ulp below"}
+
+
+def test_the_float_below_a_slot_edge_lies_in_an_earlier_slot():
+    # The scalar route loop looks its slot up again only once the clock
+    # reaches the float k * interval_length; every clock below it must
+    # floor-divide to a slot below k.
+    rng = np.random.default_rng(66)
+    for _ in range(50_000):
+        t_bar = float(10.0 ** rng.uniform(-3.0, 5.0))
+        k = int(rng.integers(1, 10_000))
+        assert math.nextafter(k * t_bar, -math.inf) // t_bar < k
+    for t_bar in (0.1, 0.3, 0.7, 1.1, 54_000.0 / 7):
+        for k in range(1, 1000):
+            assert math.nextafter(k * t_bar, -math.inf) // t_bar < k
+
+
+def test_instance_keeps_read_only_copies_of_its_arrays():
+    base = generate_tdtsp_instance(6, 2, seed=64)
+    service, travel = base.service.copy(), base.travel.copy()
+    instance = TdTspInstance(
+        n_customers=6, n_intervals=2, interval_length=base.interval_length,
+        service=service, travel=travel, seed=None,
+    )
+    keys = np.random.default_rng(65).random(6)
+    cost = TdTspDecoder(instance).cost(keys)
+    with pytest.raises(ValueError):
+        instance.travel *= 2.0
+    with pytest.raises(ValueError):
+        instance.service[1] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instance.travel = travel * 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instance.interval_length = 1.0
+    # The caller's arrays stay its own and writable.
+    travel *= 2.0
+    service[1:7] += 1.0
+    assert TdTspDecoder(instance).cost(keys) == decode_tdtsp(instance, keys).cost == cost
 
 
 def keys_in_order(order):
@@ -211,7 +290,8 @@ def test_route_memo_returns_the_decoded_cost():
 
 
 class CountingRows(list):
-    """Travel rows that count how often the simulation reads them."""
+    """Per-slot travel rows that count how often the simulation reads
+    them: at least once per simulated route."""
 
     reads = 0
 
@@ -222,7 +302,9 @@ class CountingRows(list):
 
 def test_route_memo_skips_the_simulation_of_a_repeated_order():
     instance = generate_tdtsp_instance(20, 3, seed=57)
-    rows = instance.__dict__["_travel_lists"] = CountingRows(instance.travel.tolist())
+    tables = instance._route_tables
+    rows = CountingRows(tables.out)
+    instance.__dict__["_route_tables"] = tables._replace(out=rows)
     decoder = TdTspDecoder(instance)
     keys = np.random.default_rng(58).random(20)
     first = decoder.cost(keys)
@@ -252,7 +334,8 @@ def test_interrupted_route_leaves_the_memo_unchanged(monkeypatch):
     a, b = rng.random(8), rng.random(8)
     decoder.cost(a)
     with monkeypatch.context() as patch:
-        patch.setitem(instance.__dict__, "_travel_lists", FailingRows())
+        failing = instance._route_tables._replace(out=FailingRows())
+        patch.setitem(instance.__dict__, "_route_tables", failing)
         with pytest.raises(Interrupted):
             decoder.cost(b)
     assert decoder.cost(b) == decode_tdtsp(instance, b).cost
