@@ -13,7 +13,7 @@ searcher and the bytes of the best keys.  Two checkouts print the same
 line exactly when every run of that round reports the same.
 
 ``--check FILE`` reads lines of that form, recomputes each and exits 1
-when one differs.  ``tools/run_hashes.txt`` holds seeds 1 to 3; a
+when one differs.  ``tools/run_hashes.txt`` holds seeds 1 to 4; a
 change that alters the draws of any run re-records it and says so.
 
 The script only imports ``bench/workloads.py``; it changes nothing
