@@ -6,8 +6,8 @@ $ python3 demos/knapsack_vs_enumeration.py
 The knapsack is phrased as a generic bounded integer program: minimize
 -value subject to one weight row.  15 binary variables means 2^15
 assignments, small enough for the brute-force oracle, which makes it a
-nice sanity check that four different metaheuristics sharing one elite
-pool all converge to the same answer.
+nice sanity check that four different metaheuristics sharing one
+decoder-call budget all converge to the same answer.
 """
 
 import numpy as np

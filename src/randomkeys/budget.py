@@ -2,8 +2,9 @@
 
 Every decode in a run goes through one :class:`Evaluator`.  It counts
 the decoder calls, holds the call limit and the deadline, and keeps the
-best decode of the run.  The ensemble's driver is its only caller; the
-searchers only ask for key vectors, one at a time or as a block of
+best decode of the run.  The ensemble is its only caller: it charges
+the initial fill and then what its driver decodes for the searchers,
+which only ask for key vectors, one at a time or as a block of
 independent rows.  Once the call limit or deadline is hit, or a decode
 has reached the target, the evaluator refuses: it decodes nothing and
 returns ``None``, or a block's list cut where the run ended, so no
@@ -21,9 +22,40 @@ from typing import Optional, Protocol
 import numpy as np
 
 from .errors import DecoderError
-from .pool import EvaluatedSolution
 
-__all__ = ["Decoder", "RunBudget", "Evaluator"]
+__all__ = ["Decoder", "EvaluatedSolution", "RunBudget", "Evaluator"]
+
+
+class EvaluatedSolution:
+    """A key vector together with its decoded cost.
+
+    ``decoded_at`` is the decoder-call ordinal at which the vector was
+    evaluated, ``origin`` the searcher label that produced it.  The key
+    array is marked read-only on construction, so the keys of a charged
+    decode cannot change after it.  Solutions compare by identity, so
+    two decodes of equal keys stay distinct objects.
+
+    The evaluator builds one of these for every decode, so it is a
+    plain ``__slots__`` class: a frozen dataclass costs about twice as
+    much to construct.  Treat its fields as read-only.
+    """
+
+    __slots__ = ("keys", "cost", "decoded_at", "origin")
+
+    def __init__(
+        self, keys: np.ndarray, cost: float, decoded_at: int = 0, origin: str = ""
+    ) -> None:
+        keys.setflags(write=False)
+        self.keys = keys
+        self.cost = cost
+        self.decoded_at = decoded_at
+        self.origin = origin
+
+    def __repr__(self) -> str:
+        return (
+            f"EvaluatedSolution(keys={self.keys!r}, cost={self.cost!r}, "
+            f"decoded_at={self.decoded_at!r}, origin={self.origin!r})"
+        )
 
 
 class Decoder(Protocol):
@@ -162,7 +194,8 @@ class Evaluator:
         return solutions
 
     def _charge(self, keys: np.ndarray, cost: float, origin: str) -> EvaluatedSolution:
-        """Charge one decoded call and compare it against the best."""
+        """Charge one decoded call, build its solution and compare it
+        against the best."""
         self.calls += 1
         if not math.isfinite(cost):
             raise DecoderError(f"decoder returned non-finite cost {cost!r}")

@@ -187,8 +187,8 @@ def _instance_size(args, decoder) -> int:
 
 
 def _run(args, decoder, searchers, budget, seed, target=None) -> RunReport:
-    """One ensemble run with the pool size, quantum and determinism check
-    taken from the shared run flags."""
+    """One ensemble run with the initial fill size, quantum and
+    determinism check taken from the shared run flags."""
     return run_ensemble(
         decoder,
         searchers,
@@ -451,7 +451,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                         help="refuse the run unless it reproduces: needs "
                              "--decoder-calls and no --time-limit; changes "
                              "nothing else")
-    parser.add_argument("--pool-size", type=_positive(int), default=20)
+    parser.add_argument("--pool-size", type=_positive(int), default=20,
+                        help="random vectors decoded before the searchers "
+                             "start (the initial fill)")
     parser.add_argument("--quantum", type=_positive(int), default=100,
                         help="decoder calls per searcher slice of the "
                              "round-robin driver")

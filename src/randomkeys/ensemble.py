@@ -1,14 +1,15 @@
 """Run an ensemble of searchers against one decoder under one budget.
 
-All searchers share the elite pool and the decoder-call budget.  One
+The searchers share the decoder-call budget and nothing else.  A run
+first charges one block of random vectors, the initial fill.  Then one
 driver resumes the ask/tell searchers round-robin on the calling
 thread, decodes what they ask for through one :class:`Evaluator`, and
 switches at the first pause on or after a fixed quantum of decoder
 calls.  A searcher asks for one key vector or for a block of
-independent vectors, whose rows are charged in order; the initial fill
-is one block.  The evaluator charges the budget and keeps the best
-decode of the run; the run ends at the first decode it refuses, once
-the budget is spent or the target cost reached.
+independent vectors, whose rows are charged in order.  The evaluator
+charges the budget and keeps the best decode of the run; the run ends
+at the first decode it refuses, once the budget is spent or the target
+cost reached.
 
 Time fields count in the unit of the budget: decoder calls when it has
 no ``time_limit``, wall seconds otherwise.  Under a call-only budget a
@@ -24,7 +25,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .budget import Decoder, Evaluator, RunBudget
-from .pool import ElitePool
 from .searchers import Search, SearcherParams
 
 __all__ = ["RunReport", "run_ensemble"]
@@ -39,7 +39,7 @@ class RunReport:
     ordinal under a call-only budget, wall seconds since the start of
     the run under a budget with a ``time_limit``.  ``searcher`` is the
     label of the searcher that decoded it ("init" when the initial
-    random pool was never beaten).
+    fill was never beaten).
     """
 
     best_cost: float
@@ -76,12 +76,14 @@ def run_ensemble(
 ) -> RunReport:
     """Search the key hypercube of ``decoder`` and return the best found.
 
-    The pool is seeded with ``pool_capacity`` random evaluated vectors
-    (these decodes count against the budget), then every searcher runs
-    until the budget is exhausted or, when ``target_cost`` is given,
-    until some decode reaches it.  Under a call-only budget ``seed``
-    reproduces the run exactly.  ``deterministic=True`` asks for that:
-    it raises ``ValueError`` when the budget has a ``time_limit``.
+    ``pool_capacity`` is the number of random vectors decoded, as one
+    block, before the searchers start (the initial fill; these decodes
+    count against the budget).  Then every searcher runs until the
+    budget is exhausted or, when ``target_cost`` is given, until some
+    decode reaches it; a searcher that returns raises ``RuntimeError``.
+    Under a call-only budget ``seed`` reproduces the run exactly.
+    ``deterministic=True`` asks for that: it raises ``ValueError`` when
+    the budget has a ``time_limit``.
     """
     if deterministic and budget.time_limit is not None:
         raise ValueError("a run with a time_limit does not reproduce")
@@ -89,6 +91,8 @@ def run_ensemble(
         raise ValueError("need at least one searcher")
     if quantum < 1:
         raise ValueError(f"quantum must be >= 1, got {quantum}")
+    if pool_capacity < 1:
+        raise ValueError(f"pool_capacity must be >= 1, got {pool_capacity}")
     dimension = decoder.dimension
     if dimension < 1:
         raise ValueError(f"decoder dimension must be positive, got {dimension}")
@@ -96,12 +100,13 @@ def run_ensemble(
     evaluator = Evaluator(decoder, budget, target_cost)
     streams = np.random.SeedSequence(seed).spawn(len(searchers) + 1)
     rngs = [np.random.default_rng(stream) for stream in streams]
-    pool = ElitePool(pool_capacity)
-    labelled = [("init", _fill(pool, dimension, rngs[0]))] + [
-        (label, spec.search(dimension, pool, rng))
+    labelled = [
+        (label, spec.search(dimension, rng))
         for label, spec, rng in zip(_unique_labels(searchers), searchers, rngs[1:])
     ]
-    _drive_round_robin(labelled, evaluator, quantum)
+    fill = rngs[0].random((pool_capacity, dimension))
+    if len(evaluator.evaluate_block(fill, "init")) == pool_capacity:
+        _drive_round_robin(labelled, evaluator, quantum)
 
     best = evaluator.best
     if best is None:
@@ -116,26 +121,17 @@ def run_ensemble(
     )
 
 
-def _fill(pool: ElitePool, dimension: int, rng: np.random.Generator) -> Search:
-    """Ask for one block of random vectors, one per slot of ``pool``, and
-    offer each of them to it."""
-    for solution in (yield rng.random((pool.capacity, dimension))):
-        pool.insert(solution)
-
-
 def _drive_round_robin(
     labelled: list[tuple[str, Search]], evaluator: Evaluator, quantum: int
 ) -> None:
     """Resume each searcher in turn, decode what it asks for under its
     label, and move on at its first pause once it has used ``quantum``
-    calls since it was resumed; drop a generator once it ends (only the
-    initial fill does).  A 1-D ask is one decode, a 2-D ask a block
-    whose rows are decoded in order.  Return at the first decode the
-    evaluator refuses; no searcher is resumed after it."""
-    active = list(labelled)
-    while active:
-        for entry in list(active):
-            label, search = entry
+    calls since it was resumed.  A 1-D ask is one decode, a 2-D ask a
+    block whose rows are decoded in order.  Return at the first decode
+    the evaluator refuses; no searcher is resumed after it.  A searcher
+    that returns raises ``RuntimeError`` naming its label."""
+    while True:
+        for label, search in labelled:
             resumed_at = evaluator.calls
             try:
                 keys = next(search)
@@ -152,4 +148,7 @@ def _drive_round_robin(
                             return
                         keys = search.send(solutions)
             except StopIteration:
-                active.remove(entry)
+                raise RuntimeError(
+                    f"searcher {label!r} returned after {evaluator.calls} decoder "
+                    "calls; a searcher must run until the run ends"
+                ) from None

@@ -14,8 +14,8 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from .budget import EvaluatedSolution
 from .keys import KEY_MAX
-from .pool import EvaluatedSolution
 
 __all__ = [
     "FAREY_VALUES",

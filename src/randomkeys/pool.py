@@ -1,9 +1,8 @@
-"""Bounded elite pool shared by all searchers in a run.
+"""Bounded elite pool of distinct key vectors, ordered by cost.
 
-The pool keeps the best distinct key vectors that the searchers offer
-it, ordered by cost.  The searchers share it to exchange solutions; the
-best decode of a run is kept by the evaluator, not here, because a
-searcher offers only some of what it decodes.
+No searcher and no part of a run uses it: the searchers keep their own
+incumbents and the evaluator the best decode of a run.  The class stays
+only because the benchmark's isolated ``pool.insert`` row times it.
 """
 
 from __future__ import annotations
@@ -14,43 +13,10 @@ from typing import Optional
 
 import numpy as np
 
+from .budget import EvaluatedSolution
 from .keys import key_distance
 
-__all__ = ["EvaluatedSolution", "InsertOutcome", "ElitePool"]
-
-
-class EvaluatedSolution:
-    """A key vector together with its decoded cost.
-
-    ``decoded_at`` is the decoder-call ordinal at which the vector was
-    evaluated, ``origin`` the searcher label that produced it.  The key
-    array is marked read-only on construction, so the key bytes on which
-    :class:`ElitePool` finds duplicates (with ``-0.0`` read as ``0.0``)
-    cannot change while the solution is pooled.  Solutions compare by
-    identity, so two decodes of equal keys stay distinct objects and
-    ``list.remove`` removes exactly the one it is given.
-
-    The evaluator builds one of these for every decode, so it is a
-    plain ``__slots__`` class: a frozen dataclass costs about twice as
-    much to construct.  Treat its fields as read-only.
-    """
-
-    __slots__ = ("keys", "cost", "decoded_at", "origin")
-
-    def __init__(
-        self, keys: np.ndarray, cost: float, decoded_at: int = 0, origin: str = ""
-    ) -> None:
-        keys.setflags(write=False)
-        self.keys = keys
-        self.cost = cost
-        self.decoded_at = decoded_at
-        self.origin = origin
-
-    def __repr__(self) -> str:
-        return (
-            f"EvaluatedSolution(keys={self.keys!r}, cost={self.cost!r}, "
-            f"decoded_at={self.decoded_at!r}, origin={self.origin!r})"
-        )
+__all__ = ["InsertOutcome", "ElitePool"]
 
 
 class InsertOutcome(enum.Enum):
@@ -72,7 +38,9 @@ class ElitePool:
     among those costing strictly more than the candidate, the one
     closest to it in Euclidean key distance.  This keeps the pool
     diverse: the candidate displaces its most similar worse neighbour
-    rather than the global worst.
+    rather than the global worst.  The keys of an
+    :class:`EvaluatedSolution` are read-only, so an entry's bytes
+    cannot change while it is pooled.
     """
 
     def __init__(self, capacity: int = 20) -> None:

@@ -9,8 +9,8 @@ iteration marks a point where the driver may switch to another
 searcher.  Local search runs inside with ``yield from``.  The searchers
 never decode, charge the budget or stop the run; the ensemble's driver
 and its evaluator do, and a run that ends within a block never resumes
-the searcher that asked for it.  Improvements are offered to the shared
-elite pool.
+the searcher that asked for it.  A searcher never returns.  Each one
+keeps its own incumbents; the searchers share nothing but the budget.
 
 BRKGA asks for its first population and for each generation as one
 block, and SA for its 100 calibration neighbours; a decoder with
@@ -32,15 +32,15 @@ from typing import Generator, Optional, Union
 
 import numpy as np
 
+from .budget import EvaluatedSolution
 from .keys import BlendConfig, ShakeConfig, blend, new_random_vector, shake
 from .localsearch import Moves, rvnd
-from .pool import ElitePool, EvaluatedSolution
 
 __all__ = ["BrkgaParams", "SaParams", "IlsParams", "VnsParams", "SearcherParams"]
 
 # Asks for key vectors or blocks of them (``None`` to pause), is told
 # their evaluated solutions, one or a list, and runs until the driver
-# stops resuming it.
+# stops resuming it; it never returns.
 Search = Generator[
     Optional[np.ndarray], Union[EvaluatedSolution, list[EvaluatedSolution], None], None
 ]
@@ -53,8 +53,7 @@ class BrkgaParams:
     Each generation carries the elite fraction unchanged, fills the
     mutant fraction with fresh random vectors, and breeds the rest by
     blending one elite with one non-elite parent, inheriting elite keys
-    with probability ``inherit_bias``.  Every ``exchange_interval``
-    generations one pool member replaces a random non-elite individual.
+    with probability ``inherit_bias``.
 
     The first population is asked for as one ``(population_size, d)``
     uniform block.  A generation is drawn as blocks before its ask: the
@@ -69,7 +68,6 @@ class BrkgaParams:
     elite_fraction: float = 0.20
     mutant_fraction: float = 0.15
     inherit_bias: float = 0.70
-    exchange_interval: int = 50
     label: str = "brkga"
 
     def __post_init__(self) -> None:
@@ -83,12 +81,8 @@ class BrkgaParams:
             raise ValueError("elite_fraction + mutant_fraction must stay below 1")
         if not 0.0 <= self.inherit_bias <= 1.0:
             raise ValueError(f"inherit_bias outside [0, 1]: {self.inherit_bias}")
-        if self.exchange_interval < 1:
-            raise ValueError(f"exchange_interval must be >= 1, got {self.exchange_interval}")
 
-    def search(
-        self, dimension: int, pool: ElitePool, rng: np.random.Generator
-    ) -> Search:
+    def search(self, dimension: int, rng: np.random.Generator) -> Search:
         p = self.population_size
         n_elite = max(1, int(p * self.elite_fraction))
         n_mutant = min(int(p * self.mutant_fraction), p - n_elite - 1)
@@ -97,11 +91,8 @@ class BrkgaParams:
 
         population = yield rng.random((p, dimension))
         population.sort(key=lambda s: s.cost)
-        generation = 0
         while True:
-            pool.insert(population[0])
             yield None
-            generation += 1
             mutants = rng.random((n_mutant, dimension))
             parents = np.stack([s.keys for s in population])
             elites = rng.integers(n_elite, size=n_children)
@@ -109,10 +100,6 @@ class BrkgaParams:
             children = blend(parents[elites], parents[others], crossover, rng)
             offspring = yield np.concatenate((mutants, children))
             population = population[:n_elite] + offspring
-            if generation % self.exchange_interval == 0:
-                migrant = pool.random_entry(rng)
-                slot = n_elite + int(rng.integers(p - n_elite))
-                population[slot] = migrant
             population.sort(key=lambda s: s.cost)
 
 
@@ -124,7 +111,7 @@ class SaParams:
     of 100 sampled neighbours is accepted with ``initial_acceptance``;
     the neighbours are drawn first and asked for as one block.
     When the temperature decays below ``restart_floor`` the walk
-    restarts from a random pool member at the calibrated temperature.
+    continues from its own best so far at the calibrated temperature.
     ``moves_per_temperature`` defaults to the decoder dimension.
     """
 
@@ -145,12 +132,9 @@ class SaParams:
         if self.moves_per_temperature is not None and self.moves_per_temperature < 1:
             raise ValueError("moves_per_temperature must be >= 1 when given")
 
-    def search(
-        self, dimension: int, pool: ElitePool, rng: np.random.Generator
-    ) -> Search:
+    def search(self, dimension: int, rng: np.random.Generator) -> Search:
         moves = self.moves_per_temperature or dimension
         current = yield new_random_vector(dimension, rng)
-        pool.insert(current)
         best = current
 
         neighbours = np.stack([shake(current.keys, self.shake, rng) for _ in range(100)])
@@ -175,10 +159,9 @@ class SaParams:
                     current = candidate
                 if current.cost < best.cost:
                     best = current
-                    pool.insert(best)
             temperature *= self.cooling_rate
             if temperature < self.restart_floor:
-                current = pool.random_entry(rng)
+                current = best
                 temperature = t_start
             yield None
 
@@ -201,18 +184,14 @@ class IlsParams:
     rvnd_calls: Optional[int] = None
     label: str = "ils"
 
-    def search(
-        self, dimension: int, pool: ElitePool, rng: np.random.Generator
-    ) -> Search:
+    def search(self, dimension: int, rng: np.random.Generator) -> Search:
         current = yield new_random_vector(dimension, rng)
-        pool.insert(current)
         while True:
             candidate = yield from _shake_then_descend(
                 current, self.shake, rng, self.rvnd_calls
             )
             if candidate.cost < current.cost:
                 current = candidate
-                pool.insert(current)
             yield None
 
 
@@ -239,12 +218,9 @@ class VnsParams:
         ):
             raise ValueError(f"beta levels must increase: {self.beta_levels}")
 
-    def search(
-        self, dimension: int, pool: ElitePool, rng: np.random.Generator
-    ) -> Search:
+    def search(self, dimension: int, rng: np.random.Generator) -> Search:
         configs = [ShakeConfig(b, b) for b in self.beta_levels]
         current = yield new_random_vector(dimension, rng)
-        pool.insert(current)
         level = 0
         while True:
             candidate = yield from _shake_then_descend(
@@ -252,7 +228,6 @@ class VnsParams:
             )
             if candidate.cost < current.cost:
                 current = candidate
-                pool.insert(current)
                 level = 0
             else:
                 level = (level + 1) % len(configs)

@@ -133,6 +133,35 @@ def test_empty_searcher_list_rejected():
         run_ensemble(SphereDecoder(), [], RunBudget(decoder_calls=10), seed=1)
 
 
+@pytest.mark.parametrize("capacity", [0, -1])
+def test_an_empty_initial_fill_is_rejected(capacity):
+    decoder = SphereDecoder()
+    with pytest.raises(ValueError, match="pool_capacity"):
+        run_ensemble(decoder, ALL_SEARCHERS, RunBudget(decoder_calls=10), seed=1,
+                     pool_capacity=capacity)
+    assert decoder.calls == 0
+
+
+@dataclass(frozen=True)
+class OneAsk:
+    """Searcher parameters whose search asks for one vector and returns."""
+
+    label: str = "one-ask"
+
+    def search(self, dimension, rng):
+        yield rng.random(dimension)
+
+
+def test_a_searcher_that_returns_raises_naming_it():
+    # The budget is exact: a searcher that stops before it is spent is
+    # an error, not a run that reports fewer calls.
+    with pytest.raises(RuntimeError, match="'one-ask'"):
+        run_ensemble(SphereDecoder(), [OneAsk()], RunBudget(decoder_calls=1000), seed=1)
+    with pytest.raises(RuntimeError, match="'one-ask'"):
+        run_ensemble(SphereDecoder(), [IlsParams(rvnd_calls=100), OneAsk()],
+                     RunBudget(decoder_calls=1000), seed=1)
+
+
 def test_time_to_best_is_virtual_in_deterministic_mode():
     report = run_ensemble(
         SphereDecoder(), ALL_SEARCHERS, RunBudget(decoder_calls=2000),
@@ -226,8 +255,8 @@ class RowByRow:
     def label(self):
         return self.inner.label
 
-    def search(self, dimension, pool, rng):
-        return row_by_row(self.inner.search(dimension, pool, rng))
+    def search(self, dimension, rng):
+        return row_by_row(self.inner.search(dimension, rng))
 
 
 class ScalarOnly:

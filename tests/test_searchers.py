@@ -1,16 +1,17 @@
+import copy
+
 import numpy as np
 import pytest
 
 from randomkeys import (
     BrkgaParams,
-    ElitePool,
-    EvaluatedSolution,
     Evaluator,
     IlsParams,
     RunBudget,
     SaParams,
     ShakeConfig,
     VnsParams,
+    shake,
 )
 from conftest import answer
 
@@ -28,13 +29,24 @@ class SphereDecoder:
         return float(np.sum((keys - self.target) ** 2))
 
 
+class Recording(SphereDecoder):
+    """The sphere, recording the bytes and cost of every decode."""
+
+    def __init__(self):
+        self.charged = []
+
+    def cost(self, keys):
+        value = super().cost(keys)
+        self.charged.append((keys.tobytes(), value))
+        return value
+
+
 def drive(params, calls=4000, seed=1, dim=4, decoder=None):
     decoder = decoder or SphereDecoder()
-    pool = ElitePool(capacity=10)
     ev = Evaluator(decoder, RunBudget(decoder_calls=calls))
-    search = params.search(dim, pool, np.random.default_rng(seed))
+    search = params.search(dim, np.random.default_rng(seed))
     assert answer(search, ev.evaluate) is None
-    return pool
+    return ev
 
 
 def test_brkga_param_validation():
@@ -44,8 +56,6 @@ def test_brkga_param_validation():
         BrkgaParams(elite_fraction=0.0)
     with pytest.raises(ValueError):
         BrkgaParams(elite_fraction=0.6, mutant_fraction=0.5)
-    with pytest.raises(ValueError):
-        BrkgaParams(exchange_interval=0)
 
 
 def test_sa_param_validation():
@@ -77,8 +87,7 @@ def test_vns_param_validation():
     ids=["brkga", "sa", "ils", "vns"],
 )
 def test_each_searcher_descends_on_a_sphere(params):
-    pool = drive(params)
-    best = pool.best()
+    best = drive(params).best
     assert best is not None
     assert best.cost < 0.05  # random vectors average around 0.33
 
@@ -86,8 +95,7 @@ def test_each_searcher_descends_on_a_sphere(params):
 def test_brkga_respects_exact_call_budget():
     decoder = SphereDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=137))
-    pool = ElitePool(capacity=5)
-    gen = BrkgaParams(population_size=20).search(4, pool, np.random.default_rng(2))
+    gen = BrkgaParams(population_size=20).search(4, np.random.default_rng(2))
     assert answer(gen, ev.evaluate) is None
     assert ev.calls == 137
 
@@ -95,9 +103,8 @@ def test_brkga_respects_exact_call_budget():
 def test_sa_yields_after_each_temperature_step():
     decoder = SphereDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=10_000))
-    pool = ElitePool(capacity=5)
     params = SaParams(moves_per_temperature=5)
-    gen = params.search(4, pool, np.random.default_rng(3))
+    gen = params.search(4, np.random.default_rng(3))
 
     def to_next_pause():
         reply = None
@@ -112,15 +119,51 @@ def test_sa_yields_after_each_temperature_step():
     assert ev.calls == 111
 
 
+def test_sa_restarts_from_its_own_best():
+    # Scripted costs: the start costs 1.0 and its 100 calibration
+    # neighbours 1.5, which calibrates the temperature to about 0.72;
+    # the five moves cost 0.5, 0.4 (the best), then 0.4 three times,
+    # accepted at zero delta without becoming the best.  One cooling
+    # step takes the temperature below the floor, so the walk, which
+    # stands on the fifth move, restarts: the next ask shakes the best.
+    class Scripted:
+        dimension = 4
+
+        def __init__(self):
+            self.calls = 0
+
+        def cost(self, keys):
+            self.calls += 1
+            if self.calls == 1:
+                return 1.0
+            if self.calls <= 101:
+                return 1.5
+            return 0.5 if self.calls == 102 else 0.4
+
+    params = SaParams(moves_per_temperature=5, cooling_rate=0.5, restart_floor=0.5)
+    ev = Evaluator(Scripted(), RunBudget(decoder_calls=1000))
+    rng = np.random.default_rng(1)
+    gen = params.search(4, rng)
+    walked, reply = [], None
+    while (keys := gen.send(reply)) is not None:
+        reply = ev.evaluate(keys) if keys.ndim == 1 else ev.evaluate_block(keys)
+        if keys.ndim == 1:
+            walked.append(reply)
+    assert [s.cost for s in walked] == [1.0, 0.5, 0.4, 0.4, 0.4, 0.4]
+    expected = shake(walked[2].keys, params.shake, copy.deepcopy(rng))
+    assert not np.array_equal(expected, shake(walked[5].keys, params.shake, copy.deepcopy(rng)))
+    assert np.array_equal(gen.send(None), expected)
+
+
 def test_ils_equals_single_level_vns():
-    # same fixed shake strength, same seed: identical pool trajectories
+    # same fixed shake strength, same seed: the same decodes, byte for byte
     ils = IlsParams(shake=ShakeConfig(0.3, 0.3), rvnd_calls=50)
     vns = VnsParams(beta_levels=(0.3,), rvnd_calls=50)
-    pool_a = drive(ils, calls=2000, seed=9)
-    pool_b = drive(vns, calls=2000, seed=9)
-    costs_a = [e.cost for e in pool_a.entries]
-    costs_b = [e.cost for e in pool_b.entries]
-    assert costs_a == pytest.approx(costs_b, abs=0.0)
+    a, b = Recording(), Recording()
+    drive(ils, calls=2000, seed=9, decoder=a)
+    drive(vns, calls=2000, seed=9, decoder=b)
+    assert len(a.charged) == 2000
+    assert a.charged == b.charged
 
 
 def test_vns_cycles_levels_without_improvement():
@@ -132,8 +175,7 @@ def test_vns_cycles_levels_without_improvement():
             return 1.0
 
     params = VnsParams(beta_levels=(0.1, 0.2), rvnd_calls=5)
-    pool = drive(params, calls=500, dim=3, decoder=Flat())
-    assert pool.best().cost == 1.0
+    assert drive(params, calls=500, dim=3, decoder=Flat()).best.cost == 1.0
 
 
 def test_sa_flat_landscape_accepts_zero_delta():
@@ -143,8 +185,7 @@ def test_sa_flat_landscape_accepts_zero_delta():
         def cost(self, keys):
             return 2.5
 
-    pool = drive(SaParams(), calls=400, dim=3, decoder=Flat())
-    assert pool.best().cost == 2.5
+    assert drive(SaParams(), calls=400, dim=3, decoder=Flat()).best.cost == 2.5
 
 
 def test_brkga_asks_own_their_buffers():
@@ -167,7 +208,7 @@ def test_brkga_asks_own_their_buffers():
     calls = 20 + 2 * (20 - n_elite)  # the first population and two generations
     for decoder in (Summed(), SummedInOneCall()):
         ev = Evaluator(decoder, RunBudget(decoder_calls=calls))
-        gen = params.search(6, ElitePool(capacity=5), np.random.default_rng(4))
+        gen = params.search(6, np.random.default_rng(4))
         charged, reply = [], None
         while len(charged) < calls:
             block = gen.send(reply)
