@@ -5,11 +5,13 @@ the decoder calls, holds the call limit and the deadline, and keeps the
 best decode of the run.  The ensemble is its only caller: it charges
 the initial fill and then what its driver decodes for the searchers,
 which only ask for key vectors, one at a time or as a block of
-independent rows.  Once the call limit or deadline is hit, or a decode
-has reached the target, the evaluator refuses: it decodes nothing and
-returns ``None``, or a block's list cut where the run ended, so no
-decode is ever issued past the budget and the reported call count is
-exact.
+independent rows.  There is one decode path: each vector, block rows
+included, is one ``Decoder.cost`` call charged by
+:meth:`Evaluator.evaluate`.  Once the call limit or deadline is hit, or
+a decode has reached the target, the evaluator refuses: it decodes
+nothing and returns ``None``, or a block's list cut where the run
+ended, so no decode is ever issued past the budget and the reported
+call count is exact.
 """
 
 from __future__ import annotations
@@ -63,13 +65,9 @@ class Decoder(Protocol):
 
     ``dimension`` is the key-vector length; ``cost`` maps a key vector
     to a finite float (penalties included).  Implementations must be
-    deterministic and must not mutate the key array.
-
-    A decoder may also define ``cost_batch(block)``, which maps a
-    ``(rows, dimension)`` block to the list of its rows' costs, each the
-    float that ``cost`` returns on that row.  It is optional: the
-    evaluator decodes a block through it in one call when only the call
-    count can end the run, and row by row through ``cost`` otherwise.
+    deterministic and must not mutate the key array.  It is the only
+    method the evaluator calls: every decode of a run, block rows
+    included, is one ``cost`` call.
     """
 
     @property
@@ -122,13 +120,6 @@ class Evaluator:
         self._deadline = (
             None if budget.time_limit is None else self._t0 + budget.time_limit
         )
-        # A block is decoded in one call only when the call count alone
-        # can end the run, so that it can be cut before it is decoded.
-        self._cost_batch = (
-            getattr(decoder, "cost_batch", None)
-            if target_cost is None and self._deadline is None
-            else None
-        )
         self.reached_target = False
         self.best: Optional[EvaluatedSolution] = None
         self.time_to_best = 0.0
@@ -142,8 +133,9 @@ class Evaluator:
         return time.monotonic() - self._t0
 
     def evaluate(self, keys: np.ndarray, origin: str = "") -> Optional[EvaluatedSolution]:
-        """Decode ``keys`` and charge one call, or return ``None`` without
-        decoding once the budget is spent or the target was reached."""
+        """Decode ``keys``, charge one call and compare the solution
+        against the best, or return ``None`` without decoding once the
+        budget is spent or the target was reached."""
         if keys.shape != self._shape:
             raise DecoderError(f"expected {self.dimension} keys, got shape {keys.shape}")
         if (
@@ -156,46 +148,6 @@ class Evaluator:
             cost = float(self.decoder.cost(keys))
         except Exception as exc:
             raise DecoderError(f"decoder failed on keys {keys!r}") from exc
-        return self._charge(keys, cost, origin)
-
-    def evaluate_block(self, block: np.ndarray, origin: str = "") -> list[EvaluatedSolution]:
-        """Decode the rows of ``block`` in order and charge each as
-        :meth:`evaluate` would, each solution over its own copy of its
-        row.  The list is shorter than the block when the run ended
-        within it; no row past that point is decoded.
-
-        Under a call-only budget, with a decoder that has ``cost_batch``,
-        the block is cut to the remaining calls and decoded in one call;
-        otherwise its rows go through :meth:`evaluate` one by one.
-        """
-        if block.ndim != 2 or block.shape[1] != self.dimension:
-            raise DecoderError(
-                f"expected a block of {self.dimension}-key rows, got shape {block.shape}"
-            )
-        solutions = []
-        if self._cost_batch is None:
-            for row in block:
-                solution = self.evaluate(row.copy(), origin)
-                if solution is None:
-                    break
-                solutions.append(solution)
-            return solutions
-        block = block[: self.call_limit - self.calls]
-        if not len(block):
-            return solutions
-        try:
-            costs = self._cost_batch(block)
-        except Exception as exc:
-            raise DecoderError(f"decoder failed on block {block!r}") from exc
-        if len(costs) != len(block):
-            raise DecoderError(f"decoder returned {len(costs)} costs for {len(block)} rows")
-        for row, cost in zip(block, costs):
-            solutions.append(self._charge(row.copy(), float(cost), origin))
-        return solutions
-
-    def _charge(self, keys: np.ndarray, cost: float, origin: str) -> EvaluatedSolution:
-        """Charge one decoded call, build its solution and compare it
-        against the best."""
         self.calls += 1
         if not math.isfinite(cost):
             raise DecoderError(f"decoder returned non-finite cost {cost!r}")
@@ -206,3 +158,23 @@ class Evaluator:
             self.time_to_best = self.elapsed()
             self.reached_target = self.target_cost is not None and cost <= self.target_cost
         return solution
+
+    def evaluate_block(self, block: np.ndarray, origin: str = "") -> list[EvaluatedSolution]:
+        """Charge the rows of ``block`` in order through :meth:`evaluate`,
+        each solution over its own copy of its row.  The list is shorter
+        than the block when the run ended within it; no row past that
+        point is decoded.  A block decodes exactly as its rows asked for
+        one at a time would; asking for it at once saves the driver a
+        round trip per row.
+        """
+        if block.ndim != 2 or block.shape[1] != self.dimension:
+            raise DecoderError(
+                f"expected a block of {self.dimension}-key rows, got shape {block.shape}"
+            )
+        solutions = []
+        for row in block:
+            solution = self.evaluate(row.copy(), origin)
+            if solution is None:
+                break
+            solutions.append(solution)
+        return solutions

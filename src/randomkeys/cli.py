@@ -273,7 +273,10 @@ def cmd_rpd(args) -> int:
         times = [float(r["time_to_best"]) for r in rows]
     except (KeyError, ValueError) as exc:
         raise InstanceFormatError(f"{runs}: not a runs CSV: {exc}") from exc
-    summary = summarize_rpd(args.instance_id, args.reference, costs, times)
+    try:
+        summary = summarize_rpd(args.instance_id, args.reference, costs, times)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
     _write_csv(
         Path(args.out),
         RPD_CSV_COLUMNS,
@@ -325,7 +328,7 @@ def cmd_ttt(args) -> int:
 
 def cmd_frontier(args) -> int:
     means, covariance = load_orlib_portfolio(Path(args.instance))
-    lambdas = [float(tok) for tok in args.lambdas.split(",") if tok.strip()]
+    lambdas = args.lambdas
     if any(not 0.0 < lam < 1.0 for lam in lambdas):
         raise InstanceFormatError("frontier lambdas must lie strictly inside (0, 1)")
     searchers = _parse_searchers(args.searchers)
@@ -371,7 +374,7 @@ def cmd_profile(args) -> int:
         raise InstanceFormatError(
             f"{refs}: expected instance,best,lower rows: {exc}"
         ) from exc
-    taus = [float(tok) for tok in args.taus.split(",") if tok.strip()]
+    taus = args.taus
     out_rows = []
     try:
         for scheme, reference in (("best", best_ref), ("lower", lower_ref)):
@@ -425,6 +428,14 @@ def cmd_generate(args) -> int:
     write_tdtsp(instance, Path(args.out))
     print(f"wrote {args.out} (n={args.customers}, H={args.intervals}, seed={args.seed})")
     return 0
+
+
+def _floats(text: str) -> list[float]:
+    """An argparse type that reads a comma list of floats."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
 
 
 def _positive(kind):
@@ -516,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="OR-Library portfolio file")
     frontier.add_argument(
         "--lambdas",
+        type=_floats,
         default=",".join(f"{v / 100:.2f}" for v in range(2, 99, 2)),
         help="comma list of risk-aversion values strictly inside (0, 1)",
     )
@@ -530,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CSV with method,instance,cost rows")
     profile.add_argument("--references", required=True,
                          help="CSV with instance,best,lower rows")
-    profile.add_argument("--taus", default="1.0,1.02,1.05,1.1,1.25,1.5,2.0")
+    profile.add_argument("--taus", type=_floats, default="1.0,1.02,1.05,1.1,1.25,1.5,2.0")
     profile.add_argument("--out", required=True)
     profile.set_defaults(func=cmd_profile)
 

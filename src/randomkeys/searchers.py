@@ -13,10 +13,11 @@ the searcher that asked for it.  A searcher never returns.  Each one
 keeps its own incumbents; the searchers share nothing but the budget.
 
 BRKGA asks for its first population and for each generation as one
-block, and SA for its 100 calibration neighbours; a decoder with
-``cost_batch`` can then decode each block in one call.  Every vector of
-a block is drawn before the ask, in the order in which one ask per
-vector would draw them, so the draw stream is that of row-by-row asks.
+block, and SA for its 100 calibration neighbours.  The evaluator
+decodes a block row by row, as it decodes any vector, so a block ask
+only saves the driver a round trip per row.  Every vector of a block is
+drawn before the ask, in the order in which one ask per vector would
+draw them, so the draw stream is that of row-by-row asks.
 
 The searchers call the key operators by this module's names ``shake``
 and ``blend``, so a wrapper installed here sees every call.  Each

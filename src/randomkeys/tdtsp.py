@@ -13,12 +13,11 @@ the horizon, remaining arcs fall back to the last slot and the route
 is penalized by 1000 * horizon on top of its travel cost.
 
 The rule lives in two places on purpose: the row-vectorised kernel
-``_simulate``, which :func:`decode_tdtsp` runs on one row,
-:meth:`TdTspDecoder.cost_batch` on a searcher's block of key vectors
-and :func:`brute_force_tdtsp` on permutation chunks, and the scalar
-:meth:`TdTspDecoder.cost`, the plain-Python fast path charged on each
-vector asked for on its own.  The tests hold the two independent
-versions equal bit for bit.
+``_simulate``, which :func:`decode_tdtsp` runs on one row and
+:func:`brute_force_tdtsp` on permutation chunks, and the scalar
+:meth:`TdTspDecoder.cost`, the plain-Python fast path charged on every
+decode of a run.  The tests hold the two independent versions equal
+bit for bit.
 
 The fast path reads nested lists indexed by customer, cached on the
 instance, and keeps the travel row of the customer it stands at.  The
@@ -417,14 +416,12 @@ class TdTspDecoder:
     remembers the last route it simulated, as the bytes of the stable
     argsort and the cost, and a vector with the same order costs one
     comparison; the pair is replaced in one assignment, so an order is
-    never paired with another order's cost.  ``cost_batch`` and
-    ``decode`` go through the row-vectorised kernel that the oracle
-    also uses.  The first costs a block of independent vectors in one
-    kernel call, whose per-step overhead makes it cheaper per row than
-    ``cost`` only from about 40 rows at n = 50 (8-10 us a row at 80
-    rows, against about 10 us a call); the second assembles one route,
-    so the cost a searcher is charged is checked against a second
-    implementation.  All three return the same float on every vector.
+    never paired with another order's cost.  It is the only method a
+    run calls: the evaluator decodes a block's rows one by one through
+    it too.  ``decode`` assembles one route through the row-vectorised
+    kernel that the oracle also uses, so the cost a searcher is charged
+    is checked against a second implementation; both return the same
+    float on every vector.
     """
 
     def __init__(self, instance: TdTspInstance) -> None:
@@ -446,11 +443,6 @@ class TdTspDecoder:
         # One assignment, so the stored order never pairs with another's cost.
         self._last = (stamp, cost)
         return cost
-
-    def cost_batch(self, block: np.ndarray) -> list:
-        """The costs of the rows of a ``(rows, n)`` key block, each the
-        float :meth:`cost` returns on that row; the memo is left as is."""
-        return _simulate(self.instance, block.argsort(axis=1, kind="stable") + 1)[4].tolist()
 
     def _route_cost(self, order: list) -> float:
         inst = self.instance

@@ -257,6 +257,36 @@ def test_frontier_rejects_endpoint_lambdas(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["rpd", "profile", "frontier"])
+def test_bad_number_flag_exits_2(command, tmp_path, capsys):
+    # A zero rpd reference, a non-numeric tau and a non-numeric lambda.
+    runs = tmp_path / "runs.csv"
+    runs.write_text("seed,best_cost,time_to_best,decoder_calls,searcher\n1,20.0,5.0,100,sa\n")
+    results = tmp_path / "results.csv"
+    results.write_text("method,instance,cost\nours,a,100.0\n")
+    refs = tmp_path / "refs.csv"
+    refs.write_text("instance,best,lower\na,100.0,90.0\n")
+    port = tmp_path / "port.txt"
+    port.write_text("1\n0.001 0.01\n1 1 1.0\n")
+    argv = {
+        "rpd": ["rpd", "--runs", str(runs), "--reference", "0", "--instance-id", "a"],
+        "profile": ["profile", "--results", str(results), "--references", str(refs),
+                    "--taus", "1,abc"],
+        "frontier": ["frontier", "--instance", str(port), "--lambdas", "0.3,abc",
+                     "--cardinality", "1", "--decoder-calls", "100"],
+    }[command]
+    out = tmp_path / "out.csv"
+    try:
+        code = main(argv + ["--out", str(out)])
+    except SystemExit as exited:
+        code = exited.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_profile_rejects_malformed_results(tmp_path):
     results = tmp_path / "results.csv"
     results.write_text("method,instance\nours,a\n")

@@ -259,15 +259,6 @@ class RowByRow:
         return row_by_row(self.inner.search(dimension, rng))
 
 
-class ScalarOnly:
-    """A decoder's ``cost`` without its ``cost_batch``."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.dimension = inner.dimension
-        self.cost = inner.cost
-
-
 @pytest.mark.parametrize("calls", [1237, 3001])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_block_asks_report_as_row_by_row_asks(seed, calls):
@@ -276,7 +267,7 @@ def test_block_asks_report_as_row_by_row_asks(seed, calls):
                  VnsParams(rvnd_calls=100)]
     budget = RunBudget(decoder_calls=calls)
     blocks = run_ensemble(TdTspDecoder(instance), searchers, budget, seed, deterministic=True)
-    rows = run_ensemble(ScalarOnly(TdTspDecoder(instance)), [RowByRow(s) for s in searchers],
+    rows = run_ensemble(TdTspDecoder(instance), [RowByRow(s) for s in searchers],
                         budget, seed, deterministic=True)
     assert blocks.best_keys.tobytes() == rows.best_keys.tobytes()
     assert (blocks.best_cost, blocks.time_to_best, blocks.decoder_calls, blocks.searcher) == (

@@ -191,31 +191,25 @@ def test_sa_flat_landscape_accepts_zero_delta():
 def test_brkga_asks_own_their_buffers():
     # A generation is asked for as one block, but a charged solution
     # whose keys were a row view would keep the whole block alive as
-    # long as the solution; each must own a read-only copy of its row,
-    # whether the block is decoded in one call or row by row.
+    # long as the solution; each must own a read-only copy of its row.
     class Summed:
         dimension = 6
 
         def cost(self, keys):
             return float(np.sum(keys))
 
-    class SummedInOneCall(Summed):
-        def cost_batch(self, block):
-            return block.sum(axis=1).tolist()
-
     params = BrkgaParams(population_size=20)
     n_elite = int(20 * params.elite_fraction)
     calls = 20 + 2 * (20 - n_elite)  # the first population and two generations
-    for decoder in (Summed(), SummedInOneCall()):
-        ev = Evaluator(decoder, RunBudget(decoder_calls=calls))
-        gen = params.search(6, np.random.default_rng(4))
-        charged, reply = [], None
-        while len(charged) < calls:
-            block = gen.send(reply)
-            reply = None if block is None else ev.evaluate_block(block, "brkga")
-            charged += reply or []
-        assert len(charged) == calls == ev.calls
-        assert all(
-            s.keys.base is None and s.keys.shape == (6,) and not s.keys.flags.writeable
-            for s in charged
-        )
+    ev = Evaluator(Summed(), RunBudget(decoder_calls=calls))
+    gen = params.search(6, np.random.default_rng(4))
+    charged, reply = [], None
+    while len(charged) < calls:
+        block = gen.send(reply)
+        reply = None if block is None else ev.evaluate_block(block, "brkga")
+        charged += reply or []
+    assert len(charged) == calls == ev.calls
+    assert all(
+        s.keys.base is None and s.keys.shape == (6,) and not s.keys.flags.writeable
+        for s in charged
+    )

@@ -22,6 +22,7 @@ from randomkeys import (
     run_ensemble,
     travel_time_lower_bound,
 )
+from randomkeys.tdtsp import _simulate
 from conftest import BENCH_KEYS
 
 
@@ -180,13 +181,14 @@ def slot_edge_clocks(instance, block):
     return kinds
 
 
-def test_cost_batch_equals_cost_on_every_row():
+def test_route_kernel_equals_cost_on_every_row():
     # Random sizes and slot counts, horizons short enough that routes
     # end on time, late mid-route or late on the return leg, blocks of
     # one row, tied keys, and a memo primed with one of the block's
-    # routes: the block costs are the scalar costs, byte for byte.  The
-    # last 80 cases have fractional times whose clocks land on slot
-    # edges and one ulp below them.
+    # routes: the row kernel that decode_tdtsp and the oracle run gives
+    # the scalar costs, byte for byte.  The last 80 cases have
+    # fractional times whose clocks land on slot edges and one ulp
+    # below them.
     rng = np.random.default_rng(62)
     late = set()
     edge_clocks = set()
@@ -203,11 +205,11 @@ def test_cost_batch_equals_cost_on_every_row():
         block = rng.random((1 if case % 4 == 0 else int(rng.integers(2, 90)), n))
         block[1::2] = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=block[1::2].shape)
         decoder.cost(block[-1])
-        batch = decoder.cost_batch(block)
+        kernel = _simulate(instance, block.argsort(axis=1, kind="stable") + 1)[4]
         expected = [decoder.cost(row) for row in block]
-        assert np.array(batch).tobytes() == np.array(expected).tobytes()
+        assert kernel.tobytes() == np.array(expected).tobytes()
         assert [decoder.cost(row) for row in block] == expected
-        late.update(cost >= decoder.instance.horizon for cost in batch)
+        late.update(cost >= decoder.instance.horizon for cost in kernel.tolist())
         if case >= 80:
             edge_clocks.update(slot_edge_clocks(instance, block))
     assert late == {False, True}
