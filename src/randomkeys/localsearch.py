@@ -10,6 +10,7 @@ incumbent, or the incumbent.  :func:`rvnd` can cap its own decodes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Generator, Optional
 
 import numpy as np
@@ -102,7 +103,9 @@ def nelder_mead_moves(
     The initial simplex is the incumbent plus, per coordinate, a copy
     shifted by +0.05 (or -0.05 where that would leave the box).
     Standard reflection/expansion/contraction/shrink steps with
-    coefficients 1, 2, 0.5, 0.5.  Stops after ``50 * dimension``
+    coefficients 1, 2, 0.5, 0.5.  The vertices are sorted by cost after
+    the initial simplex and after each shrink; every other step inserts
+    its new vertex into that order.  Stops after ``50 * dimension``
     decodes (fewer when ``max_calls`` is smaller) or when no vertex lies
     farther than 1e-4 from the best vertex in any coordinate (max-norm),
     and returns the best vertex when it beats the incumbent.  ``rng`` is
@@ -125,7 +128,13 @@ def _in_box(keys: np.ndarray) -> np.ndarray:
 
 def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Generator:
     """Grow ``[incumbent]`` into the initial simplex, then step until it
-    has converged, asking for every new vertex."""
+    has converged, asking for every new vertex.
+
+    The vertices stay in the order of a stable sort by cost.  They are
+    sorted in full after the initial simplex and after a shrink; a
+    reflection, expansion or contraction replaces only the worst vertex,
+    so the new one is inserted after every vertex that costs no more.
+    """
     current = simplex[0]
     d = points.shape[1]
     for i in range(d):
@@ -134,42 +143,56 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
         vertex[i] += step
         simplex.append((yield _in_box(vertex)))
         points[i + 1] = simplex[-1].keys
+    costs = _sort(simplex, points)
     while True:
-        costs = [s.cost for s in simplex]
-        order = sorted(range(d + 1), key=costs.__getitem__)
-        simplex[:] = [simplex[k] for k in order]
-        points[:] = points[order]
         if np.abs(points - points[0]).max() < 1e-4:
             return
         worst = simplex[-1]
-        centroid = points[:-1].mean(axis=0)
+        centroid = points[:-1].sum(axis=0) / d
         reflected = yield _in_box(centroid + (centroid - worst.keys))
         if reflected.cost < simplex[0].cost:
             expanded = yield _in_box(centroid + 2.0 * (centroid - worst.keys))
-            simplex[-1] = expanded if expanded.cost < reflected.cost else reflected
+            new = expanded if expanded.cost < reflected.cost else reflected
         elif reflected.cost < simplex[-2].cost:
-            simplex[-1] = reflected
+            new = reflected
         elif reflected.cost < worst.cost:
             contracted = yield _in_box(centroid + 0.5 * (reflected.keys - centroid))
             if contracted.cost <= reflected.cost:
-                simplex[-1] = contracted
+                new = contracted
             else:
-                yield from _shrink(simplex, points)
+                costs = yield from _shrink(simplex, points)
+                continue
         else:
             contracted = yield _in_box(centroid - 0.5 * (centroid - worst.keys))
             if contracted.cost < worst.cost:
-                simplex[-1] = contracted
+                new = contracted
             else:
-                yield from _shrink(simplex, points)
-        points[-1] = simplex[-1].keys
+                costs = yield from _shrink(simplex, points)
+                continue
+        del simplex[-1], costs[-1]
+        k = bisect_right(costs, new.cost)
+        simplex.insert(k, new)
+        costs.insert(k, new.cost)
+        points[k + 1:] = points[k:-1]
+        points[k] = new.keys
+
+
+def _sort(simplex: list[EvaluatedSolution], points: np.ndarray) -> list[float]:
+    """Stable-sort the vertices by cost, rows with them; return the costs."""
+    order = sorted(range(len(simplex)), key=lambda k: simplex[k].cost)
+    simplex[:] = [simplex[k] for k in order]
+    points[:] = points[order]
+    return [s.cost for s in simplex]
 
 
 def _shrink(simplex: list[EvaluatedSolution], points: np.ndarray) -> Generator:
-    """Pull every vertex but the best halfway towards it, in place."""
+    """Pull every vertex but the best halfway towards it, in place, then
+    sort; returns the sorted costs."""
     shrunk = points[0] + 0.5 * (points[1:] - points[0])
     for k in range(1, len(simplex)):
         simplex[k] = yield _in_box(shrunk[k - 1])
         points[k] = simplex[k].keys
+    return _sort(simplex, points)
 
 
 def _capped(moves: Generator, limit: float) -> Generator:

@@ -38,7 +38,6 @@ __all__ = [
     "PortfolioSolution",
     "PortfolioFeasibility",
     "decode_portfolio",
-    "portfolio_objective",
     "check_portfolio",
     "PortfolioDecoder",
     "brute_force_portfolio",
@@ -209,17 +208,6 @@ def _decode(
     if penalty > 0.0:
         cost += INFEASIBILITY_OFFSET
     return chosen, weights, risk, mean_return, objective, penalty, cost
-
-
-def portfolio_objective(
-    instance: PortfolioInstance, assets: Sequence[int], weights: np.ndarray
-) -> float:
-    """Clean objective for an explicit subset and weight vector."""
-    idx = np.asarray(assets, dtype=np.intp)
-    w = np.asarray(weights, dtype=float)
-    lam = instance.risk_aversion
-    risk = float(w @ instance.covariance[np.ix_(idx, idx)] @ w)
-    return lam * risk - (1.0 - lam) * float(instance.means[idx] @ w)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,14 @@ class QuadraticDecoder:
         return float(np.sum((keys - self.target) ** 2))
 
 
+class TiedDecoder(QuadraticDecoder):
+    """The quadratic rounded to a grid of 0.1, so that many vertices of
+    a simplex cost the same and their order rests on how ties break."""
+
+    def cost(self, keys):
+        return round(super().cost(keys), 1)
+
+
 def evaluator_for(decoder, calls=100_000):
     return Evaluator(decoder, RunBudget(decoder_calls=calls))
 
@@ -293,10 +301,12 @@ def search_outcome(search, decoder, start_keys, calls=100_000, seed=0):
 def decoder_of(kind, d, seed):
     if kind == "quadratic":
         return QuadraticDecoder(np.random.default_rng(seed).random(d))
+    if kind == "tied":
+        return TiedDecoder(np.random.default_rng(seed).random(d))
     return TdTspDecoder(generate_tdtsp_instance(d, 3, seed=seed))
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "tdtsp"])
+@pytest.mark.parametrize("kind", ["quadratic", "tied", "tdtsp"])
 @pytest.mark.parametrize("d", [1, 2, 5, 20, 50])
 def test_local_searches_match_list_references(kind, d):
     decoder = decoder_of(kind, d, seed=d)
@@ -312,7 +322,7 @@ def test_local_searches_match_list_references(kind, d):
             ), (search.__name__, trial)
 
 
-@pytest.mark.parametrize("kind,d", [("quadratic", 3), ("tdtsp", 5)])
+@pytest.mark.parametrize("kind,d", [("quadratic", 3), ("tdtsp", 5), ("tied", 4)])
 def test_nelder_mead_matches_reference_at_every_budget(kind, d):
     """Budgets from zero to a full descent run out in the initial
     simplex, inside steps and, on the route decoder, inside shrinks."""
@@ -320,13 +330,23 @@ def test_nelder_mead_matches_reference_at_every_budget(kind, d):
     keys = np.random.default_rng(8).random(d)
     shrinks = []
     ev = evaluator_for(decoder)
+    costs = []
+
+    def evaluate(vector):
+        solution = ev.evaluate(vector)
+        costs.append(solution.cost)
+        return solution
+
     reference_nelder_mead_search(
-        ev.evaluate(keys.copy()), ev.evaluate, None, shrinks=shrinks
+        evaluate(keys.copy()), evaluate, None, shrinks=shrinks
     )
     full = ev.calls - 1
     assert full > d + 1
     if kind == "tdtsp":
         assert shrinks and shrinks[0] + d <= full
+    if kind == "tied":
+        # The first sort already has to break ties.
+        assert len(set(costs[: d + 1])) < d + 1
     for calls in range(full + 1):
         search = ask_tell(nelder_mead_moves, max_calls=calls)
         assert search_outcome(search, decoder, keys, calls) == (

@@ -16,6 +16,10 @@ line exactly when every run of that round reports the same.
 when one differs.  ``tools/run_hashes.txt`` holds seeds 1 to 5; a
 change that alters the draws of any run re-records it and says so.
 
+Lines are computed in worker processes, one per core up to one per
+line, and printed in order, each as soon as it and the lines before it
+are done.
+
 The script only imports ``bench/workloads.py``; it changes nothing
 under ``bench/``.
 """
@@ -24,14 +28,17 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import multiprocessing
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # As in the benchmark: one BLAS thread, so that the portfolio instance's
-# covariance product is the same on every host.
+# covariance product is the same on every host.  Set at import, before
+# numpy loads, in this process and in every worker.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -55,6 +62,14 @@ def round_hash(workload: str, seed: int) -> str:
     return digest.hexdigest()
 
 
+def round_hashes(rounds: list[tuple[str, int]]):
+    """The hashes of ``(workload, seed)`` rounds, yielded in order."""
+    workers = max(1, min(os.cpu_count() or 1, len(rounds)))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+        yield from pool.map(round_hash, [w for w, _ in rounds], [s for _, s in rounds])
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -63,15 +78,15 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.seeds:
-        for seed in args.seeds:
-            for workload in WORKLOADS:
-                print(workload, seed, round_hash(workload, seed), flush=True)
+        rounds = [(workload, seed) for seed in args.seeds for workload in WORKLOADS]
+        for (workload, seed), actual in zip(rounds, round_hashes(rounds)):
+            print(workload, seed, actual, flush=True)
         return 0
 
+    lines = [line.split() for line in args.check.read_text().splitlines()]
+    rounds = [(workload, int(seed)) for workload, seed, _ in lines]
     differ = 0
-    for line in args.check.read_text().splitlines():
-        workload, seed, expected = line.split()
-        actual = round_hash(workload, int(seed))
+    for (workload, seed, expected), actual in zip(lines, round_hashes(rounds)):
         verdict = "ok" if actual == expected else f"DIFFERS, expected {expected}"
         differ += actual != expected
         print(workload, seed, actual, verdict, flush=True)
