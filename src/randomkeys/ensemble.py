@@ -51,6 +51,9 @@ class RunReport:
 
 
 def _unique_labels(searchers: Sequence[SearcherParams]) -> list[str]:
+    """The searchers' labels, a repeated one numbered in list order
+    ("sa-1", "sa-2").  Raises ``ValueError`` when two labels still
+    coincide or one is "init", the initial fill's origin."""
     counts = Counter(s.label for s in searchers)
     seen: Counter = Counter()
     labels = []
@@ -60,6 +63,8 @@ def _unique_labels(searchers: Sequence[SearcherParams]) -> list[str]:
         else:
             seen[s.label] += 1
             labels.append(f"{s.label}-{seen[s.label]}")
+    if len(set(labels)) < len(labels) or "init" in labels:
+        raise ValueError(f"searcher labels must be distinct and not 'init': {labels}")
     return labels
 
 
@@ -83,7 +88,9 @@ def run_ensemble(
     decode reaches it; a searcher that returns raises ``RuntimeError``.
     Under a call-only budget ``seed`` reproduces the run exactly.
     ``deterministic=True`` asks for that: it raises ``ValueError`` when
-    the budget has a ``time_limit``.
+    the budget has a ``time_limit``.  Searchers that share a label are
+    numbered ("sa-1", "sa-2"); labels that would still coincide, or
+    "init", raise ``ValueError``.
     """
     if deterministic and budget.time_limit is not None:
         raise ValueError("a run with a time_limit does not reproduce")

@@ -4,14 +4,16 @@ Each search is an ask/tell generator: ``solution = yield keys`` asks
 for one decode and receives the evaluated solution, and the return
 value is the result.  The four neighbourhoods are first-improvement:
 each returns the first neighbour that costs strictly less than the
-incumbent, or the incumbent.  :func:`rvnd` can cap its own decodes.
+incumbent, or the incumbent.  :func:`rvnd` runs each of them with
+``yield from``, so an ask passes straight through it; only Nelder-Mead
+counts its own decodes, to stop at ``50 * dimension``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Generator, Optional
+from typing import Generator
 
 import numpy as np
 
@@ -95,9 +97,7 @@ def farey_moves(current: EvaluatedSolution, rng: np.random.Generator) -> Moves:
     return current
 
 
-def nelder_mead_moves(
-    current: EvaluatedSolution, rng: np.random.Generator, max_calls: float = math.inf
-) -> Moves:
+def nelder_mead_moves(current: EvaluatedSolution, rng: np.random.Generator) -> Moves:
     """Downhill-simplex descent from the incumbent, clamped to the key box.
 
     The initial simplex is the incumbent plus, per coordinate, a copy
@@ -106,18 +106,29 @@ def nelder_mead_moves(
     coefficients 1, 2, 0.5, 0.5.  The vertices are sorted by cost after
     the initial simplex and after each shrink; every other step inserts
     its new vertex into that order.  Stops after ``50 * dimension``
-    decodes (fewer when ``max_calls`` is smaller) or when no vertex lies
-    farther than 1e-4 from the best vertex in any coordinate (max-norm),
-    and returns the best vertex when it beats the incumbent.  ``rng`` is
-    unused.
+    decodes or when no vertex lies farther than 1e-4 from the best
+    vertex in any coordinate (max-norm), and returns the best vertex
+    when it beats the incumbent.  ``rng`` is unused.
     """
+    return _nelder_mead(current, 50 * current.keys.shape[0])
+
+
+def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
+    """The descent of :func:`nelder_mead_moves`, stopped before the ask
+    that would follow the ``limit``-th answer."""
     d = current.keys.shape[0]
     # ``simplex[k]`` is vertex k; row k of ``points`` holds its keys.
     # The steps update both in place, so a cut descent leaves them here.
     simplex = [current]
     points = np.empty((d + 1, d))
     points[0] = current.keys
-    yield from _capped(_simplex_steps(simplex, points), min(50 * d, max_calls))
+    steps = _simplex_steps(simplex, points)
+    try:
+        keys = next(steps)
+        for _ in range(limit):
+            keys = steps.send((yield keys))
+    except StopIteration:
+        pass
     best = min(simplex, key=lambda s: s.cost)
     return best if best.cost < current.cost else current
 
@@ -195,51 +206,19 @@ def _shrink(simplex: list[EvaluatedSolution], points: np.ndarray) -> Generator:
     return _sort(simplex, points)
 
 
-def _capped(moves: Generator, limit: float) -> Generator:
-    """Pass on the asks of ``moves`` until it returns or asks again
-    after ``limit`` answers.  Returns the number of answers and the
-    result of ``moves``, ``None`` when it was cut off (and closed)."""
-    calls = 0
-    try:
-        keys = next(moves)
-        while calls < limit:
-            calls += 1
-            keys = moves.send((yield keys))
-    except StopIteration as stop:
-        return calls, stop.value
-    moves.close()
-    return calls, None
-
-
-def rvnd(
-    start: EvaluatedSolution,
-    rng: np.random.Generator,
-    max_calls: Optional[int] = None,
-) -> Moves:
+def rvnd(start: EvaluatedSolution, rng: np.random.Generator) -> Moves:
     """Random variable neighbourhood descent over the four neighbourhoods.
 
     Runs them in a freshly shuffled order, reshuffling and restarting
     the list after every improvement, until all four fail in a row.
-    ``max_calls`` caps the decodes this descent asks for.  When the cap
-    is spent, Nelder-Mead stops and keeps its best vertex, and any other
-    neighbourhood that asks again ends the descent.
-
     The returned cost is never above ``start.cost``.
     """
-    remaining = math.inf if max_calls is None else max_calls
     searches = (swap_moves, mirror_moves, farey_moves, nelder_mead_moves)
     current = start
     order = [searches[k] for k in rng.permutation(len(searches))]
     i = 0
     while i < len(order):
-        if order[i] is nelder_mead_moves:
-            moves = nelder_mead_moves(current, rng, remaining)
-        else:
-            moves = order[i](current, rng)
-        calls, found = yield from _capped(moves, remaining)
-        remaining -= calls
-        if found is None:
-            return current
+        found = yield from order[i](current, rng)
         if found.cost < current.cost:
             current = found
             order = [searches[k] for k in rng.permutation(len(searches))]

@@ -19,10 +19,13 @@ only saves the driver a round trip per row.  Every vector of a block is
 drawn before the ask, in the order in which one ask per vector would
 draw them, so the draw stream is that of row-by-row asks.
 
-The searchers call the key operators by this module's names ``shake``
-and ``blend``, so a wrapper installed here sees every call.  Each
-operator draws its randomness in a few block draws, and BRKGA breeds a
-whole generation with one ``blend`` call.
+ILS and VNS run one loop, a ladder of shake strengths of which ILS has
+a single rung: shake, descend with ``yield from rvnd``, keep if better.
+
+The searchers call the key operators and the descent by this module's
+names ``shake``, ``blend`` and ``rvnd``, so a wrapper installed here
+sees every call.  Each operator draws its randomness in a few block
+draws, and BRKGA breeds a whole generation with one ``blend`` call.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .budget import EvaluatedSolution
 from .keys import BlendConfig, ShakeConfig, blend, new_random_vector, shake
-from .localsearch import Moves, rvnd
+from .localsearch import rvnd
 
 __all__ = ["BrkgaParams", "SaParams", "IlsParams", "VnsParams", "SearcherParams"]
 
@@ -167,33 +170,37 @@ class SaParams:
             yield None
 
 
-def _shake_then_descend(
-    current: EvaluatedSolution,
-    config: ShakeConfig,
-    rng: np.random.Generator,
-    rvnd_calls: Optional[int],
-) -> Moves:
-    candidate = yield shake(current.keys, config, rng)
-    return (yield from rvnd(candidate, rng, rvnd_calls))
+def _shaken_descents(
+    configs: list[ShakeConfig], dimension: int, rng: np.random.Generator
+) -> Search:
+    """Shake the incumbent at ``configs[level]``, descend with RVND, and
+    keep the result if it is better.  An improvement resets the level
+    to 0; a failure advances it cyclically."""
+    current = yield new_random_vector(dimension, rng)
+    level = 0
+    while True:
+        candidate = yield shake(current.keys, configs[level], rng)
+        candidate = yield from rvnd(candidate, rng)
+        if candidate.cost < current.cost:
+            current = candidate
+            level = 0
+        else:
+            level = (level + 1) % len(configs)
+        yield None
 
 
 @dataclass(frozen=True)
 class IlsParams:
-    """Iterated local search: shake the incumbent, descend, keep if better."""
+    """Iterated local search: shake the incumbent, descend, keep if better.
+
+    It is :class:`VnsParams`' loop with the single level ``shake``.
+    """
 
     shake: ShakeConfig = field(default_factory=ShakeConfig)
-    rvnd_calls: Optional[int] = None
     label: str = "ils"
 
     def search(self, dimension: int, rng: np.random.Generator) -> Search:
-        current = yield new_random_vector(dimension, rng)
-        while True:
-            candidate = yield from _shake_then_descend(
-                current, self.shake, rng, self.rvnd_calls
-            )
-            if candidate.cost < current.cost:
-                current = candidate
-            yield None
+        return _shaken_descents([self.shake], dimension, rng)
 
 
 @dataclass(frozen=True)
@@ -202,11 +209,10 @@ class VnsParams:
 
     Improvement resets to the first level; failure advances cyclically.
     With a single level this is exactly :class:`IlsParams` at that
-    fixed strength (both go through the same shake-then-descend path).
+    fixed strength: both run the same loop.
     """
 
     beta_levels: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
-    rvnd_calls: Optional[int] = None
     label: str = "vns"
 
     def __post_init__(self) -> None:
@@ -221,18 +227,7 @@ class VnsParams:
 
     def search(self, dimension: int, rng: np.random.Generator) -> Search:
         configs = [ShakeConfig(b, b) for b in self.beta_levels]
-        current = yield new_random_vector(dimension, rng)
-        level = 0
-        while True:
-            candidate = yield from _shake_then_descend(
-                current, configs[level], rng, self.rvnd_calls
-            )
-            if candidate.cost < current.cost:
-                current = candidate
-                level = 0
-            else:
-                level = (level + 1) % len(configs)
-            yield None
+        return _shaken_descents(configs, dimension, rng)
 
 
 SearcherParams = BrkgaParams | SaParams | IlsParams | VnsParams

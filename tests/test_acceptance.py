@@ -271,7 +271,7 @@ def test_c7_invariant_suites(bench_instance):
     evaluator = Evaluator(Probe(), RunBudget(decoder_calls=10**8))
     while rvnd_cases < 10_000:
         start = evaluator.evaluate(rng.random(4))
-        answer(rvnd(start, rng, max_calls=400), evaluator.evaluate)
+        answer(rvnd(start, rng), evaluator.evaluate)
 
     # pool capacity, monotonicity, dedup: 1e4 random inserts
     pool = ElitePool(capacity=7)

@@ -54,7 +54,7 @@ class RecordingDecoder:
 
 
 ALL_SEARCHERS = [BrkgaParams(population_size=20), SaParams(),
-                 IlsParams(rvnd_calls=100), VnsParams(rvnd_calls=100)]
+                 IlsParams(), VnsParams()]
 
 
 def test_call_accounting_is_exact():
@@ -103,7 +103,7 @@ def test_target_cost_stops_early():
 
 def test_single_searcher_runs():
     report = run_ensemble(
-        SphereDecoder(), [IlsParams(rvnd_calls=100)],
+        SphereDecoder(), [IlsParams()],
         RunBudget(decoder_calls=1500), seed=6, deterministic=True,
     )
     assert report.best_cost < 0.1
@@ -116,6 +116,21 @@ def test_duplicate_searchers_get_distinct_labels():
         RunBudget(decoder_calls=1500), seed=7, deterministic=True,
     )
     assert report.searcher in ("init", "sa-1", "sa-2")
+
+
+@pytest.mark.parametrize(
+    "searchers",
+    [
+        [SaParams(), SaParams(), SaParams(label="sa-1")],
+        [SaParams(label="init")],
+    ],
+    ids=["numbered-label-taken", "init"],
+)
+def test_labels_that_would_coincide_are_refused(searchers):
+    # The report names the best's searcher by label, so two searchers
+    # (or a searcher and the initial fill) must never share one.
+    with pytest.raises(ValueError, match="distinct"):
+        run_ensemble(SphereDecoder(), searchers, RunBudget(decoder_calls=100), seed=1)
 
 
 def test_budget_smaller_than_pool_init_still_reports():
@@ -158,7 +173,7 @@ def test_a_searcher_that_returns_raises_naming_it():
     with pytest.raises(RuntimeError, match="'one-ask'"):
         run_ensemble(SphereDecoder(), [OneAsk()], RunBudget(decoder_calls=1000), seed=1)
     with pytest.raises(RuntimeError, match="'one-ask'"):
-        run_ensemble(SphereDecoder(), [IlsParams(rvnd_calls=100), OneAsk()],
+        run_ensemble(SphereDecoder(), [IlsParams(), OneAsk()],
                      RunBudget(decoder_calls=1000), seed=1)
 
 
@@ -263,8 +278,8 @@ class RowByRow:
 @pytest.mark.parametrize("seed", [1, 2])
 def test_block_asks_report_as_row_by_row_asks(seed, calls):
     instance = generate_tdtsp_instance(20, 3, seed=seed)
-    searchers = [BrkgaParams(population_size=30), SaParams(), IlsParams(rvnd_calls=100),
-                 VnsParams(rvnd_calls=100)]
+    searchers = [BrkgaParams(population_size=30), SaParams(), IlsParams(),
+                 VnsParams()]
     budget = RunBudget(decoder_calls=calls)
     blocks = run_ensemble(TdTspDecoder(instance), searchers, budget, seed, deterministic=True)
     rows = run_ensemble(TdTspDecoder(instance), [RowByRow(s) for s in searchers],

@@ -13,6 +13,7 @@ from randomkeys import (
 from randomkeys.keys import KEY_MAX
 from randomkeys.localsearch import (
     FAREY_VALUES,
+    _nelder_mead,
     farey_moves,
     mirror_moves,
     nelder_mead_moves,
@@ -141,23 +142,13 @@ def test_rvnd_never_worsens_and_reaches_local_optimum():
     assert result.cost < 1e-3
 
 
-def test_rvnd_respects_its_own_call_cap():
-    decoder = QuadraticDecoder([0.25, 0.75])
-    ev = evaluator_for(decoder)
-    start = ev.evaluate(np.array([0.9, 0.2]))
-    before = ev.calls
-    result = answer(rvnd(start, np.random.default_rng(6), max_calls=7), ev.evaluate)
-    assert ev.calls - before <= 7
-    assert result.cost <= start.cost
-
-
 def test_rvnd_key_range_closure():
     decoder = QuadraticDecoder([0.5, 0.5, 0.5])
     ev = evaluator_for(decoder)
     rng = np.random.default_rng(7)
     for _ in range(50):
         start = ev.evaluate(rng.random(3))
-        result = answer(rvnd(start, rng, max_calls=60), ev.evaluate)
+        result = answer(rvnd(start, rng), ev.evaluate)
         assert np.all(result.keys >= 0.0)
         assert np.all(result.keys < 1.0)
 
@@ -253,12 +244,12 @@ def reference_nelder_mead_search(current, try_eval, rng, shrinks=None):
     return False, current
 
 
-def ask_tell(moves, **kwargs):
+def ask_tell(moves):
     """A package search in the references' form: ``search(start,
     try_eval, rng)`` returns ``(improved, result)``."""
 
     def search(start, try_eval, rng):
-        result = answer(moves(start, rng, **kwargs), try_eval)
+        result = answer(moves(start, rng), try_eval)
         return result.cost < start.cost, result
 
     search.__name__ = moves.__name__
@@ -271,9 +262,10 @@ def search_outcome(search, decoder, start_keys, calls=100_000, seed=0):
     the state it left the generator in.
 
     A reference meets the end of the budget as ``_Refused``, which the
-    harness raises when the evaluator refuses; give a package search
-    ``max_calls=calls`` instead, the cap by which ``rvnd`` tells
-    Nelder-Mead how many decodes it has left.
+    harness raises when the evaluator refuses.  The package's
+    Nelder-Mead stops itself instead, at its private limit: run
+    ``_nelder_mead(start, calls)`` to stop it where the reference is
+    refused.
     """
     ev = evaluator_for(decoder, calls=calls + 1)
     start = ev.evaluate(start_keys.copy())
@@ -348,7 +340,7 @@ def test_nelder_mead_matches_reference_at_every_budget(kind, d):
         # The first sort already has to break ties.
         assert len(set(costs[: d + 1])) < d + 1
     for calls in range(full + 1):
-        search = ask_tell(nelder_mead_moves, max_calls=calls)
+        search = ask_tell(lambda start, rng: _nelder_mead(start, calls))
         assert search_outcome(search, decoder, keys, calls) == (
             search_outcome(reference_nelder_mead_search, decoder, keys, calls)
         ), calls

@@ -81,8 +81,8 @@ def test_vns_param_validation():
     [
         BrkgaParams(population_size=20),
         SaParams(),
-        IlsParams(rvnd_calls=200),
-        VnsParams(rvnd_calls=200),
+        IlsParams(),
+        VnsParams(),
     ],
     ids=["brkga", "sa", "ils", "vns"],
 )
@@ -157,8 +157,8 @@ def test_sa_restarts_from_its_own_best():
 
 def test_ils_equals_single_level_vns():
     # same fixed shake strength, same seed: the same decodes, byte for byte
-    ils = IlsParams(shake=ShakeConfig(0.3, 0.3), rvnd_calls=50)
-    vns = VnsParams(beta_levels=(0.3,), rvnd_calls=50)
+    ils = IlsParams(shake=ShakeConfig(0.3, 0.3))
+    vns = VnsParams(beta_levels=(0.3,))
     a, b = Recording(), Recording()
     drive(ils, calls=2000, seed=9, decoder=a)
     drive(vns, calls=2000, seed=9, decoder=b)
@@ -174,7 +174,7 @@ def test_vns_cycles_levels_without_improvement():
         def cost(self, keys):
             return 1.0
 
-    params = VnsParams(beta_levels=(0.1, 0.2), rvnd_calls=5)
+    params = VnsParams(beta_levels=(0.1, 0.2))
     assert drive(params, calls=500, dim=3, decoder=Flat()).best.cost == 1.0
 
 

@@ -29,7 +29,6 @@ from randomkeys import (
 from conftest import toy_portfolio
 
 ENSEMBLE = [BrkgaParams(), SaParams(), IlsParams(), VnsParams()]
-CAPPED = [BrkgaParams(), SaParams(), IlsParams(rvnd_calls=50), VnsParams(rvnd_calls=50)]
 
 
 def tdtsp(seed, customers=12):
@@ -47,8 +46,8 @@ CASES = {
     "ensemble-1": lambda: (tdtsp(1), ENSEMBLE, 3000, 1, {}),
     "ensemble-2": lambda: (tdtsp(2), ENSEMBLE, 3000, 2, {}),
     "ensemble-3": lambda: (tdtsp(3), ENSEMBLE, 3000, 3, {}),
-    "ils-rvnd-5": lambda: (tdtsp(4), [IlsParams(rvnd_calls=5)], 2000, 4, {}),
-    "ensemble-rvnd-50": lambda: (tdtsp(5), CAPPED, 3000, 5, {}),
+    "ensemble-5": lambda: (tdtsp(5), ENSEMBLE, 3000, 5, {}),
+    "ils-4": lambda: (tdtsp(4), [IlsParams()], 2000, 4, {}),
     "population-quantum-37": lambda: (
         tdtsp(6), [BrkgaParams(), SaParams()], 2500, 6, {"quantum": 37}
     ),
@@ -74,10 +73,10 @@ PINNED = {
                    "d2aa858fa58cd2fc9a0efdd24a74b67c28121b85c6f198abf7a0aebeeacc55a7"),
     "ensemble-3": (30.0, 3000, 2922.0, "ils",
                    "6de3f1803ddfc65b72a3f69429743534a6f2474845bb45e01b873d2899d881b7"),
-    "ils-rvnd-5": (34.0, 2000, 1279.0, "ils",
-                   "3d82f4b9cdd9a5365758616e9c55299710f9548e0d3db6cde169400029d10ee1"),
-    "ensemble-rvnd-50": (32.0, 3000, 2861.0, "brkga",
-                         "1852119fb1893d546586ac2c446306618d6da00c8d5ffb7b62a53ede9bf2da0d"),
+    "ensemble-5": (34.0, 3000, 762.0, "ils",
+                   "d04265d344d212e9afed6050c08266a119526e6fc9c8ee91fb7492663aba020a"),
+    "ils-4": (36.0, 2000, 1287.0, "ils",
+              "2f07749344b2d406afdd3ab49ba2967ab463234f2150d53a93bb824d6d2a0a63"),
     "population-quantum-37": (37.0, 2500, 1923.0, "brkga",
                               "98c0cef72e75c0560753d27f2c774b7f3b3f6cb6f0ca02728b548c0a23cb7195"),
     "target": (27.0, 309, 309.0, "ils",

@@ -13,8 +13,10 @@ searcher and the bytes of the best keys.  Two checkouts print the same
 line exactly when every run of that round reports the same.
 
 ``--check FILE`` reads lines of that form, recomputes each and exits 1
-when one differs.  ``tools/run_hashes.txt`` holds seeds 1 to 5; a
-change that alters the draws of any run re-records it and says so.
+when one differs.  It exits 2 before running any round when FILE holds
+no lines or a line that is not of that form, so that a truncated or
+damaged file cannot pass.  ``tools/run_hashes.txt`` holds seeds 1 to
+5; a change that alters the draws of any run re-records it and says so.
 
 Lines are computed in worker processes, one per core up to one per
 line, and printed in order, each as soon as it and the lines before it
@@ -83,7 +85,18 @@ def main() -> int:
             print(workload, seed, actual, flush=True)
         return 0
 
-    lines = [line.split() for line in args.check.read_text().splitlines()]
+    try:
+        lines = [line.split() for line in args.check.read_text().splitlines()]
+    except OSError as error:
+        parser.error(f"cannot read {args.check}: {error}")
+    if not lines:
+        parser.error(f"{args.check} holds no lines to check")
+    for number, fields in enumerate(lines, 1):
+        if len(fields) != 3 or fields[0] not in WORKLOADS or not fields[1].isdigit():
+            parser.error(
+                f"{args.check} line {number}: expected '<workload> <seed> <sha256>', "
+                f"got {' '.join(fields)!r}"
+            )
     rounds = [(workload, int(seed)) for workload, seed, _ in lines]
     differ = 0
     for (workload, seed, expected), actual in zip(lines, round_hashes(rounds)):
