@@ -81,19 +81,26 @@ class RunBudget:
     """Stopping rule for one ensemble run.
 
     At least one of ``time_limit`` (wall seconds) and ``decoder_calls``
-    must be set; whichever is hit first stops the run.
+    must be set; whichever is hit first stops the run.  A time limit
+    must be finite and positive, so that it ends the run, and a call
+    limit a positive integer (not a bool), so that it charges exactly
+    the calls it names.
     """
 
     time_limit: Optional[float] = None
     decoder_calls: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.time_limit is None and self.decoder_calls is None:
+        limit, calls = self.time_limit, self.decoder_calls
+        if limit is None and calls is None:
             raise ValueError("budget needs a time limit or a decoder-call limit")
-        if self.time_limit is not None and self.time_limit <= 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        if self.decoder_calls is not None and self.decoder_calls <= 0:
-            raise ValueError(f"decoder_calls must be positive, got {self.decoder_calls}")
+        # Written so that NaN fails it too.
+        if limit is not None and not (0 < limit < math.inf):
+            raise ValueError(f"time_limit must be positive and finite, got {limit!r}")
+        if calls is not None and (
+            isinstance(calls, bool) or not isinstance(calls, (int, np.integer)) or calls <= 0
+        ):
+            raise ValueError(f"decoder_calls must be a positive integer, got {calls!r}")
 
 
 class Evaluator:

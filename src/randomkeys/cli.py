@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -439,12 +440,13 @@ def _floats(text: str) -> list[float]:
 
 
 def _positive(kind):
-    """An argparse type that reads a ``kind`` and refuses values <= 0."""
+    """An argparse type that reads a ``kind`` and refuses values <= 0,
+    NaN and infinity."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its errors

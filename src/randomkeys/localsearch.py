@@ -106,9 +106,11 @@ def nelder_mead_moves(current: EvaluatedSolution, rng: np.random.Generator) -> M
     coefficients 1, 2, 0.5, 0.5.  The vertices are sorted by cost after
     the initial simplex and after each shrink; every other step inserts
     its new vertex into that order.  Stops after ``50 * dimension``
-    decodes or when no vertex lies farther than 1e-4 from the best
-    vertex in any coordinate (max-norm), and returns the best vertex
-    when it beats the incumbent.  ``rng`` is unused.
+    decodes or when no vertex lies 1e-4 or farther from the best vertex
+    in any coordinate (max-norm), and returns the best vertex when it
+    beats the incumbent.  The max-norm test runs in full only where it
+    could pass (see :func:`_simplex_steps`); it stops each descent
+    exactly where testing after every step would.  ``rng`` is unused.
     """
     return _nelder_mead(current, 50 * current.keys.shape[0])
 
@@ -145,6 +147,16 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
     sorted in full after the initial simplex and after a shrink; a
     reflection, expansion or contraction replaces only the worst vertex,
     so the new one is inserted after every vertex that costs no more.
+
+    The simplex has converged when every row of ``points`` lies less
+    than 1e-4 from row 0 in max-norm.  A full test that fails keeps a
+    witness, the best-ranked row 1e-4 or more from row 0.  A step that
+    inserts behind row 0 and drops a vertex other than the witness
+    leaves both rows as they were, so the simplex cannot have converged
+    and the test is skipped.  It runs in full after the initial sort,
+    after a shrink, after a new best vertex and when the witness was
+    the vertex dropped.  The centroid is ``np.add.reduce`` over the
+    rows divided by ``d``, the reduction ``ndarray.sum`` runs.
     """
     current = simplex[0]
     d = points.shape[1]
@@ -155,11 +167,18 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
         simplex.append((yield _in_box(vertex)))
         points[i + 1] = simplex[-1].keys
     costs = _sort(simplex, points)
+    # The best-ranked row that the last full test found 1e-4 or more
+    # from row 0.  Row 0 is never one, so 0 means "test in full".
+    witness = 0
     while True:
-        if np.abs(points - points[0]).max() < 1e-4:
-            return
+        if witness == 0:
+            spread = np.abs(points - points[0]).max(axis=1)
+            if spread.max() < 1e-4:
+                return
+            # 0 again when only NaN spreads failed the test.
+            witness = int(np.argmax(spread >= 1e-4))
         worst = simplex[-1]
-        centroid = points[:-1].sum(axis=0) / d
+        centroid = np.add.reduce(points[:-1], axis=0) / d
         reflected = yield _in_box(centroid + (centroid - worst.keys))
         if reflected.cost < simplex[0].cost:
             expanded = yield _in_box(centroid + 2.0 * (centroid - worst.keys))
@@ -172,6 +191,7 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
                 new = contracted
             else:
                 costs = yield from _shrink(simplex, points)
+                witness = 0
                 continue
         else:
             contracted = yield _in_box(centroid - 0.5 * (centroid - worst.keys))
@@ -179,6 +199,7 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
                 new = contracted
             else:
                 costs = yield from _shrink(simplex, points)
+                witness = 0
                 continue
         del simplex[-1], costs[-1]
         k = bisect_right(costs, new.cost)
@@ -186,6 +207,13 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
         costs.insert(k, new.cost)
         points[k + 1:] = points[k:-1]
         points[k] = new.keys
+        # Rows 0 to k - 1 stay and the rest move down one, the worst
+        # dropped: the witness still lies as far from an unchanged row 0
+        # unless it was dropped or row 0 is new.
+        if k == 0 or witness == d:
+            witness = 0
+        elif witness >= k:
+            witness += 1
 
 
 def _sort(simplex: list[EvaluatedSolution], points: np.ndarray) -> list[float]:

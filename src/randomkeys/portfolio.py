@@ -15,9 +15,9 @@ One kernel serves both :func:`decode_portfolio` and
 :meth:`PortfolioDecoder.cost`, so the cost a searcher is charged is the
 cost a re-decode reports, by construction.  ``cost`` returns the float
 and builds no :class:`PortfolioSolution`.  On an instance whose bounds
-are all [0, 1], and non-negative weight keys with a finite sum, the
-kernel skips the penalty expression: it is exactly ``+0.0`` there (see
-:func:`decode_portfolio`).
+are all [0, 1] the kernel skips the affine bound map, and with
+non-negative weight keys of a finite sum it also skips the penalty
+expression: it is exactly ``+0.0`` there (see :func:`decode_portfolio`).
 """
 
 from __future__ import annotations
@@ -140,11 +140,13 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
     normalization are penalized.
 
     :meth:`PortfolioDecoder.cost` runs the same kernel and returns its
-    cost alone.  The kernel skips the penalty expression when every
-    asset's bounds are [0, 1] and every weight key is non-negative with
-    a finite sum, because it is exactly ``+0.0`` then: each raw weight
-    is its key, a rounded sum of non-negative numbers is at least each
-    of them, so each normalized weight (or the equal-split 1/K) lies in
+    cost alone.  When every asset's bounds are [0, 1] the kernel skips
+    the affine map and the bound gathers: each raw weight is its key
+    plus ``0.0``, which is ``0 + (1 - 0) * key`` bit for bit.  It then
+    also skips the penalty expression when every weight key is
+    non-negative with a finite sum, because it is exactly ``+0.0``
+    then: a rounded sum of non-negative numbers is at least each of
+    them, so each normalized weight (or the equal-split 1/K) lies in
     [0, 1] and each penalty term is ``max(0, x)`` of some ``x <= 0``.
     A negative weight key, or a sum that is not finite, takes the full
     penalty path.
@@ -168,14 +170,22 @@ def _decode(
 ) -> tuple[list[int], np.ndarray, float, float, float, float, float]:
     """The decoder kernel: assets, weights, risk, mean return,
     objective, penalty and cost, computed as :func:`decode_portfolio`
-    describes."""
+    describes.
+
+    The keys are read into a list once, for the selection loop and the
+    non-negative test.  On unit bounds the penalty path uses the scalar
+    bounds 0 and 1, so the kernel gathers no bounds at all there.  The
+    risk and return stay a covariance ``take`` pair, two matrix products
+    and a dot with the picked means: their bits depend on BLAS, so any
+    other formula could change a cost."""
     k = instance.cardinality
     if keys.shape[0] != 2 * k:
         raise ValueError(f"expected {2 * k} keys, got {keys.shape[0]}")
+    key_list = keys.tolist()
     remaining = list(instance._assets)
     m = len(remaining)
     chosen: list[int] = []
-    for key in keys[:k].tolist():
+    for key in key_list[:k]:
         position = math.ceil(key * m)
         if not 0 < position <= m:
             position = 1 if position < 1 else m
@@ -183,16 +193,24 @@ def _decode(
         m -= 1
 
     idx = np.array(chosen, dtype=np.intp)
-    lo = instance.lower[idx]
-    hi = instance.upper[idx]
     weight_keys = keys[k:]
-    raw = lo + (hi - lo) * weight_keys
-    total = float(raw.sum())
+    unit = instance._unit_bounds
+    if unit:
+        # Equals 0 + (1 - 0) * key bit for bit, -0.0 turned to +0.0
+        # included; the scalar bounds give the penalty below the same
+        # bits as arrays of zeros and ones.
+        lo, hi = 0.0, 1.0
+        raw = weight_keys + 0.0
+    else:
+        lo = instance.lower[idx]
+        hi = instance.upper[idx]
+        raw = lo + (hi - lo) * weight_keys
+    total = float(np.add.reduce(raw))
     weights = raw / total if total > 0.0 else np.full(k, 1.0 / k)
 
     # A NaN key makes the total NaN and fails ``total < inf``, so the
     # builtin min, which can step over a NaN, only sees NaN-free keys.
-    if instance._unit_bounds and total < math.inf and min(weight_keys.tolist()) >= 0.0:
+    if unit and total < math.inf and min(key_list[k:]) >= 0.0:
         penalty = 0.0
     else:
         penalty = float(

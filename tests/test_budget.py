@@ -41,6 +41,30 @@ def test_budget_requires_a_limit():
         RunBudget(decoder_calls=0)
 
 
+@pytest.mark.parametrize(
+    "limits",
+    [
+        dict(time_limit=float("nan")),
+        dict(time_limit=float("inf")),
+        dict(time_limit=float("inf"), decoder_calls=10),
+        dict(decoder_calls=2.5),
+        dict(decoder_calls=3.0),
+        dict(decoder_calls=True),
+        dict(decoder_calls="3"),
+    ],
+    ids=["nan-time", "inf-time", "inf-time-with-calls", "fractional-calls",
+         "float-calls", "bool-calls", "text-calls"],
+)
+def test_budget_refuses_limits_that_never_end_or_overcharge(limits):
+    with pytest.raises(ValueError):
+        RunBudget(**limits)
+
+
+def test_budget_takes_numpy_integer_calls():
+    ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=np.int64(2)))
+    assert [ev.evaluate(KEYS.copy()) is None for _ in range(3)] == [False, False, True]
+
+
 def test_charge_stops_exactly_at_call_limit():
     decoder = CountingDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=3))

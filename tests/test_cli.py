@@ -379,6 +379,17 @@ def test_out_of_range_run_flag_exits_2(command, flag, value, tdtsp_path, tmp_pat
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_time_limit_that_never_ends_exits_2(value, tdtsp_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(["solve", "--instance", str(tdtsp_path), "--kind", "tdtsp",
+              "--decoder-calls", "100", "--time-limit", value, "--out", str(out)])
+    assert exited.value.code == 2
+    assert "argument --time-limit" in capsys.readouterr().err
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("generate", "--customers", "0"),
     ("generate", "--intervals", "0"),

@@ -14,6 +14,7 @@ from randomkeys.keys import KEY_MAX
 from randomkeys.localsearch import (
     FAREY_VALUES,
     _nelder_mead,
+    _simplex_steps,
     farey_moves,
     mirror_moves,
     nelder_mead_moves,
@@ -344,3 +345,56 @@ def test_nelder_mead_matches_reference_at_every_budget(kind, d):
         assert search_outcome(search, decoder, keys, calls) == (
             search_outcome(reference_nelder_mead_search, decoder, keys, calls)
         ), calls
+
+
+def simplex_at_last_ask(decoder, keys):
+    """Drive the package's simplex steps from ``keys`` until they stop;
+    return the vertices as they stood at the last ask and at the stop."""
+    ev = evaluator_for(decoder)
+    simplex = [ev.evaluate(keys.copy())]
+    points = np.empty((keys.shape[0] + 1, keys.shape[0]))
+    points[0] = simplex[0].keys
+    steps = _simplex_steps(simplex, points)
+    vector = next(steps)
+    while True:
+        before = list(simplex)
+        try:
+            vector = steps.send(ev.evaluate(vector))
+        except StopIteration:
+            return before, simplex
+
+
+@pytest.mark.parametrize(
+    "kind,d,seed,end",
+    [
+        ("quadratic", 4, 3, "new-best"),
+        ("tied", 4, 4, "shrink"),
+        ("quadratic", 4, 6, "witness-dropped"),
+    ],
+)
+def test_nelder_mead_converges_where_the_reference_does(kind, d, seed, end):
+    """The package skips the max-norm test while a witness vertex shows
+    that it cannot pass.  Each descent here converges right after a
+    step that makes the test run again: a new best vertex, a shrink, or
+    the drop of the witness, the one vertex still 1e-4 or farther from
+    the best.  It must stop where the reference, which tests after
+    every step, stops, and below its 50 * d cap."""
+    decoder = decoder_of(kind, d, seed)
+    keys = np.random.default_rng(1000 + seed).random(d)
+    assert search_outcome(ask_tell(nelder_mead_moves), decoder, keys) == (
+        search_outcome(reference_nelder_mead_search, decoder, keys)
+    )
+    shrinks = []
+    ev = evaluator_for(decoder)
+    reference_nelder_mead_search(
+        ev.evaluate(keys.copy()), ev.evaluate, None, shrinks=shrinks
+    )
+    full = ev.calls - 1
+    assert full < 50 * d
+    assert (bool(shrinks) and shrinks[-1] + d == full) == (end == "shrink")
+    if end != "shrink":
+        before, after = simplex_at_last_ask(decoder, keys)
+        assert (after[0] is not before[0]) == (end == "new-best")
+        if end == "witness-dropped":
+            far = [s for s in before if np.abs(s.keys - before[0].keys).max() >= 1e-4]
+            assert far == [before[-1]]

@@ -1,0 +1,111 @@
+"""Time the two layers a portfolio-ensemble decode passes through.
+
+Usage, from the root of a checkout:
+
+    python3 tools/layer_cost.py
+
+Prints one JSON object:
+
+- ``portfolio.cost.us``: CPU microseconds per ``PortfolioDecoder.cost``
+  call on a fixed set of key vectors, on the benchmark's 225-asset,
+  K = 10 toy portfolio;
+- ``nelder_mead.ask_us_d20`` and ``nelder_mead.ask_us_d50``: CPU
+  microseconds per ask of ``nelder_mead_moves``, descending on a
+  quadratic from fixed starts at d = 20 and 50, the quadratic's own
+  cost included;
+- ``nelder_mead.asks_d20`` and ``nelder_mead.asks_d50``: the asks
+  those descents made, the same on every host;
+- ``host_factor``: the median host-speed correction applied.
+
+Each figure is the median over repeats of one timed pass, corrected for
+the speed of a shared host by ``bench/hostspeed.py``.  Copy the script
+into another checkout to time that tree the same way.
+
+The script only imports ``bench/hostspeed.py`` and ``bench/workloads.py``;
+it changes nothing under ``bench/``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# As in the benchmark: one BLAS thread, set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+# The package and the bench helpers come from this checkout and nowhere else.
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import numpy as np  # noqa: E402
+
+from hostspeed import HostClock  # noqa: E402
+from randomkeys import EvaluatedSolution, PortfolioDecoder  # noqa: E402
+from randomkeys.localsearch import nelder_mead_moves  # noqa: E402
+from workloads import toy_portfolio  # noqa: E402
+
+
+def _median_us(clock: HostClock, work, count: int, repeats: int) -> float:
+    """Median corrected microseconds per unit of ``work()``, which does
+    ``count`` units; one untimed warm-up pass first."""
+    work()
+    samples = [clock.time(work)[1] / count for _ in range(repeats)]
+    return statistics.median(samples) * 1e6
+
+
+def _descend(start: EvaluatedSolution, cost, rng: np.random.Generator) -> int:
+    """Run one Nelder-Mead descent from ``start``; return its asks."""
+    moves = nelder_mead_moves(start, rng)
+    asks = 0
+    try:
+        keys = next(moves)
+        while True:
+            asks += 1
+            keys = moves.send(EvaluatedSolution(keys, cost(keys)))
+    except StopIteration:
+        return asks
+
+
+def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
+    """The figures the module docstring lists: ``calls`` portfolio
+    decodes and ``descents`` descents per dimension, per repeat."""
+    clock = HostClock()
+    rng = np.random.default_rng(1)
+    rows: dict[str, float] = {}
+
+    decoder = PortfolioDecoder(toy_portfolio(225, 10, 1))
+    keys = list(rng.random((calls, decoder.dimension)))
+    rows["portfolio.cost.us"] = _median_us(
+        clock, lambda: [decoder.cost(k) for k in keys], calls, repeats
+    )
+
+    for d in (20, 50):
+        target = rng.random(d)
+
+        def cost(vector: np.ndarray) -> float:
+            diff = vector - target
+            return float(diff @ diff)
+
+        starts = [EvaluatedSolution(x, cost(x)) for x in rng.random((descents, d))]
+        asks = sum(_descend(s, cost, rng) for s in starts)
+        rows[f"nelder_mead.ask_us_d{d}"] = _median_us(
+            clock, lambda: [_descend(s, cost, rng) for s in starts], asks, repeats
+        )
+        rows[f"nelder_mead.asks_d{d}"] = asks
+
+    rows["host_factor"] = clock.median_factor()
+    return rows
+
+
+def main() -> int:
+    print(json.dumps(layer_costs(), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
