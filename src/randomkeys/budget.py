@@ -76,6 +76,12 @@ class Decoder(Protocol):
     def cost(self, keys: np.ndarray) -> float: ...
 
 
+def is_count(value: object) -> bool:
+    """Whether ``value`` is a positive ``int`` or numpy integer; a bool
+    is not, nor is a float, however whole."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value > 0
+
+
 @dataclass(frozen=True)
 class RunBudget:
     """Stopping rule for one ensemble run.
@@ -97,9 +103,7 @@ class RunBudget:
         # Written so that NaN fails it too.
         if limit is not None and not (0 < limit < math.inf):
             raise ValueError(f"time_limit must be positive and finite, got {limit!r}")
-        if calls is not None and (
-            isinstance(calls, bool) or not isinstance(calls, (int, np.integer)) or calls <= 0
-        ):
+        if calls is not None and not is_count(calls):
             raise ValueError(f"decoder_calls must be a positive integer, got {calls!r}")
 
 

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .budget import Decoder, Evaluator, RunBudget
+from .budget import Decoder, Evaluator, RunBudget, is_count
 from .searchers import Search, SearcherParams
 
 __all__ = ["RunReport", "run_ensemble"]
@@ -88,7 +88,9 @@ def run_ensemble(
     decode reaches it; a searcher that returns raises ``RuntimeError``.
     Under a call-only budget ``seed`` reproduces the run exactly.
     ``deterministic=True`` asks for that: it raises ``ValueError`` when
-    the budget has a ``time_limit``.  Searchers that share a label are
+    the budget has a ``time_limit``.  ``quantum`` and ``pool_capacity``
+    must be positive integers (``int`` or numpy integers, not bools),
+    or ``ValueError`` is raised.  Searchers that share a label are
     numbered ("sa-1", "sa-2"); labels that would still coincide, or
     "init", raise ``ValueError``.
     """
@@ -96,10 +98,10 @@ def run_ensemble(
         raise ValueError("a run with a time_limit does not reproduce")
     if not searchers:
         raise ValueError("need at least one searcher")
-    if quantum < 1:
-        raise ValueError(f"quantum must be >= 1, got {quantum}")
-    if pool_capacity < 1:
-        raise ValueError(f"pool_capacity must be >= 1, got {pool_capacity}")
+    if not is_count(quantum):
+        raise ValueError(f"quantum must be a positive integer, got {quantum!r}")
+    if not is_count(pool_capacity):
+        raise ValueError(f"pool_capacity must be a positive integer, got {pool_capacity!r}")
     dimension = decoder.dimension
     if dimension < 1:
         raise ValueError(f"decoder dimension must be positive, got {dimension}")

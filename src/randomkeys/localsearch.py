@@ -2,18 +2,23 @@
 
 Each search is an ask/tell generator: ``solution = yield keys`` asks
 for one decode and receives the evaluated solution, and the return
-value is the result.  The four neighbourhoods are first-improvement:
-each returns the first neighbour that costs strictly less than the
+value is the result.  Nelder-Mead also asks for its initial simplex
+and for each shrink as one ``(d, d)`` block of independent vectors,
+``solutions = yield block``, and receives their solutions as a list in
+row order.  The four neighbourhoods are first-improvement: each
+returns the first neighbour that costs strictly less than the
 incumbent, or the incumbent.  :func:`rvnd` runs each of them with
 ``yield from``, so an ask passes straight through it; only Nelder-Mead
-counts its own decodes, to stop at ``50 * dimension``.
+counts its own decodes, a block's rows included, to stop at
+``50 * dimension``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Generator
+from operator import length_hint
+from typing import Generator, Iterator, Union
 
 import numpy as np
 
@@ -36,9 +41,11 @@ FAREY_VALUES = (
     4 / 7, 3 / 5, 2 / 3, 5 / 7, 3 / 4, 4 / 5, 5 / 6, 6 / 7, 0.9999,
 )
 
-# Asks for key vectors, is told their evaluated solutions, returns the
-# solution it ends on.
-Moves = Generator[np.ndarray, EvaluatedSolution, EvaluatedSolution]
+# Asks for key vectors or blocks of them, is told their evaluated
+# solutions, one or a list, and returns the solution it ends on.
+Moves = Generator[
+    np.ndarray, Union[EvaluatedSolution, list[EvaluatedSolution]], EvaluatedSolution
+]
 
 
 def swap_moves(current: EvaluatedSolution, rng: np.random.Generator) -> Moves:
@@ -101,33 +108,42 @@ def nelder_mead_moves(current: EvaluatedSolution, rng: np.random.Generator) -> M
     """Downhill-simplex descent from the incumbent, clamped to the key box.
 
     The initial simplex is the incumbent plus, per coordinate, a copy
-    shifted by +0.05 (or -0.05 where that would leave the box).
-    Standard reflection/expansion/contraction/shrink steps with
-    coefficients 1, 2, 0.5, 0.5.  The vertices are sorted by cost after
-    the initial simplex and after each shrink; every other step inserts
-    its new vertex into that order.  Stops after ``50 * dimension``
-    decodes or when no vertex lies 1e-4 or farther from the best vertex
-    in any coordinate (max-norm), and returns the best vertex when it
-    beats the incumbent.  The max-norm test runs in full only where it
-    could pass (see :func:`_simplex_steps`); it stops each descent
-    exactly where testing after every step would.  ``rng`` is unused.
+    shifted by +0.05 (or -0.05 where that would leave the box); those d
+    vertices are asked for as one ``(d, d)`` block.  Standard
+    reflection/expansion/contraction/shrink steps with coefficients 1,
+    2, 0.5, 0.5; a shrink asks for its d pulled vertices as one block,
+    the other steps for one vector each.  The vertices are sorted by
+    cost after the initial simplex and after each shrink; every other
+    step inserts its new vertex into that order.  Stops after
+    ``50 * dimension`` decodes, a block cut to the rows left, or when no
+    vertex lies 1e-4 or farther from the best vertex in any coordinate
+    (max-norm), and returns the best vertex when it beats the
+    incumbent.  The max-norm test runs in full only where it could pass
+    (see :func:`_simplex_steps`); it stops each descent exactly where
+    testing after every step would.  ``rng`` is unused.
     """
     return _nelder_mead(current, 50 * current.keys.shape[0])
 
 
 def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
-    """The descent of :func:`nelder_mead_moves`, stopped before the ask
-    that would follow the ``limit``-th answer."""
+    """The descent of :func:`nelder_mead_moves`, stopped after ``limit``
+    decodes: a block ask is cut to the rows left, and no ask follows the
+    answer to the ``limit``-th decode.  A cut block replaces only the
+    vertices of its answered rows, as asking row by row would."""
     d = current.keys.shape[0]
     # ``simplex[k]`` is vertex k; row k of ``points`` holds its keys.
     # The steps update both in place, so a cut descent leaves them here.
     simplex = [current]
     points = np.empty((d + 1, d))
     points[0] = current.keys
-    steps = _simplex_steps(simplex, points)
+    # One item per decode left.  This loop takes one for each ask, and
+    # a block ask takes those of its other rows (``_rows_left``), so
+    # the loop stays a plain count for the one-vector steps.
+    left = iter(range(limit))
+    steps = _simplex_steps(simplex, points, left)
     try:
         keys = next(steps)
-        for _ in range(limit):
+        for _ in left:
             keys = steps.send((yield keys))
     except StopIteration:
         pass
@@ -139,9 +155,26 @@ def _in_box(keys: np.ndarray) -> np.ndarray:
     return keys.clip(0.0, KEY_MAX)
 
 
-def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Generator:
+def _rows_left(block: np.ndarray, left: Iterator[int]) -> np.ndarray:
+    """``block`` cut to the decodes ``left`` holds and clipped to the key
+    box.  Takes the items of the rows after the first; the asking loop
+    takes the first row's.  A range iterator's length hint is exact."""
+    block = block[: length_hint(left)]
+    for _ in range(1, len(block)):
+        next(left)
+    return _in_box(block)
+
+
+def _simplex_steps(
+    simplex: list[EvaluatedSolution], points: np.ndarray, left: Iterator[int]
+) -> Generator:
     """Grow ``[incumbent]`` into the initial simplex, then step until it
     has converged, asking for every new vertex.
+
+    The d initial vertices are one ``(d, d)`` block ask, as are the d
+    vertices of a shrink; reflection, expansion and contraction ask for
+    one vector each.  ``left`` counts the decodes left (see
+    :func:`_nelder_mead`); the steps end after a block that it cut.
 
     The vertices stay in the order of a stable sort by cost.  They are
     sorted in full after the initial simplex and after a shrink; a
@@ -158,14 +191,18 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
     the vertex dropped.  The centroid is ``np.add.reduce`` over the
     rows divided by ``d``, the reduction ``ndarray.sum`` runs.
     """
-    current = simplex[0]
+    keys = simplex[0].keys
     d = points.shape[1]
-    for i in range(d):
-        vertex = current.keys.copy()
-        step = 0.05 if vertex[i] + 0.05 <= KEY_MAX else -0.05
-        vertex[i] += step
-        simplex.append((yield _in_box(vertex)))
-        points[i + 1] = simplex[-1].keys
+    # Row i is the incumbent with key i moved 0.05 up, or down where up
+    # would leave the box.
+    initial = np.tile(keys, (d, 1))
+    np.fill_diagonal(initial, keys + np.where(keys + 0.05 <= KEY_MAX, 0.05, -0.05))
+    initial = _rows_left(initial, left)
+    simplex.extend((yield initial))
+    if len(simplex) <= d:
+        return
+    # Each solution holds a copy of its row's keys.
+    points[1:] = initial
     costs = _sort(simplex, points)
     # The best-ranked row that the last full test found 1e-4 or more
     # from row 0.  Row 0 is never one, so 0 means "test in full".
@@ -190,7 +227,9 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
             if contracted.cost <= reflected.cost:
                 new = contracted
             else:
-                costs = yield from _shrink(simplex, points)
+                costs = yield from _shrink(simplex, points, left)
+                if costs is None:
+                    return
                 witness = 0
                 continue
         else:
@@ -198,7 +237,9 @@ def _simplex_steps(simplex: list[EvaluatedSolution], points: np.ndarray) -> Gene
             if contracted.cost < worst.cost:
                 new = contracted
             else:
-                costs = yield from _shrink(simplex, points)
+                costs = yield from _shrink(simplex, points, left)
+                if costs is None:
+                    return
                 witness = 0
                 continue
         del simplex[-1], costs[-1]
@@ -224,13 +265,20 @@ def _sort(simplex: list[EvaluatedSolution], points: np.ndarray) -> list[float]:
     return [s.cost for s in simplex]
 
 
-def _shrink(simplex: list[EvaluatedSolution], points: np.ndarray) -> Generator:
-    """Pull every vertex but the best halfway towards it, in place, then
-    sort; returns the sorted costs."""
-    shrunk = points[0] + 0.5 * (points[1:] - points[0])
-    for k in range(1, len(simplex)):
-        simplex[k] = yield _in_box(shrunk[k - 1])
-        points[k] = simplex[k].keys
+def _shrink(
+    simplex: list[EvaluatedSolution], points: np.ndarray, left: Iterator[int]
+) -> Generator:
+    """Pull every vertex but the best halfway towards it, asking for the
+    d pulled vertices as one ``(d, d)`` block, then sort; returns the
+    sorted costs.  A block that ``left`` cut replaces only the vertices
+    of its rows, is not sorted and returns ``None``."""
+    block = _rows_left(points[0] + 0.5 * (points[1:] - points[0]), left)
+    shrunk = yield block
+    simplex[1:1 + len(shrunk)] = shrunk
+    if len(shrunk) < len(simplex) - 1:
+        return None
+    # Each solution holds a copy of its row's keys.
+    points[1:] = block
     return _sort(simplex, points)
 
 

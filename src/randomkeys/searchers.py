@@ -13,11 +13,13 @@ the searcher that asked for it.  A searcher never returns.  Each one
 keeps its own incumbents; the searchers share nothing but the budget.
 
 BRKGA asks for its first population and for each generation as one
-block, and SA for its 100 calibration neighbours.  The evaluator
-decodes a block row by row, as it decodes any vector, so a block ask
-only saves the driver a round trip per row.  Every vector of a block is
-drawn before the ask, in the order in which one ask per vector would
-draw them, so the draw stream is that of row-by-row asks.
+block, SA for its 100 calibration neighbours, and Nelder-Mead, inside
+ILS's and VNS's descents, for its initial simplex and for each shrink.
+The evaluator decodes a block row by row, as it decodes any vector, so
+a block ask only saves the driver a round trip per row.  Every vector
+of a block is drawn before the ask, in the order in which one ask per
+vector would draw them, so the draw stream is that of row-by-row asks;
+Nelder-Mead's blocks draw nothing.
 
 ILS and VNS run one loop, a ladder of shake strengths of which ILS has
 a single rung: shake, descend with ``yield from rvnd``, keep if better.

@@ -78,12 +78,13 @@ def answer(search, evaluate):
 
     Each key vector it asks for is answered with ``evaluate(keys)``
     (usually an ``Evaluator``'s bound ``evaluate``); its pauses are
-    passed over.  A 2-D ask, a block of vectors, is answered as the
-    ensemble's driver answers it, with the ``evaluate_block`` of the
-    evaluator that ``evaluate`` is bound to.  When an ask is refused,
-    by ``None`` or by a list shorter than the block, the generator is
-    not resumed and this returns ``None``.  A searcher never returns,
-    so on one this runs until the evaluator's budget is spent.
+    passed over.  A 2-D ask, a block of vectors, is answered row by row
+    through ``evaluate``, each on its own copy of the row, as
+    ``Evaluator.evaluate_block`` charges one, and the generator is told
+    the list.  When an ask is refused, by ``None`` for a vector or for
+    any row of a block, the generator is not resumed and this returns
+    ``None``.  A searcher never returns, so on one this runs until the
+    evaluator's budget is spent.
     """
     reply = None
     try:
@@ -96,8 +97,11 @@ def answer(search, evaluate):
                 if reply is None:
                     return None
             else:
-                reply = evaluate.__self__.evaluate_block(keys)
-                if len(reply) < len(keys):
-                    return None
+                reply = []
+                for row in keys:
+                    solution = evaluate(row.copy())
+                    if solution is None:
+                        return None
+                    reply.append(solution)
     except StopIteration as stop:
         return stop.value

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from randomkeys import (
     generate_tdtsp_instance,
     run_ensemble,
 )
+from randomkeys.keys import KEY_MAX
 
 
 class SphereDecoder:
@@ -157,6 +159,30 @@ def test_an_empty_initial_fill_is_rejected(capacity):
     assert decoder.calls == 0
 
 
+@pytest.mark.parametrize("name", ["quantum", "pool_capacity"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 2.5, 3.0, True])
+def test_quantum_and_fill_must_be_positive_integers(name, value):
+    # A NaN quantum never bounds a turn (``calls < nan`` is false) and an
+    # infinite one never ends it; a float or a bool is no call count.
+    decoder = SphereDecoder()
+    with pytest.raises(ValueError, match=name):
+        run_ensemble(decoder, ALL_SEARCHERS, RunBudget(decoder_calls=500), seed=1,
+                     **{name: value})
+    assert decoder.calls == 0
+
+
+def test_numpy_integer_quantum_and_fill_are_taken():
+    budget = RunBudget(decoder_calls=1500)
+    plain = run_ensemble(SphereDecoder(), ALL_SEARCHERS, budget, seed=3,
+                         pool_capacity=7, quantum=50)
+    fixed = run_ensemble(SphereDecoder(), ALL_SEARCHERS, budget, seed=3,
+                         pool_capacity=np.int64(7), quantum=np.int32(50))
+    assert (plain.best_cost, plain.time_to_best, plain.searcher) == (
+        fixed.best_cost, fixed.time_to_best, fixed.searcher
+    )
+    assert plain.best_keys.tobytes() == fixed.best_keys.tobytes()
+
+
 @dataclass(frozen=True)
 class OneAsk:
     """Searcher parameters whose search asks for one vector and returns."""
@@ -260,18 +286,30 @@ def row_by_row(search):
             reply = yield keys
 
 
+def recording(search, asks):
+    """The same search, appending each vector or block it asks for to
+    ``asks``."""
+    reply = None
+    while True:
+        keys = search.send(reply)
+        if keys is not None:
+            asks.append(keys)
+        reply = yield keys
+
+
 @dataclass(frozen=True)
-class RowByRow:
-    """Searcher parameters whose search asks for one vector at a time."""
+class Wrapped:
+    """Searcher parameters whose search is ``wrap`` of ``inner``'s."""
 
     inner: object
+    wrap: Callable
 
     @property
     def label(self):
         return self.inner.label
 
     def search(self, dimension, rng):
-        return row_by_row(self.inner.search(dimension, rng))
+        return self.wrap(self.inner.search(dimension, rng))
 
 
 @pytest.mark.parametrize("calls", [1237, 3001])
@@ -282,8 +320,45 @@ def test_block_asks_report_as_row_by_row_asks(seed, calls):
                  VnsParams()]
     budget = RunBudget(decoder_calls=calls)
     blocks = run_ensemble(TdTspDecoder(instance), searchers, budget, seed, deterministic=True)
-    rows = run_ensemble(TdTspDecoder(instance), [RowByRow(s) for s in searchers],
+    rows = run_ensemble(TdTspDecoder(instance), [Wrapped(s, row_by_row) for s in searchers],
                         budget, seed, deterministic=True)
+    assert blocks.best_keys.tobytes() == rows.best_keys.tobytes()
+    assert (blocks.best_cost, blocks.time_to_best, blocks.decoder_calls, blocks.searcher) == (
+        rows.best_cost, rows.time_to_best, rows.decoder_calls, rows.searcher
+    )
+
+
+def is_initial_simplex(block):
+    """Whether ``block`` is Nelder-Mead's initial simplex around some
+    vector: row i is the vector with key i moved 0.05 up, or down where
+    up would leave the box."""
+    d = len(block)
+    base = block[(np.arange(d) + 1) % d, np.arange(d)]
+    expected = np.tile(base, (d, 1))
+    np.fill_diagonal(expected, base + np.where(base + 0.05 <= KEY_MAX, 0.05, -0.05))
+    return np.array_equal(expected.clip(0.0, KEY_MAX), block)
+
+
+@pytest.mark.parametrize(
+    "label,calls,inside",
+    [("ils", 276, "initial"), ("ils", 300, "shrink"),
+     ("vns", 310, "initial"), ("vns", 345, "shrink")],
+)
+def test_descents_cut_inside_a_block_report_as_row_by_row_asks(label, calls, inside):
+    # Nelder-Mead asks for its initial simplex and each shrink as one
+    # block; each budget here ends the run inside one of them.
+    searcher = {"ils": IlsParams(), "vns": VnsParams()}[label]
+    instance = generate_tdtsp_instance(20, 3, seed=1)
+    budget = RunBudget(decoder_calls=calls)
+    asks = []
+    blocks = run_ensemble(TdTspDecoder(instance), [Wrapped(searcher, lambda s: recording(s, asks))],
+                          budget, 1, deterministic=True)
+    rows = run_ensemble(TdTspDecoder(instance), [Wrapped(searcher, row_by_row)],
+                        budget, 1, deterministic=True)
+    # The 20 vectors of the initial fill, then the searcher's asks.
+    before = 20 + sum(1 if keys.ndim == 1 else len(keys) for keys in asks[:-1])
+    assert asks[-1].ndim == 2 and before < calls < before + len(asks[-1])
+    assert is_initial_simplex(asks[-1]) == (inside == "initial")
     assert blocks.best_keys.tobytes() == rows.best_keys.tobytes()
     assert (blocks.best_cost, blocks.time_to_best, blocks.decoder_calls, blocks.searcher) == (
         rows.best_cost, rows.time_to_best, rows.decoder_calls, rows.searcher

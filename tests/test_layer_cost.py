@@ -31,11 +31,14 @@ def test_layer_cost_prints_every_figure():
         "portfolio.cost.us",
         "nelder_mead.ask_us_d20",
         "nelder_mead.ask_us_d50",
-        "nelder_mead.asks_d20",
-        "nelder_mead.asks_d50",
+        "nelder_mead.ask_us_tdtsp50",
+        "nelder_mead.decodes_d20",
+        "nelder_mead.decodes_d50",
+        "nelder_mead.decodes_tdtsp50",
         "host_factor",
     }
     assert all(value > 0 for value in rows.values())
-    # One descent per dimension, stopped at the latest by its 50 * d cap.
-    assert 20 < rows["nelder_mead.asks_d20"] <= 1000
-    assert 50 < rows["nelder_mead.asks_d50"] <= 2500
+    # One descent per row, stopped at the latest by its 50 * d cap.
+    assert 20 < rows["nelder_mead.decodes_d20"] <= 1000
+    assert 50 < rows["nelder_mead.decodes_d50"] <= 2500
+    assert 50 < rows["nelder_mead.decodes_tdtsp50"] <= 2500

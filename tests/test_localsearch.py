@@ -1,10 +1,12 @@
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from randomkeys import (
+    EvaluatedSolution,
     Evaluator,
     RunBudget,
     TdTspDecoder,
@@ -347,19 +349,117 @@ def test_nelder_mead_matches_reference_at_every_budget(kind, d):
         ), calls
 
 
+def ask_rows(moves, decoder):
+    """Drive ``moves`` to its end, decoding every vector and block row it
+    asks for; return each ask's row count, ``None`` for a vector."""
+    counts = []
+    reply = None
+    try:
+        while True:
+            keys = moves.send(reply)
+            if keys.ndim == 1:
+                counts.append(None)
+                reply = EvaluatedSolution(keys, decoder.cost(keys))
+            else:
+                counts.append(keys.shape[0])
+                reply = [EvaluatedSolution(row.copy(), decoder.cost(row)) for row in keys]
+    except StopIteration:
+        return counts
+
+
+def test_nelder_mead_asks_for_its_initial_simplex_and_shrinks_as_blocks():
+    """One (d, d) block for the initial simplex, then one-vector steps
+    and (d, d) shrink blocks; a limit cuts a block to the rows left."""
+    d = 5
+    decoder = decoder_of("tdtsp", d, seed=7)
+    keys = np.random.default_rng(8).random(d)
+    start = EvaluatedSolution(keys, decoder.cost(keys))
+    counts = ask_rows(nelder_mead_moves(start, None), decoder)
+    assert counts[0] == d
+    assert set(counts[1:]) == {None, d}
+    full = sum(1 if rows is None else rows for rows in counts)
+    cut_initial = cut_shrink = 0
+    for limit in range(full + 1):
+        left = limit
+        limited = ask_rows(_nelder_mead(start, limit), decoder)
+        for rows in limited:
+            assert 0 < (rows or 1) <= left, limit
+            left -= rows or 1
+        assert left == 0, limit
+        if limited and limited[-1] is not None and limited[-1] < d:
+            if len(limited) == 1:
+                cut_initial += 1
+            else:
+                cut_shrink += 1
+    # Limits 1 to d - 1 end inside the initial simplex, and some limits
+    # inside a shrink.
+    assert cut_initial == d - 1 and cut_shrink > 0
+
+
+def cut_descent(start, decoder, limit):
+    """Drive the simplex steps from ``start`` as ``_nelder_mead`` does,
+    stopped after ``limit`` decodes.  Return the vertices as they end,
+    the row count of the last ask (0 for a vector) and the vertices as
+    they stood when it was made."""
+    d = start.keys.shape[0]
+    simplex = [start]
+    points = np.empty((d + 1, d))
+    points[0] = start.keys
+    left = iter(range(limit))
+    steps = _simplex_steps(simplex, points, left)
+    rows, before = 0, []
+    try:
+        keys = next(steps)
+        for _ in left:
+            rows, before = (0 if keys.ndim == 1 else len(keys)), list(simplex)
+            if rows:
+                reply = [EvaluatedSolution(row.copy(), decoder.cost(row)) for row in keys]
+            else:
+                reply = EvaluatedSolution(keys, decoder.cost(keys))
+            keys = steps.send(reply)
+    except StopIteration:
+        pass
+    return simplex, rows, before
+
+
+def test_a_cut_block_replaces_only_the_vertices_of_its_rows():
+    """A limit inside the initial simplex or a shrink leaves the vertices
+    as asking row by row would: the answered rows' vertices replaced in
+    place and the others, in their order, untouched."""
+    d = 5
+    decoder = decoder_of("tdtsp", d, seed=7)
+    keys = np.random.default_rng(8).random(d)
+    start = EvaluatedSolution(keys, decoder.cost(keys))
+    cuts = 0
+    for limit in range(1, 50 * d):
+        simplex, rows, before = cut_descent(start, decoder, limit)
+        if not 0 < rows < d:
+            continue
+        cuts += 1
+        assert simplex[:1] + simplex[1 + rows:] == before[:1] + before[1 + rows:], limit
+        assert len(simplex) == max(len(before), 1 + rows), limit
+        assert not any(s in before for s in simplex[1:1 + rows]), limit
+    assert cuts > d
+
+
 def simplex_at_last_ask(decoder, keys):
     """Drive the package's simplex steps from ``keys`` until they stop;
-    return the vertices as they stood at the last ask and at the stop."""
+    return the vertices as they stood at the last ask and at the stop.
+    A block ask is answered with ``evaluate_block``; the steps are given
+    more decodes than they can use, so only convergence stops them."""
     ev = evaluator_for(decoder)
     simplex = [ev.evaluate(keys.copy())]
     points = np.empty((keys.shape[0] + 1, keys.shape[0]))
     points[0] = simplex[0].keys
-    steps = _simplex_steps(simplex, points)
+    steps = _simplex_steps(simplex, points, iter(range(sys.maxsize)))
     vector = next(steps)
     while True:
         before = list(simplex)
         try:
-            vector = steps.send(ev.evaluate(vector))
+            if vector.ndim == 1:
+                vector = steps.send(ev.evaluate(vector))
+            else:
+                vector = steps.send(ev.evaluate_block(vector))
         except StopIteration:
             return before, simplex
 

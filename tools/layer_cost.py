@@ -1,4 +1,4 @@
-"""Time the two layers a portfolio-ensemble decode passes through.
+"""Time the decoder and Nelder-Mead layers of the ensemble workloads.
 
 Usage, from the root of a checkout:
 
@@ -10,13 +10,19 @@ Prints one JSON object:
   call on a fixed set of key vectors, on the benchmark's 225-asset,
   K = 10 toy portfolio;
 - ``nelder_mead.ask_us_d20`` and ``nelder_mead.ask_us_d50``: CPU
-  microseconds per ask of ``nelder_mead_moves``, descending on a
-  quadratic from fixed starts at d = 20 and 50, the quadratic's own
-  cost included;
-- ``nelder_mead.asks_d20`` and ``nelder_mead.asks_d50``: the asks
-  those descents made, the same on every host;
+  microseconds per decode that ``nelder_mead_moves`` asks for,
+  descending on a quadratic from fixed starts at d = 20 and 50, the
+  quadratic's own cost included;
+- ``nelder_mead.ask_us_tdtsp50``: the same on the benchmark's
+  50-customer TD-TSP decoder, the decoder's cost included; shrinks
+  make about four fifths of these descents' decodes;
+- ``nelder_mead.decodes_d20``, ``nelder_mead.decodes_d50`` and
+  ``nelder_mead.decodes_tdtsp50``: the decodes those descents asked
+  for, the same on every host;
 - ``host_factor``: the median host-speed correction applied.
 
+A block ask, which Nelder-Mead makes for its initial simplex and for
+each shrink, is answered row by row and counts one decode per row.
 Each figure is the median over repeats of one timed pass, corrected for
 the speed of a shared host by ``bench/hostspeed.py``.  Copy the script
 into another checkout to time that tree the same way.
@@ -45,7 +51,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import numpy as np  # noqa: E402
 
 from hostspeed import HostClock  # noqa: E402
-from randomkeys import EvaluatedSolution, PortfolioDecoder  # noqa: E402
+from randomkeys import (  # noqa: E402
+    EvaluatedSolution,
+    PortfolioDecoder,
+    TdTspDecoder,
+    generate_tdtsp_instance,
+)
 from randomkeys.localsearch import nelder_mead_moves  # noqa: E402
 from workloads import toy_portfolio  # noqa: E402
 
@@ -59,21 +70,38 @@ def _median_us(clock: HostClock, work, count: int, repeats: int) -> float:
 
 
 def _descend(start: EvaluatedSolution, cost, rng: np.random.Generator) -> int:
-    """Run one Nelder-Mead descent from ``start``; return its asks."""
+    """Run one Nelder-Mead descent from ``start``, answering a block row
+    by row; return its decodes."""
     moves = nelder_mead_moves(start, rng)
-    asks = 0
+    decodes = 0
     try:
         keys = next(moves)
         while True:
-            asks += 1
-            keys = moves.send(EvaluatedSolution(keys, cost(keys)))
+            if keys.ndim == 1:
+                decodes += 1
+                keys = moves.send(EvaluatedSolution(keys, cost(keys)))
+            else:
+                decodes += len(keys)
+                keys = moves.send(
+                    [EvaluatedSolution(row.copy(), cost(row)) for row in keys]
+                )
     except StopIteration:
-        return asks
+        return decodes
+
+
+def _descents_us(clock, rows, name, cost, starts, rng, repeats) -> None:
+    """Time Nelder-Mead descents from ``starts`` into ``rows``: the
+    corrected microseconds per decode and the decodes of one pass."""
+    decodes = sum(_descend(s, cost, rng) for s in starts)
+    rows[f"nelder_mead.ask_us_{name}"] = _median_us(
+        clock, lambda: [_descend(s, cost, rng) for s in starts], decodes, repeats
+    )
+    rows[f"nelder_mead.decodes_{name}"] = decodes
 
 
 def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     """The figures the module docstring lists: ``calls`` portfolio
-    decodes and ``descents`` descents per dimension, per repeat."""
+    decodes and ``descents`` descents per Nelder-Mead row, per repeat."""
     clock = HostClock()
     rng = np.random.default_rng(1)
     rows: dict[str, float] = {}
@@ -92,11 +120,12 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
             return float(diff @ diff)
 
         starts = [EvaluatedSolution(x, cost(x)) for x in rng.random((descents, d))]
-        asks = sum(_descend(s, cost, rng) for s in starts)
-        rows[f"nelder_mead.ask_us_d{d}"] = _median_us(
-            clock, lambda: [_descend(s, cost, rng) for s in starts], asks, repeats
-        )
-        rows[f"nelder_mead.asks_d{d}"] = asks
+        _descents_us(clock, rows, f"d{d}", cost, starts, rng, repeats)
+
+    # The benchmark's TD-TSP instances: 50 customers, 5 time intervals.
+    route = TdTspDecoder(generate_tdtsp_instance(50, 5, 1))
+    starts = [EvaluatedSolution(x, route.cost(x)) for x in rng.random((descents, 50))]
+    _descents_us(clock, rows, "tdtsp50", route.cost, starts, rng, repeats)
 
     rows["host_factor"] = clock.median_factor()
     return rows
