@@ -496,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of runs, seeded 1..N")
     solve.add_argument("--target-cost", type=float, default=None, dest="target_cost",
                        help="stop a run early once this cost is reached")
-    solve.add_argument("--penalty-weight", type=float, default=1e4)
+    solve.add_argument("--penalty-weight", type=_positive(float), default=1e4)
     solve.add_argument("--out", required=True,
                        help="output prefix; writes PREFIX.json and PREFIX_runs.csv")
     _add_run_flags(solve)
@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     ttt.add_argument("--target-percent", type=float, default=1.0,
                      help="target is reference plus this percent of |reference|")
     ttt.add_argument("--repetitions", type=_positive(int), default=10)
-    ttt.add_argument("--penalty-weight", type=float, default=1e4)
+    ttt.add_argument("--penalty-weight", type=_positive(float), default=1e4)
     ttt.add_argument("--out", required=True)
     _add_run_flags(ttt)
     _add_portfolio_flags(ttt)
@@ -552,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--instance", required=True)
     oracle.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
     oracle.add_argument("--grid-step", type=_positive(float), default=1e-3)
-    oracle.add_argument("--penalty-weight", type=float, default=1e4)
+    oracle.add_argument("--penalty-weight", type=_positive(float), default=1e4)
     oracle.add_argument("--out", default=None)
     _add_portfolio_flags(oracle)
     oracle.set_defaults(func=cmd_oracle)

@@ -8,17 +8,16 @@ and for each shrink as one ``(d, d)`` block of independent vectors,
 row order.  The four neighbourhoods are first-improvement: each
 returns the first neighbour that costs strictly less than the
 incumbent, or the incumbent.  :func:`rvnd` runs each of them with
-``yield from``, so an ask passes straight through it; only Nelder-Mead
-counts its own decodes, a block's rows included, to stop at
-``50 * dimension``.
+``yield from``, so an ask passes straight through it.  Nelder-Mead is
+one generator that counts its own decodes in an ``int``, a block's
+rows included, to stop at ``50 * dimension``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from operator import length_hint
-from typing import Generator, Iterator, Union
+from typing import Generator, Union
 
 import numpy as np
 
@@ -112,135 +111,101 @@ def nelder_mead_moves(current: EvaluatedSolution, rng: np.random.Generator) -> M
     vertices are asked for as one ``(d, d)`` block.  Standard
     reflection/expansion/contraction/shrink steps with coefficients 1,
     2, 0.5, 0.5; a shrink asks for its d pulled vertices as one block,
-    the other steps for one vector each.  The vertices are sorted by
-    cost after the initial simplex and after each shrink; every other
-    step inserts its new vertex into that order.  Stops after
-    ``50 * dimension`` decodes, a block cut to the rows left, or when no
-    vertex lies 1e-4 or farther from the best vertex in any coordinate
-    (max-norm), and returns the best vertex when it beats the
-    incumbent.  The max-norm test runs in full only where it could pass
-    (see :func:`_simplex_steps`); it stops each descent exactly where
-    testing after every step would.  ``rng`` is unused.
+    the other steps for one vector each.  Stops after ``50 * dimension``
+    decodes or when no vertex lies 1e-4 or farther from the best vertex
+    in any coordinate (max-norm), and returns the best vertex when it
+    beats the incumbent.  ``rng`` is unused.
     """
     return _nelder_mead(current, 50 * current.keys.shape[0])
 
 
 def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
     """The descent of :func:`nelder_mead_moves`, stopped after ``limit``
-    decodes: a block ask is cut to the rows left, and no ask follows the
-    answer to the ``limit``-th decode.  A cut block replaces only the
-    vertices of its answered rows, as asking row by row would."""
-    d = current.keys.shape[0]
-    # ``simplex[k]`` is vertex k; row k of ``points`` holds its keys.
-    # The steps update both in place, so a cut descent leaves them here.
+    decodes.
+
+    ``used`` counts the decodes, a block's rows included.  No vector is
+    asked for once ``used`` reaches ``limit``, and a block ask is cut to
+    the ``limit - used`` rows left; a cut block replaces only the
+    vertices of its rows, as asking row by row would, and ends the
+    descent.  An answer to the ``limit``-th decode is kept when it
+    completes a step and dropped when the step needs one more ask.
+
+    ``simplex[k]`` is vertex k and row k of ``points`` its keys.  The
+    vertices stay in the order of a stable sort by cost: sorted in full
+    after each block, while a reflection, expansion or contraction
+    replaces only the worst vertex and inserts the new one after every
+    vertex that costs no more.
+
+    The simplex has converged when every row lies less than 1e-4 from
+    row 0 in max-norm.  A full test that fails keeps a witness, the
+    best-ranked row 1e-4 or more from row 0.  A step that inserts behind
+    row 0 and drops a vertex other than the witness leaves both rows as
+    they were, so the test cannot pass and is skipped; it stops each
+    descent exactly where testing after every step would.  The centroid
+    is ``np.add.reduce`` over the rows divided by ``d``, the reduction
+    ``ndarray.sum`` runs.
+    """
+    keys = current.keys
+    d = keys.shape[0]
     simplex = [current]
     points = np.empty((d + 1, d))
-    points[0] = current.keys
-    # One item per decode left.  This loop takes one for each ask, and
-    # a block ask takes those of its other rows (``_rows_left``), so
-    # the loop stays a plain count for the one-vector steps.
-    left = iter(range(limit))
-    steps = _simplex_steps(simplex, points, left)
-    try:
-        keys = next(steps)
-        for _ in left:
-            keys = steps.send((yield keys))
-    except StopIteration:
-        pass
-    best = min(simplex, key=lambda s: s.cost)
-    return best if best.cost < current.cost else current
-
-
-def _in_box(keys: np.ndarray) -> np.ndarray:
-    return keys.clip(0.0, KEY_MAX)
-
-
-def _rows_left(block: np.ndarray, left: Iterator[int]) -> np.ndarray:
-    """``block`` cut to the decodes ``left`` holds and clipped to the key
-    box.  Takes the items of the rows after the first; the asking loop
-    takes the first row's.  A range iterator's length hint is exact."""
-    block = block[: length_hint(left)]
-    for _ in range(1, len(block)):
-        next(left)
-    return _in_box(block)
-
-
-def _simplex_steps(
-    simplex: list[EvaluatedSolution], points: np.ndarray, left: Iterator[int]
-) -> Generator:
-    """Grow ``[incumbent]`` into the initial simplex, then step until it
-    has converged, asking for every new vertex.
-
-    The d initial vertices are one ``(d, d)`` block ask, as are the d
-    vertices of a shrink; reflection, expansion and contraction ask for
-    one vector each.  ``left`` counts the decodes left (see
-    :func:`_nelder_mead`); the steps end after a block that it cut.
-
-    The vertices stay in the order of a stable sort by cost.  They are
-    sorted in full after the initial simplex and after a shrink; a
-    reflection, expansion or contraction replaces only the worst vertex,
-    so the new one is inserted after every vertex that costs no more.
-
-    The simplex has converged when every row of ``points`` lies less
-    than 1e-4 from row 0 in max-norm.  A full test that fails keeps a
-    witness, the best-ranked row 1e-4 or more from row 0.  A step that
-    inserts behind row 0 and drops a vertex other than the witness
-    leaves both rows as they were, so the simplex cannot have converged
-    and the test is skipped.  It runs in full after the initial sort,
-    after a shrink, after a new best vertex and when the witness was
-    the vertex dropped.  The centroid is ``np.add.reduce`` over the
-    rows divided by ``d``, the reduction ``ndarray.sum`` runs.
-    """
-    keys = simplex[0].keys
-    d = points.shape[1]
+    points[0] = keys
+    used = 0
     # Row i is the incumbent with key i moved 0.05 up, or down where up
     # would leave the box.
-    initial = np.tile(keys, (d, 1))
-    np.fill_diagonal(initial, keys + np.where(keys + 0.05 <= KEY_MAX, 0.05, -0.05))
-    initial = _rows_left(initial, left)
-    simplex.extend((yield initial))
-    if len(simplex) <= d:
-        return
-    # Each solution holds a copy of its row's keys.
-    points[1:] = initial
-    costs = _sort(simplex, points)
-    # The best-ranked row that the last full test found 1e-4 or more
-    # from row 0.  Row 0 is never one, so 0 means "test in full".
-    witness = 0
+    block = np.tile(keys, (d, 1))
+    np.fill_diagonal(block, keys + np.where(keys + 0.05 <= KEY_MAX, 0.05, -0.05))
     while True:
+        if block is not None:
+            # The initial simplex or a shrink: vertices 1 to d at once.
+            if used == limit:
+                break
+            block = _in_box(block[: limit - used])
+            simplex[1:1 + len(block)] = yield block
+            used += len(block)
+            if len(block) < d:
+                break
+            # Each solution holds a copy of its row's keys.
+            points[1:] = block
+            costs = _sort(simplex, points)
+            block = None
+            # The best-ranked row that the last full test found 1e-4 or
+            # more from row 0.  Row 0 is never one, so 0 means "test in
+            # full".
+            witness = 0
         if witness == 0:
             spread = np.abs(points - points[0]).max(axis=1)
             if spread.max() < 1e-4:
-                return
+                break
             # 0 again when only NaN spreads failed the test.
             witness = int(np.argmax(spread >= 1e-4))
+        if used == limit:
+            break
         worst = simplex[-1]
         centroid = np.add.reduce(points[:-1], axis=0) / d
         reflected = yield _in_box(centroid + (centroid - worst.keys))
+        used += 1
         if reflected.cost < simplex[0].cost:
+            if used == limit:
+                break
             expanded = yield _in_box(centroid + 2.0 * (centroid - worst.keys))
+            used += 1
             new = expanded if expanded.cost < reflected.cost else reflected
         elif reflected.cost < simplex[-2].cost:
             new = reflected
-        elif reflected.cost < worst.cost:
-            contracted = yield _in_box(centroid + 0.5 * (reflected.keys - centroid))
-            if contracted.cost <= reflected.cost:
-                new = contracted
-            else:
-                costs = yield from _shrink(simplex, points, left)
-                if costs is None:
-                    return
-                witness = 0
-                continue
         else:
-            contracted = yield _in_box(centroid - 0.5 * (centroid - worst.keys))
-            if contracted.cost < worst.cost:
-                new = contracted
+            if used == limit:
+                break
+            if reflected.cost < worst.cost:
+                contracted = yield _in_box(centroid + 0.5 * (reflected.keys - centroid))
+                new = contracted if contracted.cost <= reflected.cost else None
             else:
-                costs = yield from _shrink(simplex, points, left)
-                if costs is None:
-                    return
-                witness = 0
+                contracted = yield _in_box(centroid - 0.5 * (centroid - worst.keys))
+                new = contracted if contracted.cost < worst.cost else None
+            used += 1
+            if new is None:
+                # Shrink: pull every vertex but the best halfway towards it.
+                block = points[0] + 0.5 * (points[1:] - points[0])
                 continue
         del simplex[-1], costs[-1]
         k = bisect_right(costs, new.cost)
@@ -255,6 +220,12 @@ def _simplex_steps(
             witness = 0
         elif witness >= k:
             witness += 1
+    best = min(simplex, key=lambda s: s.cost)
+    return best if best.cost < current.cost else current
+
+
+def _in_box(keys: np.ndarray) -> np.ndarray:
+    return keys.clip(0.0, KEY_MAX)
 
 
 def _sort(simplex: list[EvaluatedSolution], points: np.ndarray) -> list[float]:
@@ -263,23 +234,6 @@ def _sort(simplex: list[EvaluatedSolution], points: np.ndarray) -> list[float]:
     simplex[:] = [simplex[k] for k in order]
     points[:] = points[order]
     return [s.cost for s in simplex]
-
-
-def _shrink(
-    simplex: list[EvaluatedSolution], points: np.ndarray, left: Iterator[int]
-) -> Generator:
-    """Pull every vertex but the best halfway towards it, asking for the
-    d pulled vertices as one ``(d, d)`` block, then sort; returns the
-    sorted costs.  A block that ``left`` cut replaces only the vertices
-    of its rows, is not sorted and returns ``None``."""
-    block = _rows_left(points[0] + 0.5 * (points[1:] - points[0]), left)
-    shrunk = yield block
-    simplex[1:1 + len(shrunk)] = shrunk
-    if len(shrunk) < len(simplex) - 1:
-        return None
-    # Each solution holds a copy of its row's keys.
-    points[1:] = block
-    return _sort(simplex, points)
 
 
 def rvnd(start: EvaluatedSolution, rng: np.random.Generator) -> Moves:

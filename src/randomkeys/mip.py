@@ -8,6 +8,7 @@ every key vector decodes to a finite cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,8 @@ class PenaltyModel:
     weight: float = 1e4
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"penalty weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"penalty weight must be positive and finite, got {self.weight}")
 
     def charge(self, slack: np.ndarray) -> float:
         violated = slack[slack < 0]

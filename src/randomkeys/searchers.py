@@ -38,7 +38,7 @@ from typing import Generator, Optional, Union
 
 import numpy as np
 
-from .budget import EvaluatedSolution
+from .budget import EvaluatedSolution, is_count
 from .keys import BlendConfig, ShakeConfig, blend, new_random_vector, shake
 from .localsearch import rvnd
 
@@ -77,8 +77,10 @@ class BrkgaParams:
     label: str = "brkga"
 
     def __post_init__(self) -> None:
-        if self.population_size < 3:
-            raise ValueError(f"population_size must be >= 3, got {self.population_size}")
+        if not is_count(self.population_size) or self.population_size < 3:
+            raise ValueError(
+                f"population_size must be an integer >= 3, got {self.population_size!r}"
+            )
         if not 0.0 < self.elite_fraction < 1.0:
             raise ValueError(f"elite_fraction outside (0, 1): {self.elite_fraction}")
         if not 0.0 <= self.mutant_fraction < 1.0:
@@ -135,8 +137,9 @@ class SaParams:
             )
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError(f"cooling_rate outside (0, 1): {self.cooling_rate}")
-        if self.moves_per_temperature is not None and self.moves_per_temperature < 1:
-            raise ValueError("moves_per_temperature must be >= 1 when given")
+        moves = self.moves_per_temperature
+        if moves is not None and not is_count(moves):
+            raise ValueError(f"moves_per_temperature must be a positive integer, got {moves!r}")
 
     def search(self, dimension: int, rng: np.random.Generator) -> Search:
         moves = self.moves_per_temperature or dimension

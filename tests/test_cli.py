@@ -390,6 +390,27 @@ def test_time_limit_that_never_ends_exits_2(value, tdtsp_path, tmp_path, capsys)
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("command", ["solve", "ttt", "oracle"])
+def test_penalty_weight_must_be_positive_and_finite(
+    command, value, knapsack_path, tmp_path, capsys
+):
+    argv = {
+        "solve": ["solve", "--decoder-calls", "100"],
+        "ttt": ["ttt", "--reference", "-8", "--repetitions", "1", "--decoder-calls", "100"],
+        "oracle": ["oracle"],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(argv + ["--instance", str(knapsack_path), "--kind", "mip",
+                     "--penalty-weight", value, "--out", str(out)])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --penalty-weight" in err
+    assert "Traceback" not in err
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("generate", "--customers", "0"),
     ("generate", "--intervals", "0"),

@@ -1,5 +1,4 @@
 import itertools
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +15,6 @@ from randomkeys.keys import KEY_MAX
 from randomkeys.localsearch import (
     FAREY_VALUES,
     _nelder_mead,
-    _simplex_steps,
     farey_moves,
     mirror_moves,
     nelder_mead_moves,
@@ -184,9 +182,10 @@ class _Refused(Exception):
     """The harness's evaluator refused a decode: the budget is spent."""
 
 
-def reference_nelder_mead_search(current, try_eval, rng, shrinks=None):
+def reference_nelder_mead_search(current, try_eval, rng, shrinks=None, steps=None):
     """List-based simplex; appends the call count at each shrink's start
-    to ``shrinks`` when given."""
+    to ``shrinks`` and a copy of the sorted vertices at each step's start
+    (its convergence test) to ``steps`` when given."""
     d = current.keys.shape[0]
     calls = 0
     limit = 50 * d
@@ -214,6 +213,8 @@ def reference_nelder_mead_search(current, try_eval, rng, shrinks=None):
             simplex.append(spend(vertex))
         while True:
             simplex.sort(key=lambda s: s.cost)
+            if steps is not None:
+                steps.append(list(simplex))
             spread = max(
                 float(np.max(np.abs(s.keys - simplex[0].keys))) for s in simplex
             )
@@ -396,72 +397,61 @@ def test_nelder_mead_asks_for_its_initial_simplex_and_shrinks_as_blocks():
     assert cut_initial == d - 1 and cut_shrink > 0
 
 
-def cut_descent(start, decoder, limit):
-    """Drive the simplex steps from ``start`` as ``_nelder_mead`` does,
-    stopped after ``limit`` decodes.  Return the vertices as they end,
-    the row count of the last ask (0 for a vector) and the vertices as
-    they stood when it was made."""
-    d = start.keys.shape[0]
-    simplex = [start]
-    points = np.empty((d + 1, d))
-    points[0] = start.keys
-    left = iter(range(limit))
-    steps = _simplex_steps(simplex, points, left)
-    rows, before = 0, []
-    try:
-        keys = next(steps)
-        for _ in left:
-            rows, before = (0 if keys.ndim == 1 else len(keys)), list(simplex)
-            if rows:
-                reply = [EvaluatedSolution(row.copy(), decoder.cost(row)) for row in keys]
-            else:
-                reply = EvaluatedSolution(keys, decoder.cost(keys))
-            keys = steps.send(reply)
-    except StopIteration:
-        pass
-    return simplex, rows, before
-
-
 def test_a_cut_block_replaces_only_the_vertices_of_its_rows():
-    """A limit inside the initial simplex or a shrink leaves the vertices
-    as asking row by row would: the answered rows' vertices replaced in
-    place and the others, in their order, untouched."""
+    """A limit inside the initial simplex or a shrink ends the descent
+    with the vertices that asking row by row leaves: the answered rows'
+    vertices replaced in place, the others untouched.  The block's rows
+    are the vectors the reference decodes, and the result is the first
+    of those vertices in list order with the lowest cost, when it beats
+    the start."""
     d = 5
-    decoder = decoder_of("tdtsp", d, seed=7)
     keys = np.random.default_rng(8).random(d)
-    start = EvaluatedSolution(keys, decoder.cost(keys))
-    cuts = 0
-    for limit in range(1, 50 * d):
-        simplex, rows, before = cut_descent(start, decoder, limit)
-        if not 0 < rows < d:
-            continue
-        cuts += 1
-        assert simplex[:1] + simplex[1 + rows:] == before[:1] + before[1 + rows:], limit
-        assert len(simplex) == max(len(before), 1 + rows), limit
-        assert not any(s in before for s in simplex[1:1 + rows]), limit
-    assert cuts > d
+    cuts = decided = 0
+    for kind in ("tdtsp", "tied", "quadratic"):
+        decoder = decoder_of(kind, d, seed=7)
+        start = EvaluatedSolution(keys, decoder.cost(keys))
+        for limit in range(1, 50 * d):
+            descent = _nelder_mead(start, limit)
+            reply, rows = None, 0
+            try:
+                while True:
+                    asked = descent.send(reply)
+                    rows = 0 if asked.ndim == 1 else len(asked)
+                    if rows:
+                        reply = [EvaluatedSolution(row.copy(), decoder.cost(row)) for row in asked]
+                    else:
+                        reply = EvaluatedSolution(asked, decoder.cost(asked))
+            except StopIteration as stop:
+                result = stop.value
+            if not 0 < rows < d:
+                continue
+            cuts += 1
+            # The reference, refused after ``limit`` decodes, asks row by row.
+            ev = evaluator_for(decoder, calls=limit)
+            steps, answered = [], []
 
+            def evaluate(vector):
+                solution = ev.evaluate(vector)
+                if solution is None:
+                    raise _Refused
+                answered.append(solution)
+                return solution
 
-def simplex_at_last_ask(decoder, keys):
-    """Drive the package's simplex steps from ``keys`` until they stop;
-    return the vertices as they stood at the last ask and at the stop.
-    A block ask is answered with ``evaluate_block``; the steps are given
-    more decodes than they can use, so only convergence stops them."""
-    ev = evaluator_for(decoder)
-    simplex = [ev.evaluate(keys.copy())]
-    points = np.empty((keys.shape[0] + 1, keys.shape[0]))
-    points[0] = simplex[0].keys
-    steps = _simplex_steps(simplex, points, iter(range(sys.maxsize)))
-    vector = next(steps)
-    while True:
-        before = list(simplex)
-        try:
-            if vector.ndim == 1:
-                vector = steps.send(ev.evaluate(vector))
-            else:
-                vector = steps.send(ev.evaluate_block(vector))
-        except StopIteration:
-            return before, simplex
+            reference_nelder_mead_search(start, evaluate, None, steps=steps)
+            assert [s.keys.tobytes() for s in reply] == (
+                [s.keys.tobytes() for s in answered[limit - rows:]]
+            ), (kind, limit)
+            before = steps[-1] if steps else [start]
+            vertices = before[:1] + answered[limit - rows:] + before[1 + rows:]
+            best = min(vertices, key=lambda s: s.cost)
+            expected = best if best.cost < start.cost else start
+            assert (result.cost, result.keys.tobytes()) == (
+                expected.cost, expected.keys.tobytes()
+            ), (kind, limit)
+            decided += expected is not before[0]
+    assert cuts > 2 * d
+    # Some results come from an answered row, not the best vertex before.
+    assert decided > 0
 
 
 @pytest.mark.parametrize(
@@ -484,16 +474,17 @@ def test_nelder_mead_converges_where_the_reference_does(kind, d, seed, end):
     assert search_outcome(ask_tell(nelder_mead_moves), decoder, keys) == (
         search_outcome(reference_nelder_mead_search, decoder, keys)
     )
-    shrinks = []
+    shrinks, steps = [], []
     ev = evaluator_for(decoder)
     reference_nelder_mead_search(
-        ev.evaluate(keys.copy()), ev.evaluate, None, shrinks=shrinks
+        ev.evaluate(keys.copy()), ev.evaluate, None, shrinks=shrinks, steps=steps
     )
     full = ev.calls - 1
     assert full < 50 * d
     assert (bool(shrinks) and shrinks[-1] + d == full) == (end == "shrink")
     if end != "shrink":
-        before, after = simplex_at_last_ask(decoder, keys)
+        # The vertices at the last step's start and where the test passed.
+        before, after = steps[-2], steps[-1]
         assert (after[0] is not before[0]) == (end == "new-best")
         if end == "witness-dropped":
             far = [s for s in before if np.abs(s.keys - before[0].keys).max() >= 1e-4]

@@ -142,7 +142,8 @@ def test_decoder_dimension_and_cost():
 
 
 def test_penalty_model_validation():
-    with pytest.raises(ValueError):
-        PenaltyModel(weight=0.0)
+    for weight in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            PenaltyModel(weight=weight)
     assert PenaltyModel().charge(np.array([1.0, 0.0])) == 0.0
     assert PenaltyModel(weight=2.0).charge(np.array([-3.0])) == pytest.approx(18.0)

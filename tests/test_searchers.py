@@ -56,6 +56,10 @@ def test_brkga_param_validation():
         BrkgaParams(elite_fraction=0.0)
     with pytest.raises(ValueError):
         BrkgaParams(elite_fraction=0.6, mutant_fraction=0.5)
+    for size in (20.5, 20.0, float("nan"), True, "20"):
+        with pytest.raises(ValueError, match="population_size"):
+            BrkgaParams(population_size=size)
+    assert BrkgaParams(population_size=np.int64(20)).population_size == 20
 
 
 def test_sa_param_validation():
@@ -63,8 +67,10 @@ def test_sa_param_validation():
         SaParams(initial_acceptance=1.0)
     with pytest.raises(ValueError):
         SaParams(cooling_rate=1.0)
-    with pytest.raises(ValueError):
-        SaParams(moves_per_temperature=0)
+    for moves in (0, 2.5, 2.0, float("nan"), True, "2"):
+        with pytest.raises(ValueError, match="moves_per_temperature"):
+            SaParams(moves_per_temperature=moves)
+    assert SaParams(moves_per_temperature=np.int32(3)).moves_per_temperature == 3
 
 
 def test_vns_param_validation():

@@ -16,7 +16,7 @@ line exactly when every run of that round reports the same.
 when one differs.  It exits 2 before running any round when FILE holds
 no lines or a line that is not of that form, so that a truncated or
 damaged file cannot pass.  ``tools/run_hashes.txt`` holds seeds 1 to
-5; a change that alters the draws of any run re-records it and says so.
+8; a change that alters the draws of any run re-records it and says so.
 
 Lines are computed in worker processes, one per core up to one per
 line, and printed in order, each as soon as it and the lines before it
