@@ -23,7 +23,6 @@ from .keys import (
     BlendConfig,
     ShakeConfig,
     blend,
-    clip_keys,
     key_distance,
     new_random_vector,
     shake,
@@ -110,7 +109,6 @@ __all__ = [
     "check_mip",
     "check_portfolio",
     "check_tdtsp",
-    "clip_keys",
     "decode_mip",
     "decode_portfolio",
     "decode_tdtsp",

@@ -301,6 +301,11 @@ def cmd_rpd(args) -> int:
 def cmd_ttt(args) -> int:
     decoder, _ = _load_problem(args)
     target = ttt_target(args.reference, args.target_percent)
+    if not math.isfinite(target):
+        raise InstanceFormatError(
+            f"--reference {args.reference} and --target-percent {args.target_percent} "
+            f"give a target that is not finite"
+        )
     budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
     # censoring point: the budget in the unit time_to_best counts, which
     # is wall seconds when there is a time limit and decoder calls if not
@@ -439,18 +444,29 @@ def _floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text!r}")
 
 
-def _positive(kind):
-    """An argparse type that reads a ``kind`` and refuses values <= 0,
-    NaN and infinity."""
+def _checked(kind, accept, wanted: str):
+    """An argparse type that reads a ``kind`` and refuses a value that
+    ``accept`` rejects, saying that it must be ``wanted``."""
 
     def parse(text: str):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its errors
     return parse
+
+
+def _positive(kind):
+    """An argparse type that reads a ``kind`` and refuses values <= 0,
+    NaN and infinity."""
+    return _checked(kind, lambda value: 0 < value < math.inf, "positive and finite")
+
+
+def _finite(kind):
+    """An argparse type that reads a ``kind`` and refuses NaN and infinity."""
+    return _checked(kind, math.isfinite, "finite")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -494,7 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
     solve.add_argument("--seeds", type=_positive(int), default=5,
                        help="number of runs, seeded 1..N")
-    solve.add_argument("--target-cost", type=float, default=None, dest="target_cost",
+    solve.add_argument("--target-cost", type=_finite(float), default=None,
+                       dest="target_cost",
                        help="stop a run early once this cost is reached")
     solve.add_argument("--penalty-weight", type=_positive(float), default=1e4)
     solve.add_argument("--out", required=True,
@@ -505,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rpd = sub.add_parser("rpd", help="summarize a runs CSV against a reference")
     rpd.add_argument("--runs", required=True, help="runs CSV from solve")
-    rpd.add_argument("--reference", type=float, required=True,
+    rpd.add_argument("--reference", type=_finite(float), required=True,
                      help="reference best-known cost")
     rpd.add_argument("--instance-id", required=True)
     rpd.add_argument("--out", required=True)
@@ -514,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     ttt = sub.add_parser("ttt", help="time-to-target experiment")
     ttt.add_argument("--instance", required=True)
     ttt.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
-    ttt.add_argument("--reference", type=float, required=True)
-    ttt.add_argument("--target-percent", type=float, default=1.0,
+    ttt.add_argument("--reference", type=_finite(float), required=True)
+    ttt.add_argument("--target-percent", type=_finite(float), default=1.0,
                      help="target is reference plus this percent of |reference|")
     ttt.add_argument("--repetitions", type=_positive(int), default=10)
     ttt.add_argument("--penalty-weight", type=_positive(float), default=1e4)

@@ -18,6 +18,7 @@ run is a pure function of its seed, decoder, searcher list and budget.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -90,9 +91,10 @@ def run_ensemble(
     ``deterministic=True`` asks for that: it raises ``ValueError`` when
     the budget has a ``time_limit``.  ``quantum`` and ``pool_capacity``
     must be positive integers (``int`` or numpy integers, not bools),
-    or ``ValueError`` is raised.  Searchers that share a label are
-    numbered ("sa-1", "sa-2"); labels that would still coincide, or
-    "init", raise ``ValueError``.
+    and ``target_cost``, when given, must be finite, or ``ValueError``
+    is raised.  Searchers that share a label are numbered ("sa-1",
+    "sa-2"); labels that would still coincide, or "init", raise
+    ``ValueError``.
     """
     if deterministic and budget.time_limit is not None:
         raise ValueError("a run with a time_limit does not reproduce")
@@ -102,6 +104,8 @@ def run_ensemble(
         raise ValueError(f"quantum must be a positive integer, got {quantum!r}")
     if not is_count(pool_capacity):
         raise ValueError(f"pool_capacity must be a positive integer, got {pool_capacity!r}")
+    if target_cost is not None and not math.isfinite(target_cost):
+        raise ValueError(f"target_cost must be finite, got {target_cost!r}")
     dimension = decoder.dimension
     if dimension < 1:
         raise ValueError(f"decoder dimension must be positive, got {dimension}")

@@ -18,7 +18,6 @@ __all__ = [
     "ShakeConfig",
     "BlendConfig",
     "new_random_vector",
-    "clip_keys",
     "shake",
     "blend",
     "key_distance",
@@ -84,11 +83,6 @@ def new_random_vector(dimension: int, rng: np.random.Generator) -> np.ndarray:
     return rng.random(dimension)
 
 
-def clip_keys(keys: np.ndarray) -> np.ndarray:
-    """Clamp keys into [0, KEY_MAX] in place and return the array."""
-    return keys.clip(0.0, KEY_MAX, out=keys)
-
-
 def shake(keys: np.ndarray, config: ShakeConfig, rng: np.random.Generator) -> np.ndarray:
     """Perturb a copy of ``keys`` with ceil(beta * dimension) random moves.
 
@@ -103,9 +97,14 @@ def shake(keys: np.ndarray, config: ShakeConfig, rng: np.random.Generator) -> np
     The call draws its randomness in two calls: ``beta`` uniformly
     from [beta_min, beta_max], then one ``(3, moves)`` block of
     uniforms holding each move's kind, first index and second index
-    or fresh value.  An index is the floor of its uniform times the
+    or fresh value.  A kind's uniform u picks a swap below 0.25, an
+    adjacent swap below 0.5, a mirror below 0.75 and an overwrite
+    above; these are the quarters ``int(4 * u)`` names, as multiplying
+    by 4 is exact.  An index is the floor of its uniform times the
     number of valid positions, clamped to the last of them.  The moves
-    are then applied in order.
+    are then applied in order.  Each clamp keeps its value unless the
+    bound lies strictly beyond it, the rule of ``min`` and ``max``, so a
+    NaN key mirrors to NaN.
 
     Returns a new array; the input is not modified.
     """
@@ -115,28 +114,42 @@ def shake(keys: np.ndarray, config: ShakeConfig, rng: np.random.Generator) -> np
     # wrapper's argument handling.
     beta = config.beta_min + (config.beta_max - config.beta_min) * rng.random()
     kinds, firsts, seconds = rng.random((3, math.ceil(beta * d))).tolist()
+    moves = zip(kinds, firsts, seconds)
+    if d < 2:
+        # No two positions to swap: only mirrors and overwrites act.
+        moves = [move for move in moves if move[0] >= 0.5]
     last = d - 1
-    for u, v, w in zip(kinds, firsts, seconds):
-        move = int(u * 4.0)
-        if move == 0:
-            if d < 2:
-                continue
-            i = min(int(v * d), last)
-            j = min(int(w * last), last - 1)
-            if j >= i:
-                j += 1
-            out[i], out[j] = out[j], out[i]
-        elif move == 1:
-            if d < 2:
-                continue
-            i = min(int(v * last), last - 1)
-            out[i], out[i + 1] = out[i + 1], out[i]
-        elif move == 2:
-            i = min(int(v * d), last)
-            out[i] = min(max(1.0 - out[i], 0.0), KEY_MAX)
+    for u, v, w in moves:
+        if u < 0.5:
+            if u < 0.25:
+                i = int(v * d)
+                if i > last:
+                    i = last
+                j = int(w * last)
+                if j >= last:
+                    j = last - 1
+                if j >= i:
+                    j += 1
+                out[i], out[j] = out[j], out[i]
+            else:
+                i = int(v * last)
+                if i >= last:
+                    i = last - 1
+                out[i], out[i + 1] = out[i + 1], out[i]
         else:
-            out[min(int(v * d), last)] = min(w, KEY_MAX)
-    return np.array(out, dtype=float)
+            i = int(v * d)
+            if i > last:
+                i = last
+            if u < 0.75:
+                x = 1.0 - out[i]
+                if x < 0.0:
+                    x = 0.0
+                elif KEY_MAX < x:
+                    x = KEY_MAX
+                out[i] = x
+            else:
+                out[i] = KEY_MAX if KEY_MAX < w else w
+    return np.fromiter(out, float, d)
 
 
 def blend(

@@ -411,6 +411,48 @@ def test_penalty_weight_must_be_positive_and_finite(
     assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag", [
+    ("solve", "--target-cost"),
+    ("ttt", "--target-percent"),
+    ("ttt", "--reference"),
+    ("rpd", "--reference"),
+])
+def test_non_finite_target_or_reference_exits_2(
+    command, flag, value, knapsack_path, tmp_path, capsys
+):
+    runs = tmp_path / "runs.csv"
+    runs.write_text("seed,best_cost,time_to_best\n1,-8,3\n")
+    argv = {
+        "solve": ["solve", "--instance", str(knapsack_path), "--kind", "mip",
+                  "--decoder-calls", "200", "--target-cost", "-8"],
+        "ttt": ["ttt", "--instance", str(knapsack_path), "--kind", "mip",
+                "--decoder-calls", "200", "--repetitions", "2", "--reference", "-8"],
+        "rpd": ["rpd", "--runs", str(runs), "--instance-id", "k", "--reference", "-8"],
+    }[command]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exited:
+        main(argv + [f"{flag}={value}", "--out", str(out)])  # "=" lets "-inf" through
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}" in err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith("out")]
+
+
+def test_ttt_target_that_overflows_exits_2(knapsack_path, tmp_path, capsys):
+    # Each flag is finite, but the target they give is not.
+    out = tmp_path / "out"
+    code = main(["ttt", "--instance", str(knapsack_path), "--kind", "mip",
+                 "--decoder-calls", "100", "--repetitions", "1", "--reference", "1e308",
+                 "--target-percent", "1e10", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --reference 1e+308 and --target-percent 10000000000.0" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("generate", "--customers", "0"),
     ("generate", "--intervals", "0"),

@@ -171,6 +171,18 @@ def test_quantum_and_fill_must_be_positive_integers(name, value):
     assert decoder.calls == 0
 
 
+@pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf"),
+                                    np.float64("nan")])
+def test_target_cost_must_be_finite(target):
+    # An infinite target ends a run at its first decode, or never; a NaN
+    # one is never reached and reads as if no target were set.
+    decoder = SphereDecoder()
+    with pytest.raises(ValueError, match="target_cost"):
+        run_ensemble(decoder, ALL_SEARCHERS, RunBudget(decoder_calls=500), seed=1,
+                     target_cost=target)
+    assert decoder.calls == 0
+
+
 def test_numpy_integer_quantum_and_fill_are_taken():
     budget = RunBudget(decoder_calls=1500)
     plain = run_ensemble(SphereDecoder(), ALL_SEARCHERS, budget, seed=3,

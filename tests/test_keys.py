@@ -8,7 +8,6 @@ from randomkeys import (
     BlendConfig,
     ShakeConfig,
     blend,
-    clip_keys,
     key_distance,
     new_random_vector,
     shake,
@@ -23,15 +22,6 @@ def test_new_random_vector_range_and_determinism():
     assert np.all(v >= 0.0) and np.all(v < 1.0)
     again = new_random_vector(50, np.random.default_rng(7))
     assert np.array_equal(v, again)
-
-
-def test_clip_keys_folds_out_of_range_values():
-    v = np.array([-0.5, 0.0, 0.3, 1.0, 2.7])
-    clip_keys(v)
-    assert v[0] == 0.0
-    assert v[3] == KEY_MAX
-    assert v[4] == KEY_MAX
-    assert v[2] == 0.3
 
 
 def test_shake_config_validation():
@@ -124,7 +114,6 @@ def test_clamps_match_np_clip_byte_for_byte():
     expected = np.clip(EDGE_KEYS, 0.0, KEY_MAX).tobytes()
     assert np.signbit(np.clip(EDGE_KEYS, 0.0, KEY_MAX)[0])  # np.clip keeps -0.0
     assert _in_box(EDGE_KEYS).tobytes() == expected
-    assert clip_keys(EDGE_KEYS.copy()).tobytes() == expected
     b = np.concatenate([EDGE_KEYS, 1.0 - EDGE_KEYS])
     mirrored = blend(
         np.full_like(b, 0.5), b, BlendConfig(inherit_prob=0.0, factor=-1),
@@ -251,6 +240,118 @@ def test_shake_edge_uniforms_map_to_valid_indices(d, edge):
     assert np.array_equal(mirror, expected)
     expected[i] = min(edge, KEY_MAX)
     assert np.array_equal(overwrite, expected)
+
+
+def reference_block_shake(keys, config, rng):
+    """The block-drawn shake in its plainest form: the same two draws
+    as ``shake``, each kind picked by ``int(u * 4.0)`` and each clamp a
+    ``min``/``max`` call.  ``shake`` must return its bytes and leave
+    the generator where it leaves it."""
+    out = np.asarray(keys, dtype=float).tolist()
+    d = len(out)
+    beta = config.beta_min + (config.beta_max - config.beta_min) * rng.random()
+    kinds, firsts, seconds = rng.random((3, math.ceil(beta * d))).tolist()
+    last = d - 1
+    for u, v, w in zip(kinds, firsts, seconds):
+        move = int(u * 4.0)
+        if move == 0:
+            if d < 2:
+                continue
+            i = min(int(v * d), last)
+            j = min(int(w * last), last - 1)
+            if j >= i:
+                j += 1
+            out[i], out[j] = out[j], out[i]
+        elif move == 1:
+            if d < 2:
+                continue
+            i = min(int(v * last), last - 1)
+            out[i], out[i + 1] = out[i + 1], out[i]
+        elif move == 2:
+            i = min(int(v * d), last)
+            out[i] = min(max(1.0 - out[i], 0.0), KEY_MAX)
+        else:
+            out[min(int(v * d), last)] = min(w, KEY_MAX)
+    return np.array(out, dtype=float)
+
+
+SHAKE_CONFIGS = [ShakeConfig(), ShakeConfig(0.5, 1.0), ShakeConfig(1.0, 1.0),
+                 ShakeConfig(1e-6, 1e-6)]
+SHAKE_CONFIG_IDS = ["default", "half-to-one", "beta1", "one-move"]
+
+
+EDGE_KEYS_AND_NAN = np.append(EDGE_KEYS, np.nan)
+
+
+def edge_laden_keys(d, rng):
+    """A key vector of length ``d`` in which about half the keys are
+    edge values (signed zeros, the bounds and beyond, NaN) and the rest
+    uniform, so mirrors and swaps meet them often."""
+    keys = rng.random(d)
+    picked = rng.random(d) < 0.5
+    drawn = rng.integers(len(EDGE_KEYS_AND_NAN), size=picked.sum())
+    keys[picked] = EDGE_KEYS_AND_NAN[drawn]
+    return keys
+
+
+@pytest.mark.parametrize("config", SHAKE_CONFIGS, ids=SHAKE_CONFIG_IDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 50, 64, 200])
+def test_shake_gives_the_reference_bytes_and_draws(d, config):
+    for seed in range(120):
+        keys = edge_laden_keys(d, np.random.default_rng([seed, d]))
+        # The first seeds place each edge value in turn, so that at d = 1
+        # each of them is the whole vector once.
+        if seed < len(EDGE_KEYS_AND_NAN):
+            keys[seed % d] = EDGE_KEYS_AND_NAN[seed]
+        snapshot = keys.tobytes()
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = shake(keys, config, ours)
+        expected = reference_block_shake(keys, config, theirs)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes(), (seed, keys, out, expected)
+        assert ours.random() == theirs.random(), seed
+        assert keys.tobytes() == snapshot
+
+
+class KindEdgeRng:
+    """Stands in for a Generator in ``shake``: a seeded generator's
+    uniforms, except that the first row of a block (the move kinds)
+    cycles through ``KIND_EDGES``, so the edge kinds meet indices that
+    are not at an edge."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        block = self.rng.random(size)
+        if size is not None:
+            block[0] = np.resize(KIND_EDGES, size[1])
+        return block
+
+
+@pytest.mark.parametrize("edge", [LOW, HIGH], ids=["low", "high"])
+@pytest.mark.parametrize("config", SHAKE_CONFIGS, ids=SHAKE_CONFIG_IDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 50, 64, 200])
+def test_shake_gives_the_reference_bytes_at_edge_uniforms(d, config, edge):
+    keys = edge_laden_keys(d, np.random.default_rng(d))
+    for kinds in (KIND_EDGES, *([kind] for kind in KIND_EDGES)):
+        out = shake(keys, config, EdgeRng(edge, kinds))
+        expected = reference_block_shake(keys, config, EdgeRng(edge, kinds))
+        assert out.tobytes() == expected.tobytes(), (kinds, keys, out, expected)
+    for seed in range(10):
+        out = shake(keys, config, KindEdgeRng(seed))
+        expected = reference_block_shake(keys, config, KindEdgeRng(seed))
+        assert out.tobytes() == expected.tobytes(), (seed, keys, out, expected)
+
+
+def test_shake_takes_what_asarray_takes():
+    # Lists and integer arrays are read as float keys, as before.
+    for keys in ([0.2, 0.4, 0.6, 0.8], np.array([0, 1, 0, 1]), np.zeros(0)):
+        out = shake(keys, ShakeConfig(1.0, 1.0), np.random.default_rng(3))
+        expected = reference_block_shake(keys, ShakeConfig(1.0, 1.0),
+                                         np.random.default_rng(3))
+        assert out.dtype == np.float64
+        assert out.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,8 @@ def test_layer_cost_prints_every_figure():
     rows = json.loads(done.stdout)
     assert set(rows) == {
         "portfolio.cost.us",
+        "keys.shake.us_d50",
+        "keys.shake.us_d6",
         "nelder_mead.ask_us_d20",
         "nelder_mead.ask_us_d50",
         "nelder_mead.ask_us_tdtsp50",

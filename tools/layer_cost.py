@@ -1,4 +1,4 @@
-"""Time the decoder and Nelder-Mead layers of the ensemble workloads.
+"""Time the decoder, shake and Nelder-Mead layers of the ensemble workloads.
 
 Usage, from the root of a checkout:
 
@@ -9,6 +9,10 @@ Prints one JSON object:
 - ``portfolio.cost.us``: CPU microseconds per ``PortfolioDecoder.cost``
   call on a fixed set of key vectors, on the benchmark's 225-asset,
   K = 10 toy portfolio;
+- ``keys.shake.us_d50`` and ``keys.shake.us_d6``: CPU microseconds per
+  ``shake`` call with the default ``ShakeConfig``, on one fixed key
+  vector of the benchmark's TD-TSP dimensions (50 and 6 customers) and
+  a generator of fixed seed, with no decoder;
 - ``nelder_mead.ask_us_d20`` and ``nelder_mead.ask_us_d50``: CPU
   microseconds per decode that ``nelder_mead_moves`` asks for,
   descending on a quadratic from fixed starts at d = 20 and 50, the
@@ -54,8 +58,10 @@ from hostspeed import HostClock  # noqa: E402
 from randomkeys import (  # noqa: E402
     EvaluatedSolution,
     PortfolioDecoder,
+    ShakeConfig,
     TdTspDecoder,
     generate_tdtsp_instance,
+    shake,
 )
 from randomkeys.localsearch import nelder_mead_moves  # noqa: E402
 from workloads import toy_portfolio  # noqa: E402
@@ -101,7 +107,8 @@ def _descents_us(clock, rows, name, cost, starts, rng, repeats) -> None:
 
 def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     """The figures the module docstring lists: ``calls`` portfolio
-    decodes and ``descents`` descents per Nelder-Mead row, per repeat."""
+    decodes, ``calls`` shakes per shake row and ``descents`` descents per
+    Nelder-Mead row, per repeat."""
     clock = HostClock()
     rng = np.random.default_rng(1)
     rows: dict[str, float] = {}
@@ -111,6 +118,17 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     rows["portfolio.cost.us"] = _median_us(
         clock, lambda: [decoder.cost(k) for k in keys], calls, repeats
     )
+
+    config = ShakeConfig()
+    for d in (50, 6):
+        start = np.random.default_rng(d).random(d)
+
+        def shakes() -> None:
+            moves = np.random.default_rng(7)
+            for _ in range(calls):
+                shake(start, config, moves)
+
+        rows[f"keys.shake.us_d{d}"] = _median_us(clock, shakes, calls, repeats)
 
     for d in (20, 50):
         target = rng.random(d)
