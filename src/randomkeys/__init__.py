@@ -24,7 +24,6 @@ from .keys import (
     ShakeConfig,
     blend,
     key_distance,
-    new_random_vector,
     shake,
 )
 from .localsearch import rvnd
@@ -115,7 +114,6 @@ __all__ = [
     "generate_tdtsp_instance",
     "key_distance",
     "map_keys_to_assignment",
-    "new_random_vector",
     "profile_fractions",
     "quality_ratios",
     "relative_percent_deviation",

@@ -35,7 +35,6 @@ from .instances import (
 from .metrics import (
     profile_fractions,
     quality_ratios,
-    relative_percent_deviation,
     summarize_rpd,
     ttt_curve,
     ttt_target,
@@ -140,24 +139,23 @@ def _load_problem(args):
             }
 
         return decoder, describe
-    if kind == "tdtsp":
-        instance = load_tdtsp(path)
-        decoder = TdTspDecoder(instance)
+    # tdtsp, the one kind left that argparse's choices admit
+    instance = load_tdtsp(path)
+    decoder = TdTspDecoder(instance)
 
-        def describe(report: RunReport) -> dict:
-            decoded = decoder.decode(report.best_keys)
-            verdict = check_tdtsp(instance, decoded)
-            return {
-                "order": list(decoded.order),
-                "arrival": decoded.arrival.tolist(),
-                "travel_cost": decoded.travel_cost,
-                "penalized": decoded.penalized,
-                "cost": decoded.cost,
-                "feasible": verdict.feasible,
-            }
+    def describe(report: RunReport) -> dict:
+        decoded = decoder.decode(report.best_keys)
+        verdict = check_tdtsp(instance, decoded)
+        return {
+            "order": list(decoded.order),
+            "arrival": decoded.arrival.tolist(),
+            "travel_cost": decoded.travel_cost,
+            "penalized": decoded.penalized,
+            "cost": decoded.cost,
+            "feasible": verdict.feasible,
+        }
 
-        return decoder, describe
-    raise InstanceFormatError(f"unknown problem kind {args.kind!r}")
+    return decoder, describe
 
 
 def _budget_from_args(args, kind: str, size: int) -> RunBudget:
@@ -187,27 +185,21 @@ def _instance_size(args, decoder) -> int:
     return decoder.dimension
 
 
-def _run(args, decoder, searchers, budget, seed, target=None) -> RunReport:
-    """One ensemble run with the initial fill size, quantum and
-    determinism check taken from the shared run flags."""
-    return run_ensemble(
-        decoder,
-        searchers,
-        budget,
-        seed,
-        pool_capacity=args.pool_size,
-        deterministic=args.deterministic,
-        quantum=args.quantum,
-        target_cost=target,
-    )
-
-
-def _run_seeds(args, decoder) -> list[RunReport]:
-    budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
-    searchers = _parse_searchers(args.searchers)
+def _run_seeds(args, decoder, searchers, budget, seeds, target=None) -> list[RunReport]:
+    """The ensemble runs at seeds 1..``seeds``, with the initial fill
+    size, quantum and determinism check taken from the shared run flags."""
     return [
-        _run(args, decoder, searchers, budget, seed, args.target_cost)
-        for seed in range(1, args.seeds + 1)
+        run_ensemble(
+            decoder,
+            searchers,
+            budget,
+            seed,
+            pool_capacity=args.pool_size,
+            deterministic=args.deterministic,
+            quantum=args.quantum,
+            target_cost=target,
+        )
+        for seed in range(1, seeds + 1)
     ]
 
 
@@ -220,7 +212,9 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence[str]]
 
 def cmd_solve(args) -> int:
     decoder, describe = _load_problem(args)
-    reports = _run_seeds(args, decoder)
+    budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
+    searchers = _parse_searchers(args.searchers)
+    reports = _run_seeds(args, decoder, searchers, budget, args.seeds, args.target_cost)
     rows = [
         [
             str(r.seed),
@@ -314,10 +308,10 @@ def cmd_ttt(args) -> int:
     else:
         limit = float(budget.decoder_calls)
     searchers = _parse_searchers(args.searchers)
-    results: list[Optional[float]] = []
-    for seed in range(1, args.repetitions + 1):
-        report = _run(args, decoder, searchers, budget, seed, target)
-        results.append(report.time_to_best if report.best_cost <= target else None)
+    results = [
+        report.time_to_best if report.best_cost <= target else None
+        for report in _run_seeds(args, decoder, searchers, budget, args.repetitions, target)
+    ]
     curve = ttt_curve(results, target=target, limit=limit)
     rows = [
         [str(i + 1), _fmt(t), _fmt(p), "0"]
@@ -342,11 +336,8 @@ def cmd_frontier(args) -> int:
     rows = []
     for lam in lambdas:
         decoder = PortfolioDecoder(_portfolio(args, means, covariance, lam))
-        best = None
-        for seed in range(1, args.seeds + 1):
-            report = _run(args, decoder, searchers, budget, seed)
-            if best is None or report.best_cost < best.best_cost:
-                best = report
+        reports = _run_seeds(args, decoder, searchers, budget, args.seeds)
+        best = min(reports, key=lambda r: r.best_cost)  # the first of the lowest
         decoded = decoder.decode(best.best_keys)
         rows.append(
             [_fmt(lam), _fmt(decoded.risk), _fmt(decoded.mean_return), _fmt(decoded.cost)]
@@ -411,12 +402,10 @@ def cmd_oracle(args) -> int:
             "weights": weights.tolist(),
             "grid_step": args.grid_step,
         }
-    elif args.kind == "tdtsp":
+    else:  # tdtsp
         instance = load_tdtsp(Path(args.instance))
         cost, order = brute_force_tdtsp(instance)
         payload = {"kind": "tdtsp", "cost": cost, "order": list(order)}
-    else:
-        raise InstanceFormatError(f"unknown problem kind {args.kind!r}")
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -590,10 +579,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InstanceFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleGuardError as exc:

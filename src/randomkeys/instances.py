@@ -207,14 +207,20 @@ def tdtsp_to_dict(instance: TdTspInstance) -> dict:
     }
 
 
-def load_tdtsp(path: Union[str, Path]) -> TdTspInstance:
+def _read_json_object(path: Union[str, Path]) -> dict:
+    """The JSON object in the file at ``path``; a file that is not
+    JSON, or holds anything but an object, is an instance format error."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceFormatError(f"{path}: expected a JSON object")
-    return parse_tdtsp(data)
+    return data
+
+
+def load_tdtsp(path: Union[str, Path]) -> TdTspInstance:
+    return parse_tdtsp(_read_json_object(path))
 
 
 def write_tdtsp(instance: TdTspInstance, path: Union[str, Path]) -> None:
@@ -295,13 +301,7 @@ def mip_to_dict(instance: GenericMipInstance) -> dict:
 
 
 def load_mip(path: Union[str, Path]) -> GenericMipInstance:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InstanceFormatError(f"{path}: expected a JSON object")
-    return parse_mip(data)
+    return parse_mip(_read_json_object(path))
 
 
 def write_mip(instance: GenericMipInstance, path: Union[str, Path]) -> None:

@@ -17,7 +17,6 @@ __all__ = [
     "KEY_MAX",
     "ShakeConfig",
     "BlendConfig",
-    "new_random_vector",
     "shake",
     "blend",
     "key_distance",
@@ -58,29 +57,16 @@ class BlendConfig:
     mutation_prob : float
         Per-key probability of replacing the key with a fresh uniform
         draw, applied before inheritance is considered.
-    factor : int
-        ``+1`` copies second-parent keys as they are, ``-1`` mirrors
-        them through ``1 - key``.
     """
 
     inherit_prob: float = 0.7
     mutation_prob: float = 0.0
-    factor: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.inherit_prob <= 1.0:
             raise ValueError(f"inherit_prob outside [0, 1]: {self.inherit_prob}")
         if not 0.0 <= self.mutation_prob <= 1.0:
             raise ValueError(f"mutation_prob outside [0, 1]: {self.mutation_prob}")
-        if self.factor not in (-1, 1):
-            raise ValueError(f"factor must be +1 or -1, got {self.factor}")
-
-
-def new_random_vector(dimension: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a fresh key vector uniformly from [0, 1)^dimension."""
-    if dimension < 1:
-        raise ValueError(f"dimension must be positive, got {dimension}")
-    return rng.random(dimension)
 
 
 def shake(keys: np.ndarray, config: ShakeConfig, rng: np.random.Generator) -> np.ndarray:
@@ -101,8 +87,10 @@ def shake(keys: np.ndarray, config: ShakeConfig, rng: np.random.Generator) -> np
     adjacent swap below 0.5, a mirror below 0.75 and an overwrite
     above; these are the quarters ``int(4 * u)`` names, as multiplying
     by 4 is exact.  An index is the floor of its uniform times the
-    number of valid positions, clamped to the last of them.  The moves
-    are then applied in order.  Each clamp keeps its value unless the
+    number of valid positions, which needs no clamp: for every uniform
+    below 1 the product stays below that number, as even
+    ``(1 - 2**-53) * n`` never rounds up to ``n``.  The moves are then
+    applied in order.  Each value clamp keeps its value unless the
     bound lies strictly beyond it, the rule of ``min`` and ``max``, so a
     NaN key mirrors to NaN.
 
@@ -123,23 +111,15 @@ def shake(keys: np.ndarray, config: ShakeConfig, rng: np.random.Generator) -> np
         if u < 0.5:
             if u < 0.25:
                 i = int(v * d)
-                if i > last:
-                    i = last
                 j = int(w * last)
-                if j >= last:
-                    j = last - 1
                 if j >= i:
                     j += 1
                 out[i], out[j] = out[j], out[i]
             else:
                 i = int(v * last)
-                if i >= last:
-                    i = last - 1
                 out[i], out[i + 1] = out[i + 1], out[i]
         else:
             i = int(v * d)
-            if i > last:
-                i = last
             if u < 0.75:
                 x = 1.0 - out[i]
                 if x < 0.0:
@@ -162,8 +142,8 @@ def blend(
 
     Each position independently becomes a fresh uniform draw with
     probability ``mutation_prob``; otherwise it inherits from ``a``
-    with probability ``inherit_prob`` and from ``b`` (mirrored when
-    ``factor`` is -1) with the remaining probability.
+    with probability ``inherit_prob`` and from ``b`` with the remaining
+    probability.
 
     ``a`` and ``b`` are two vectors, or two ``(k, d)`` stacks of
     parents that give one child per row.  The inheritance and mutation
@@ -174,8 +154,7 @@ def blend(
     if a.shape != b.shape:
         raise ValueError(f"parent shapes differ: {a.shape} vs {b.shape}")
     shape = a.shape
-    base = b if config.factor == 1 else (1.0 - b).clip(0.0, KEY_MAX)
-    out = np.where(rng.random(shape) < config.inherit_prob, a, base)
+    out = np.where(rng.random(shape) < config.inherit_prob, a, b)
     mutate = rng.random(shape) < config.mutation_prob
     if mutate.any():
         fresh = rng.random(shape)

@@ -24,6 +24,9 @@ Nelder-Mead's blocks draw nothing.
 ILS and VNS run one loop, a ladder of shake strengths of which ILS has
 a single rung: shake, descend with ``yield from rvnd``, keep if better.
 
+Each kind's ``label``, which names its decodes in a run's report, is
+fixed: a class constant ("brkga", "sa", "ils", "vns"), not a field.
+
 The searchers call the key operators and the descent by this module's
 names ``shake``, ``blend`` and ``rvnd``, so a wrapper installed here
 sees every call.  Each operator draws its randomness in a few block
@@ -34,12 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Generator, Optional, Union
+from typing import ClassVar, Generator, Optional, Union
 
 import numpy as np
 
 from .budget import EvaluatedSolution, is_count
-from .keys import BlendConfig, ShakeConfig, blend, new_random_vector, shake
+from .keys import BlendConfig, ShakeConfig, blend, shake
 from .localsearch import rvnd
 
 __all__ = ["BrkgaParams", "SaParams", "IlsParams", "VnsParams", "SearcherParams"]
@@ -74,7 +77,7 @@ class BrkgaParams:
     elite_fraction: float = 0.20
     mutant_fraction: float = 0.15
     inherit_bias: float = 0.70
-    label: str = "brkga"
+    label: ClassVar[str] = "brkga"
 
     def __post_init__(self) -> None:
         if not is_count(self.population_size) or self.population_size < 3:
@@ -128,7 +131,7 @@ class SaParams:
     moves_per_temperature: Optional[int] = None
     shake: ShakeConfig = field(default_factory=ShakeConfig)
     restart_floor: float = 1e-6
-    label: str = "sa"
+    label: ClassVar[str] = "sa"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.initial_acceptance < 1.0:
@@ -143,7 +146,7 @@ class SaParams:
 
     def search(self, dimension: int, rng: np.random.Generator) -> Search:
         moves = self.moves_per_temperature or dimension
-        current = yield new_random_vector(dimension, rng)
+        current = yield rng.random(dimension)
         best = current
 
         neighbours = np.stack([shake(current.keys, self.shake, rng) for _ in range(100)])
@@ -181,7 +184,7 @@ def _shaken_descents(
     """Shake the incumbent at ``configs[level]``, descend with RVND, and
     keep the result if it is better.  An improvement resets the level
     to 0; a failure advances it cyclically."""
-    current = yield new_random_vector(dimension, rng)
+    current = yield rng.random(dimension)
     level = 0
     while True:
         candidate = yield shake(current.keys, configs[level], rng)
@@ -202,7 +205,7 @@ class IlsParams:
     """
 
     shake: ShakeConfig = field(default_factory=ShakeConfig)
-    label: str = "ils"
+    label: ClassVar[str] = "ils"
 
     def search(self, dimension: int, rng: np.random.Generator) -> Search:
         return _shaken_descents([self.shake], dimension, rng)
@@ -218,7 +221,7 @@ class VnsParams:
     """
 
     beta_levels: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5)
-    label: str = "vns"
+    label: ClassVar[str] = "vns"
 
     def __post_init__(self) -> None:
         if not self.beta_levels:

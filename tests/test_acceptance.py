@@ -249,7 +249,7 @@ def test_c7_invariant_suites(bench_instance):
         out = shake(rng.random(d), cfg, rng)
         assert np.all(out >= 0.0) and np.all(out < 1.0)
         shake_cases += 1
-    bcfg = BlendConfig(inherit_prob=0.7, mutation_prob=0.05, factor=-1)
+    bcfg = BlendConfig(inherit_prob=0.7, mutation_prob=0.05)
     for _ in range(10_000):
         d = int(rng.integers(1, 12))
         out = blend(rng.random(d), rng.random(d), bcfg, rng)

@@ -1,15 +1,30 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from randomkeys import GenericMipInstance, generate_tdtsp_instance
+from randomkeys import (
+    BrkgaParams,
+    GenericMipInstance,
+    PortfolioDecoder,
+    PortfolioInstance,
+    RunBudget,
+    SaParams,
+    TdTspDecoder,
+    generate_tdtsp_instance,
+    run_ensemble,
+    ttt_curve,
+)
 from randomkeys.cli import main
-from randomkeys.instances import write_mip, write_tdtsp
+from randomkeys.instances import load_orlib_portfolio, load_tdtsp, write_mip, write_tdtsp
 
-DATA_TDTSP = Path(__file__).resolve().parent.parent / "data" / "tdtsp_n6_h2.json"
+ROOT = Path(__file__).resolve().parent.parent
+DATA_TDTSP = ROOT / "data" / "tdtsp_n6_h2.json"
 
 
 @pytest.fixture()
@@ -475,3 +490,109 @@ def test_out_of_range_instance_flag_exits_2(command, flag, value, tmp_path, caps
     assert f"argument {flag}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Run flags away from their defaults, so that a command that dropped one
+# on the way to run_ensemble would write other bytes.
+SEED_FLAGS = ["--searchers", "sa,brkga", "--decoder-calls", "400",
+              "--pool-size", "7", "--quantum", "3", "--deterministic"]
+
+
+def library_reports(decoder, seeds, target=None):
+    """Reports of direct run_ensemble calls at seeds 1..seeds under
+    ``SEED_FLAGS``."""
+    searchers = [SaParams(), BrkgaParams()]
+    return [
+        run_ensemble(decoder, searchers, RunBudget(decoder_calls=400), seed,
+                     pool_capacity=7, deterministic=True, quantum=3,
+                     target_cost=target)
+        for seed in range(1, seeds + 1)
+    ]
+
+
+def csv_text(header, rows):
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+def test_cli_seeds_are_the_library_seeds(tmp_path):
+    # Twelve customers keep the runs improving late enough that the
+    # quantum and the initial fill size show in every CSV below.
+    instance = tmp_path / "n12.json"
+    write_tdtsp(generate_tdtsp_instance(12, 3, seed=5), instance)
+    decoder = TdTspDecoder(load_tdtsp(instance))
+
+    assert main(["solve", "--instance", str(instance), "--kind", "tdtsp",
+                 "--seeds", "3", "--target-cost", "45", *SEED_FLAGS,
+                 "--out", str(tmp_path / "solve")]) == 0
+    runs = [[str(r.seed), f"{r.best_cost:.6f}", f"{r.time_to_best:.6f}",
+             str(r.decoder_calls), r.searcher]
+            for r in library_reports(decoder, 3, target=45.0)]
+    assert (tmp_path / "solve_runs.csv").read_text() == csv_text(
+        ["seed", "best_cost", "time_to_best", "decoder_calls", "searcher"], runs)
+
+    # Some runs reach the target and some are censored.
+    assert main(["ttt", "--instance", str(instance), "--kind", "tdtsp",
+                 "--reference", "45", "--target-percent", "0", "--repetitions", "6",
+                 *SEED_FLAGS, "--out", str(tmp_path / "ttt.csv")]) == 0
+    curve = ttt_curve([r.time_to_best if r.best_cost <= 45.0 else None
+                       for r in library_reports(decoder, 6, target=45.0)],
+                      target=45.0, limit=400.0)
+    assert 0 < curve.n_censored < 6
+    ranked = [[str(i + 1), f"{t:.6f}", f"{p:.6f}", "0"]
+              for i, (t, p) in enumerate(curve.points())]
+    censored = [[str(len(ranked) + k + 1), "400.000000", "", "1"]
+                for k in range(curve.n_censored)]
+    assert (tmp_path / "ttt.csv").read_text() == csv_text(
+        ["rank", "time_s", "prob", "censored"], ranked + censored)
+
+    port = tmp_path / "port.txt"
+    port.write_text(
+        "3\n"
+        "0.0013 0.0432\n0.0042 0.0403\n0.0015 0.0413\n"
+        "1 1 1.0\n1 2 0.56\n1 3 0.75\n2 2 1.0\n2 3 0.58\n3 3 1.0\n"
+    )
+    assert main(["frontier", "--instance", str(port), "--lambdas", "0.3,0.7",
+                 "--cardinality", "2", "--seeds", "3", *SEED_FLAGS,
+                 "--out", str(tmp_path / "front.csv")]) == 0
+    means, covariance = load_orlib_portfolio(port)
+    front = []
+    for lam in (0.3, 0.7):
+        decoder = PortfolioDecoder(PortfolioInstance(
+            means=means, covariance=covariance, cardinality=2,
+            risk_aversion=lam, lower=0.0, upper=1.0,
+        ))
+        reports = library_reports(decoder, 3)
+        best = reports[0]
+        for report in reports[1:]:  # the first of the lowest
+            if report.best_cost < best.best_cost:
+                best = report
+        decoded = decoder.decode(best.best_keys)
+        front.append([f"{lam:.6f}", f"{decoded.risk:.6f}",
+                      f"{decoded.mean_return:.6f}", f"{decoded.cost:.6f}"])
+    assert (tmp_path / "front.csv").read_text() == csv_text(
+        ["lambda", "risk", "return", "cost"], front)
+
+
+def test_deterministic_output_is_the_same_in_every_process(tmp_path):
+    # --deterministic promises byte-identical output; hash randomization
+    # differs between these two processes and must change nothing.
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+        for argv in (
+            ["solve", "--kind", "tdtsp", "--seeds", "3", "--decoder-calls", "2000",
+             "--out", str(out / "solve")],
+            ["ttt", "--kind", "tdtsp", "--reference", "18", "--target-percent", "0",
+             "--repetitions", "6", "--decoder-calls", "150", "--out", str(out / "ttt.csv")],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "randomkeys", *argv, "--instance", str(DATA_TDTSP),
+                 "--deterministic"],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("solve.json", "solve_runs.csv", "ttt.csv")])
+    assert outputs[0] == outputs[1]

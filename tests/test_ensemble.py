@@ -120,11 +120,21 @@ def test_duplicate_searchers_get_distinct_labels():
     assert report.searcher in ("init", "sa-1", "sa-2")
 
 
+@dataclass(frozen=True)
+class Labelled:
+    """Searcher parameters with any label, whose search is ILS's."""
+
+    label: str
+
+    def search(self, dimension, rng):
+        return IlsParams().search(dimension, rng)
+
+
 @pytest.mark.parametrize(
     "searchers",
     [
-        [SaParams(), SaParams(), SaParams(label="sa-1")],
-        [SaParams(label="init")],
+        [SaParams(), SaParams(), Labelled("sa-1")],
+        [Labelled("init")],
     ],
     ids=["numbered-label-taken", "init"],
 )

@@ -9,19 +9,9 @@ from randomkeys import (
     ShakeConfig,
     blend,
     key_distance,
-    new_random_vector,
     shake,
 )
 from randomkeys.localsearch import _in_box
-
-
-def test_new_random_vector_range_and_determinism():
-    rng = np.random.default_rng(7)
-    v = new_random_vector(50, rng)
-    assert v.shape == (50,)
-    assert np.all(v >= 0.0) and np.all(v < 1.0)
-    again = new_random_vector(50, np.random.default_rng(7))
-    assert np.array_equal(v, again)
 
 
 def test_shake_config_validation():
@@ -62,20 +52,11 @@ def test_blend_inherit_extremes():
     assert np.array_equal(all_b, b)
 
 
-def test_blend_mirror_factor():
-    rng = np.random.default_rng(12)
-    a = rng.random(30)
-    b = rng.random(30)
-    cfg = BlendConfig(inherit_prob=0.0, mutation_prob=0.0, factor=-1)
-    out = blend(a, b, cfg, rng)
-    assert np.allclose(out, np.minimum(1.0 - b, KEY_MAX))
-
-
-def test_blend_factor_validation():
-    with pytest.raises(ValueError):
-        BlendConfig(factor=2)
+def test_blend_config_validation():
     with pytest.raises(ValueError):
         BlendConfig(inherit_prob=1.2)
+    with pytest.raises(ValueError):
+        BlendConfig(mutation_prob=-0.1)
 
 
 def test_blend_mutation_only_is_fresh_uniform():
@@ -114,12 +95,6 @@ def test_clamps_match_np_clip_byte_for_byte():
     expected = np.clip(EDGE_KEYS, 0.0, KEY_MAX).tobytes()
     assert np.signbit(np.clip(EDGE_KEYS, 0.0, KEY_MAX)[0])  # np.clip keeps -0.0
     assert _in_box(EDGE_KEYS).tobytes() == expected
-    b = np.concatenate([EDGE_KEYS, 1.0 - EDGE_KEYS])
-    mirrored = blend(
-        np.full_like(b, 0.5), b, BlendConfig(inherit_prob=0.0, factor=-1),
-        np.random.default_rng(1),
-    )
-    assert mirrored.tobytes() == np.clip(1.0 - b, 0.0, KEY_MAX).tobytes()
 
 
 def reference_shake(keys, config, rng):
@@ -242,11 +217,20 @@ def test_shake_edge_uniforms_map_to_valid_indices(d, edge):
     assert np.array_equal(overwrite, expected)
 
 
+def test_shake_index_needs_no_clamp():
+    # shake takes int(v * n) as an index into n positions, with no
+    # clamp: for the largest uniform below 1 it is still n - 1.
+    u = np.nextafter(1.0, 0.0)
+    n = np.arange(1, 2**20 + 1, dtype=float)
+    assert np.array_equal(np.floor(u * n), n - 1)
+
+
 def reference_block_shake(keys, config, rng):
     """The block-drawn shake in its plainest form: the same two draws
-    as ``shake``, each kind picked by ``int(u * 4.0)`` and each clamp a
-    ``min``/``max`` call.  ``shake`` must return its bytes and leave
-    the generator where it leaves it."""
+    as ``shake``, each kind picked by ``int(u * 4.0)``, each index and
+    value clamp a ``min``/``max`` call.  ``shake``, which clamps no
+    index, must return its bytes and leave the generator where it
+    leaves it."""
     out = np.asarray(keys, dtype=float).tolist()
     d = len(out)
     beta = config.beta_min + (config.beta_max - config.beta_min) * rng.random()
@@ -356,8 +340,8 @@ def test_shake_takes_what_asarray_takes():
 
 @pytest.mark.parametrize(
     "config",
-    [BlendConfig(), BlendConfig(inherit_prob=0.4, mutation_prob=0.3, factor=-1)],
-    ids=["default", "mirror-mutate"],
+    [BlendConfig(), BlendConfig(inherit_prob=0.4, mutation_prob=0.3)],
+    ids=["default", "mutate"],
 )
 def test_blend_single_row_stack_gives_the_vector_call_bytes(config):
     parents = np.random.default_rng(30).random((2, 50))
@@ -371,9 +355,9 @@ def test_blend_stacked_parents_stay_in_the_key_box():
     rng = np.random.default_rng(32)
     a = rng.random((85, 50))
     b = rng.random((85, 50))
-    b[:, :5] = 0.0  # mirrored to 1.0, which must be clamped
+    b[:, :5] = 0.0  # both ends of the key box
     b[:, 5:10] = KEY_MAX
-    config = BlendConfig(inherit_prob=0.3, mutation_prob=0.2, factor=-1)
+    config = BlendConfig(inherit_prob=0.3, mutation_prob=0.2)
     out = blend(a, b, config, rng)
     assert out.shape == (85, 50)
     assert np.all(out >= 0.0) and np.all(out <= KEY_MAX)
