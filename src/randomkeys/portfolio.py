@@ -151,6 +151,9 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
     A negative weight key, or a sum that is not finite, takes the full
     penalty path.
     """
+    k = instance.cardinality
+    if keys.shape != (2 * k,):
+        raise ValueError(f"expected {2 * k} keys, got shape {keys.shape}")
     assets, weights, risk, mean_return, objective, penalty, cost = _decode(
         instance, keys
     )

@@ -14,17 +14,23 @@ is penalized by 1000 * horizon on top of its travel cost.
 
 The rule lives in two places on purpose: the row-vectorised kernel
 ``_simulate``, which :func:`decode_tdtsp` runs on one row and
-:func:`brute_force_tdtsp` on permutation chunks, and the scalar
-:meth:`TdTspDecoder.cost`, the plain-Python fast path charged on every
-decode of a run.  The tests hold the two independent versions equal
-bit for bit.
+:func:`brute_force_tdtsp` on blocks of a lexicographic permutation
+table, and the scalar :meth:`TdTspDecoder.cost`, the plain-Python fast
+path charged on every decode of a run.  The tests hold the two
+independent versions equal bit for bit.
+
+The kernel does not divide.  Slot k starts at the smallest float clock
+that floor division by ``interval_length`` puts in slot k or later;
+the instance caches these H starts, and the kernel finds each clock's
+slot by binary search among them, so the slot rule also lives in the
+starts.  The scalar loop keeps its own edges and its floor division.
 
 The fast path reads nested lists indexed by customer, cached on the
 instance, and keeps the travel row of the customer it stands at.  The
 rounded product ``k * interval_length`` lies at or below the smallest
 clock that floor division puts in slot k, so a clock below it is still
 in the current slot; only a clock that reaches it has its slot looked
-up by floor division, as ``_simulate`` does.  Each arc costs three list
+up, by floor division.  Each arc costs three list
 reads, two additions and one comparison, and every clock and cost keeps
 the bits of ``_simulate``'s.
 
@@ -42,7 +48,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -166,6 +172,34 @@ class TdTspInstance:
             edges=[k * self.interval_length for k in range(1, self.n_intervals)] + [math.inf],
         )
 
+    @cached_property
+    def _slot_starts(self) -> np.ndarray:
+        """Read-only array of the H slot starts: entry k - 1 is the
+        smallest float clock that floor division puts in slot k or
+        later, for k = 1..H."""
+        starts = np.array(
+            [_slot_start(k, self.interval_length) for k in range(1, self.n_intervals + 1)]
+        )
+        starts.setflags(write=False)
+        return starts
+
+
+def _slot_start(k: int, interval_length: float) -> float:
+    """The smallest float ``c`` with ``c // interval_length >= k``.
+
+    Floor division of non-negative floats gives the floor of their
+    exact quotient (below 2**51, far above any slot count), so it never
+    decreases as the clock grows, and every clock from the start on is
+    in slot k or later.  The rounded product ``k * interval_length``
+    lies within an ulp or so of the start; stepping float by float from
+    it finds the start."""
+    start = k * interval_length
+    while start // interval_length < k:
+        start = math.nextafter(start, math.inf)
+    while math.nextafter(start, -math.inf) // interval_length >= k:
+        start = math.nextafter(start, -math.inf)
+    return start
+
 
 @dataclass(frozen=True)
 class TdTspSolution:
@@ -201,31 +235,41 @@ def _simulate(
     is late, and the travel time plus the late penalty.  Times are
     finite and non-negative, so the clock never runs back: a route past
     the last slot stays past it, and no frozen slot needs keeping.
+
+    A clock's slot is the number of the instance's first H - 1 slot
+    starts at or below it, one binary search per step; that is floor
+    division capped at H - 1, bit for bit, without dividing.  A route
+    is late when its clock reaches the H-th start before the return
+    leg, or when the return leg ends at or past the horizon.  Legs are
+    read with one ``take`` from the flattened travel array.  The oracle
+    calls the kernel on at most 8! = 40,320 rows at a time.
     """
     rows, n = orders.shape
-    big_h = instance.n_intervals
-    t_bar = instance.interval_length
+    nodes = n + 2
     horizon = instance.horizon
-    travel = instance.travel
+    flat = instance.travel.ravel()
     service = instance.service
+    starts = instance._slot_starts
+    inner = starts[:-1]
     slots = np.empty((n + 1, rows), dtype=np.int64)
     times = np.empty((n + 1, rows))
     now = np.zeros(rows)
     travel_cost = np.zeros(rows)
     current = np.zeros(rows, dtype=np.int64)
     for step in range(n):
-        slots[step] = np.minimum(now // t_bar, big_h - 1)
+        slot = inner.searchsorted(now, side="right")
+        slots[step] = slot
         nxt = orders[:, step]
-        leg = travel[slots[step], current, nxt]
+        leg = flat.take((slot * nodes + current) * nodes + nxt)
         now += leg + service[nxt]
         travel_cost += leg
         times[step] = now
         current = nxt
-    ahead = now // t_bar
-    slots[n] = np.minimum(ahead, big_h - 1)
-    late = (ahead >= big_h) | (now + travel[slots[n], current, 0] >= horizon)
-    slots[n][late] = big_h - 1
-    leg = travel[slots[n], current, 0]
+    slot = inner.searchsorted(now, side="right")
+    late = (now >= starts[-1]) | (now + flat.take((slot * nodes + current) * nodes) >= horizon)
+    slot[late] = instance.n_intervals - 1
+    slots[n] = slot
+    leg = flat.take((slot * nodes + current) * nodes)
     times[n] = now + leg
     travel_cost += leg
     cost = travel_cost + np.where(late, horizon * LATE_PENALTY_FACTOR, 0.0)
@@ -235,8 +279,8 @@ def _simulate(
 def decode_tdtsp(instance: TdTspInstance, keys: np.ndarray) -> TdTspSolution:
     """Simulate the route encoded by ``keys`` and assemble the solution."""
     n = instance.n_customers
-    if keys.shape[0] != n:
-        raise ValueError(f"expected {n} keys, got {keys.shape[0]}")
+    if keys.shape != (n,):
+        raise ValueError(f"expected {n} keys, got shape {keys.shape}")
     order = keys.argsort(kind="stable") + 1
     slots, times, travel_cost, late, cost = _simulate(instance, order[None])
     arrival = np.zeros(n + 2)
@@ -477,14 +521,39 @@ class TdTspDecoder:
 
 
 _PERMUTATION_GUARD = 10
-# Visiting orders simulated per kernel call.
-_PERMUTATION_CHUNK = 200_000
+# Orders of at most this many customers come from one permutation table.
+_TABLE_SIZE = 8
+
+
+@cache
+def _permutation_table(k: int) -> np.ndarray:
+    """Read-only (k!, k) array of the permutations of ``range(k)`` in
+    lexicographic order.  The rows that start with ``first`` are the
+    table for k - 1, each entry at or above ``first`` raised by one.
+    The oracle asks for k <= 8 only, so the cache holds at most nine
+    tables, about 3 MB."""
+    if k == 0:
+        table = np.zeros((1, 0), dtype=np.int64)
+    else:
+        below = _permutation_table(k - 1)
+        table = np.empty((k * len(below), k), dtype=np.int64)
+        table[:, 0] = np.arange(k).repeat(len(below))
+        rest = table[:, 1:]
+        rest[:] = np.tile(below, (k, 1))
+        rest += rest >= table[:, :1]
+    table.setflags(write=False)
+    return table
 
 
 def brute_force_tdtsp(instance: TdTspInstance) -> tuple[float, tuple[int, ...]]:
     """Exact optimum by enumerating all n! visiting orders.
 
-    Simulates permutation chunks in the route kernel; refuses
+    The orders come in lexicographic order, at most 8! = 40,320 of them
+    per call of the route kernel: each lexicographic prefix of the
+    first n - 8 customers (none when n <= 8) followed by the cached
+    permutation table of the remaining ones, mapped onto them in
+    ascending order.  The first of the lowest costs wins, so among tied
+    routes the lexicographically smallest order is returned.  Refuses
     instances with more than 10 customers.  Returns (cost, visiting
     order).
     """
@@ -493,12 +562,15 @@ def brute_force_tdtsp(instance: TdTspInstance) -> tuple[float, tuple[int, ...]]:
         raise OracleGuardError(
             f"{n} customers means {math.factorial(n)} routes, above the guard"
         )
+    k = min(n, _TABLE_SIZE)
+    table = _permutation_table(k)
+    customers = range(1, n + 1)
+    perms = np.empty((len(table), n), dtype=np.int64)
     best_cost = math.inf
     best_order: tuple[int, ...] = ()
-    source = itertools.permutations(range(1, n + 1))
-    for _ in range(0, math.factorial(n), _PERMUTATION_CHUNK):
-        block = itertools.chain.from_iterable(itertools.islice(source, _PERMUTATION_CHUNK))
-        perms = np.fromiter(block, dtype=np.int64).reshape(-1, n)
+    for prefix in itertools.permutations(customers, n - k):
+        perms[:, : n - k] = prefix
+        perms[:, n - k :] = np.array([c for c in customers if c not in prefix])[table]
         cost = _simulate(instance, perms)[4]
         pos = int(np.argmin(cost))
         if cost[pos] < best_cost:

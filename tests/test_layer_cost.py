@@ -37,6 +37,8 @@ def test_layer_cost_prints_every_figure():
         "nelder_mead.decodes_d20",
         "nelder_mead.decodes_d50",
         "nelder_mead.decodes_tdtsp50",
+        "tdtsp.oracle.ms_n6",
+        "tdtsp.oracle.ms_n8",
         "host_factor",
     }
     assert all(value > 0 for value in rows.values())

@@ -92,6 +92,13 @@ def test_check_portfolio_passes_clean_solutions():
     assert verdict.families == {"cardinality": True, "budget": True, "bounds": True}
 
 
+def test_decode_refuses_keys_of_another_shape(ten_asset_instance):
+    keys = np.array([0.81, 0.32, 0.54, 0.29, 0.15, 0.91])
+    for wrong in (keys[:, None], np.array(0.5), keys[:5]):
+        with pytest.raises(ValueError, match=r"expected 6 keys, got shape"):
+            decode_portfolio(ten_asset_instance, wrong)
+
+
 def test_instance_validation():
     means = np.array([0.01, 0.02])
     cov = np.eye(2)

@@ -22,7 +22,7 @@ from randomkeys import (
     run_ensemble,
     travel_time_lower_bound,
 )
-from randomkeys.tdtsp import _simulate
+from randomkeys.tdtsp import LATE_PENALTY_FACTOR, _simulate, _slot_start
 from conftest import BENCH_KEYS
 
 
@@ -216,6 +216,94 @@ def test_route_kernel_equals_cost_on_every_row():
     assert edge_clocks == {"on an edge", "an ulp below"}
 
 
+def reference_simulate(instance, orders):
+    """The route kernel with slots by floor division capped at H - 1 and
+    legs by a 3-D fancy index: the reference whose bytes ``_simulate``
+    must give."""
+    rows, n = orders.shape
+    big_h = instance.n_intervals
+    t_bar = instance.interval_length
+    horizon = instance.horizon
+    travel = instance.travel
+    service = instance.service
+    slots = np.empty((n + 1, rows), dtype=np.int64)
+    times = np.empty((n + 1, rows))
+    now = np.zeros(rows)
+    travel_cost = np.zeros(rows)
+    current = np.zeros(rows, dtype=np.int64)
+    for step in range(n):
+        slots[step] = np.minimum(now // t_bar, big_h - 1)
+        nxt = orders[:, step]
+        leg = travel[slots[step], current, nxt]
+        now += leg + service[nxt]
+        travel_cost += leg
+        times[step] = now
+        current = nxt
+    ahead = now // t_bar
+    slots[n] = np.minimum(ahead, big_h - 1)
+    late = (ahead >= big_h) | (now + travel[slots[n], current, 0] >= horizon)
+    slots[n][late] = big_h - 1
+    leg = travel[slots[n], current, 0]
+    times[n] = now + leg
+    travel_cost += leg
+    cost = travel_cost + np.where(late, horizon * LATE_PENALTY_FACTOR, 0.0)
+    return slots, times, travel_cost, late, cost
+
+
+def test_route_kernel_gives_the_floor_division_reference_bytes():
+    # The case mix of test_route_kernel_equals_cost_on_every_row: every
+    # output of the kernel, not only the cost, keeps the reference's
+    # bytes, also for clocks exactly on a slot start or one ulp below.
+    rng = np.random.default_rng(62)
+    late = set()
+    clocks = set()
+    for case in range(160):
+        if case < 80:
+            n, h = int(rng.integers(1, 61)), int(rng.integers(1, 8))
+            service = generate_tdtsp_instance(n, h, seed=case).service.sum()
+            horizon = service + rng.uniform(0.0, 1.5) * 6.5 * (n + 1)
+            instance = generate_tdtsp_instance(n, h, seed=case, horizon=horizon)
+        else:
+            n, h = int(rng.integers(1, 61)), int(rng.integers(1, 41))
+            instance = tenths_instance(n, h, case, rng)
+        block = rng.random((1 if case % 4 == 0 else int(rng.integers(2, 90)), n))
+        block[1::2] = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=block[1::2].shape)
+        orders = block.argsort(axis=1, kind="stable") + 1
+        got = _simulate(instance, orders)
+        want = reference_simulate(instance, orders)
+        for name, a, b in zip(("slots", "times", "travel_cost", "late", "cost"), got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        late.update(want[3].tolist())
+        starts = instance._slot_starts.tolist()
+        below = {math.nextafter(start, -math.inf) for start in starts}
+        departures = set(want[1][:n].ravel().tolist())
+        if departures & set(starts):
+            clocks.add("on a start")
+        if departures & below:
+            clocks.add("an ulp below")
+    assert late == {False, True}
+    assert clocks == {"on a start", "an ulp below"}
+
+
+def test_slot_start_is_the_first_clock_of_its_slot():
+    rng = np.random.default_rng(67)
+    for _ in range(50_000):
+        t_bar = float(10.0 ** rng.uniform(-3.0, 5.0))
+        k = int(rng.integers(1, 10_001))
+        start = _slot_start(k, t_bar)
+        assert start // t_bar >= k > math.nextafter(start, -math.inf) // t_bar
+    for t_bar in (0.1, 0.3, 0.7, 1.1, 54_000.0 / 7):
+        for k in range(1, 1000):
+            start = _slot_start(k, t_bar)
+            assert start // t_bar >= k > math.nextafter(start, -math.inf) // t_bar
+    instance = tenths_instance(3, 40, 68, rng)
+    starts = instance._slot_starts
+    assert starts.tolist() == [_slot_start(k, 0.3) for k in range(1, 41)]
+    with pytest.raises(ValueError):
+        starts[0] = 0.0
+
+
 def test_the_float_below_a_slot_edge_lies_in_an_earlier_slot():
     # The scalar route loop looks its slot up again only once the clock
     # reaches the float k * interval_length; every clock below it must
@@ -389,10 +477,73 @@ def test_brute_force_agrees_with_exhaustive_decoding():
     assert brute_force_tdtsp(late)[0] > late.horizon * 1000.0
 
 
+def reference_brute_force(instance):
+    """The oracle by itertools permutations in chunks of 200,000, read
+    with ``np.fromiter`` and simulated by the reference kernel: the
+    reference whose optimum and order ``brute_force_tdtsp`` must give."""
+    n = instance.n_customers
+    chunk = 200_000
+    best_cost = math.inf
+    best_order = ()
+    source = itertools.permutations(range(1, n + 1))
+    for _ in range(0, math.factorial(n), chunk):
+        block = itertools.chain.from_iterable(itertools.islice(source, chunk))
+        perms = np.fromiter(block, dtype=np.int64).reshape(-1, n)
+        cost = reference_simulate(instance, perms)[4]
+        pos = int(np.argmin(cost))
+        if cost[pos] < best_cost:
+            best_cost = float(cost[pos])
+            best_order = tuple(perms[pos].tolist())
+    return best_cost, best_order
+
+
+def tied_instance(n):
+    """Unit travel, equal service and a long horizon: every route costs n + 1."""
+    travel = np.ones((2, n + 2, n + 2))
+    service = np.zeros(n + 2)
+    service[1 : n + 1] = 3.0
+    return TdTspInstance(
+        n_customers=n, n_intervals=2, interval_length=10.0 * n,
+        service=service, travel=travel, seed=None,
+    )
+
+
+def test_brute_force_gives_the_reference_optimum():
+    # Generated, tight and all-late generated, and tenths instances at
+    # n = 1..8, one table call each; one n = 9 instance, which runs the
+    # prefix loop; and ties, where both pick the first order.
+    rng = np.random.default_rng(69)
+    late = set()
+    cases = []
+    for n in range(1, 9):
+        h = int(rng.integers(1, 6))
+        service = generate_tdtsp_instance(n, h, seed=n).service.sum()
+        cases += [
+            generate_tdtsp_instance(n, h, seed=n),
+            generate_tdtsp_instance(n, h, seed=n, horizon=service + 4.0 * (n + 1)),
+            generate_tdtsp_instance(n, h, seed=n, horizon=0.9 * service),
+            tenths_instance(n, int(rng.integers(1, 41)), 70 + n, rng),
+        ]
+    cases += [generate_tdtsp_instance(9, 3, seed=71), tied_instance(4), tied_instance(9)]
+    for instance in cases:
+        opt = brute_force_tdtsp(instance)
+        assert opt == reference_brute_force(instance)
+        late.add(opt[0] >= instance.horizon * LATE_PENALTY_FACTOR)
+    assert late == {False, True}
+    for n in (4, 9):
+        assert brute_force_tdtsp(tied_instance(n)) == (n + 1.0, tuple(range(1, n + 1)))
+
+
 def test_brute_force_guard():
     inst = generate_tdtsp_instance(11, 2, seed=62)
     with pytest.raises(OracleGuardError):
         brute_force_tdtsp(inst)
+
+
+def test_decode_refuses_keys_of_another_shape(bench_instance):
+    for keys in (BENCH_KEYS[:, None], np.array(0.5), BENCH_KEYS[:5]):
+        with pytest.raises(ValueError, match=r"expected 6 keys, got shape"):
+            decode_tdtsp(bench_instance, keys)
 
 
 def test_generator_shapes_and_reproducibility():

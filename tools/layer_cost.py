@@ -1,4 +1,4 @@
-"""Time the decoder, shake and Nelder-Mead layers of the ensemble workloads.
+"""Time the decoder, shake, Nelder-Mead and oracle layers of the ensemble workloads.
 
 Usage, from the root of a checkout:
 
@@ -23,6 +23,12 @@ Prints one JSON object:
 - ``nelder_mead.decodes_d20``, ``nelder_mead.decodes_d50`` and
   ``nelder_mead.decodes_tdtsp50``: the decodes those descents asked
   for, the same on every host;
+- ``tdtsp.oracle.ms_n6`` and ``tdtsp.oracle.ms_n8``: CPU milliseconds
+  per ``brute_force_tdtsp`` call on generated instances of 6 customers
+  and 3 slots, as in the benchmark's TTT set-up, and of 8 customers
+  and 5 slots; each call gets an instance generated afresh, outside the
+  timing, so no per-instance cache carries over between calls, while
+  what a process builds once is built in the untimed warm-up pass;
 - ``host_factor``: the median host-speed correction applied.
 
 A block ask, which Nelder-Mead makes for its initial simplex and for
@@ -60,6 +66,7 @@ from randomkeys import (  # noqa: E402
     PortfolioDecoder,
     ShakeConfig,
     TdTspDecoder,
+    brute_force_tdtsp,
     generate_tdtsp_instance,
     shake,
 )
@@ -105,10 +112,31 @@ def _descents_us(clock, rows, name, cost, starts, rng, repeats) -> None:
     rows[f"nelder_mead.decodes_{name}"] = decodes
 
 
+def _oracle_ms(clock: HostClock, n: int, slots: int, count: int, repeats: int) -> float:
+    """Median corrected milliseconds per ``brute_force_tdtsp`` call over
+    ``count`` fresh instances of seeds 1..count; one untimed warm-up
+    pass first."""
+
+    def fresh() -> list:
+        return [generate_tdtsp_instance(n, slots, seed) for seed in range(1, count + 1)]
+
+    def solve(instances: list) -> None:
+        for instance in instances:
+            brute_force_tdtsp(instance)
+
+    solve(fresh())
+    samples = []
+    for _ in range(repeats):
+        instances = fresh()
+        samples.append(clock.time(lambda: solve(instances))[1] / count)
+    return statistics.median(samples) * 1e3
+
+
 def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     """The figures the module docstring lists: ``calls`` portfolio
-    decodes, ``calls`` shakes per shake row and ``descents`` descents per
-    Nelder-Mead row, per repeat."""
+    decodes, ``calls`` shakes per shake row, ``descents`` descents per
+    Nelder-Mead row, and ``calls // 100`` oracle calls at 6 customers
+    and ``calls // 1000`` at 8 (at least one each), per repeat."""
     clock = HostClock()
     rng = np.random.default_rng(1)
     rows: dict[str, float] = {}
@@ -144,6 +172,9 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     route = TdTspDecoder(generate_tdtsp_instance(50, 5, 1))
     starts = [EvaluatedSolution(x, route.cost(x)) for x in rng.random((descents, 50))]
     _descents_us(clock, rows, "tdtsp50", route.cost, starts, rng, repeats)
+
+    rows["tdtsp.oracle.ms_n6"] = _oracle_ms(clock, 6, 3, max(1, calls // 100), repeats)
+    rows["tdtsp.oracle.ms_n8"] = _oracle_ms(clock, 8, 5, max(1, calls // 1000), repeats)
 
     rows["host_factor"] = clock.median_factor()
     return rows
