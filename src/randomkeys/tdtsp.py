@@ -30,9 +30,17 @@ instance, and keeps the travel row of the customer it stands at.  The
 rounded product ``k * interval_length`` lies at or below the smallest
 clock that floor division puts in slot k, so a clock below it is still
 in the current slot; only a clock that reaches it has its slot looked
-up, by floor division.  Each arc costs three list
-reads, two additions and one comparison, and every clock and cost keeps
-the bits of ``_simulate``'s.
+up, by floor division.  It has two loops, chosen once per instance
+from the data.  An instance is exact when every travel and service
+time is an integer and ``(n + 1) * max travel + total service`` is
+below 2**53; every clock of its routes is then an integer that a float
+holds exactly.  Its legs carry the service time of the customer they
+reach, so the exact loop keeps only the clock, at one list read, one
+addition and one comparison per arc, and takes the travel time as the
+final clock minus the total service time.  Any other instance runs
+the float loop, which sums the clock and the travel time apart, at
+three list reads, two additions and one comparison per arc.  Every
+clock and cost of either loop keeps the bits of ``_simulate``'s.
 
 Many key vectors map to one visiting order, and the searchers often
 ask for a vector whose order is the one just decoded (a Nelder-Mead
@@ -74,15 +82,22 @@ LATE_PENALTY_FACTOR = 1000.0
 
 class _RouteTables(NamedTuple):
     """An instance's travel and service times as nested Python lists,
-    indexed by 0-based customer, for the scalar route loop of
+    indexed by 0-based customer, for the scalar route loops of
     :meth:`TdTspDecoder.cost`; lists index several times faster than
-    numpy scalars there."""
+    numpy scalars there.
+
+    On an exact instance (see :meth:`TdTspInstance._route_tables`) each
+    leg into a customer already holds that customer's service time,
+    and ``service_total`` holds their sum in place of the list; on any
+    other instance the legs are bare and ``service_total`` is None.
+    """
 
     start: list  # start[c]: depot to customer c in slot 0
     out: list  # out[h][c][j]: customer c to customer j in slot h
     back: list  # back[h][c]: customer c to the terminal in slot h
-    service: list  # service[c]
+    service: Optional[list]  # service[c]; None on an exact instance
     edges: list  # edges[h]: (h + 1) * interval_length; inf for the last slot
+    service_total: Optional[float]  # the summed service times; None selects the float loop
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +178,28 @@ class TdTspInstance:
 
     @cached_property
     def _route_tables(self) -> _RouteTables:
+        """The lists of the scalar route loops, built once.  The
+        instance is exact when every travel and service time is an
+        integer and ``(n + 1) * max travel + total service`` is below
+        2**53, so that every clock of every route is an integer that a
+        float holds exactly; its legs then carry the service time of
+        the customer they reach."""
         n = self.n_customers
+        travel, service = self.travel, self.service
+        total = float(service.sum())
+        exact = (
+            np.array_equal(travel, np.rint(travel))
+            and np.array_equal(service, np.rint(service))
+            and (n + 1) * float(travel.max()) + total < 2.0**53
+        )
+        legs = travel + service if exact else travel
         return _RouteTables(
-            start=self.travel[0, 0, 1 : n + 1].tolist(),
-            out=self.travel[:, 1 : n + 1, 1 : n + 1].tolist(),
-            back=self.travel[:, 1 : n + 1, 0].tolist(),
-            service=self.service[1 : n + 1].tolist(),
+            start=legs[0, 0, 1 : n + 1].tolist(),
+            out=legs[:, 1 : n + 1, 1 : n + 1].tolist(),
+            back=travel[:, 1 : n + 1, 0].tolist(),
+            service=None if exact else service[1 : n + 1].tolist(),
             edges=[k * self.interval_length for k in range(1, self.n_intervals)] + [math.inf],
+            service_total=total if exact else None,
         )
 
     @cached_property
@@ -239,18 +269,20 @@ def _simulate(
     A clock's slot is the number of the instance's first H - 1 slot
     starts at or below it, one binary search per step; that is floor
     division capped at H - 1, bit for bit, without dividing.  A route
-    is late when its clock reaches the H-th start before the return
-    leg, or when the return leg ends at or past the horizon.  Legs are
-    read with one ``take`` from the flattened travel array.  The oracle
-    calls the kernel on at most 8! = 40,320 rows at a time.
+    is late when its return leg ends at or past the horizon.  That
+    covers a clock that reaches the H-th start before the return leg:
+    the start is the smallest float at or above the exact product
+    H * interval_length, so it is at or above the rounded horizon, and
+    no leg is negative.  Legs are read with one ``take`` from the
+    flattened travel array.  The oracle calls the kernel on at most
+    8! = 40,320 rows at a time.
     """
     rows, n = orders.shape
     nodes = n + 2
     horizon = instance.horizon
     flat = instance.travel.ravel()
     service = instance.service
-    starts = instance._slot_starts
-    inner = starts[:-1]
+    inner = instance._slot_starts[:-1]
     slots = np.empty((n + 1, rows), dtype=np.int64)
     times = np.empty((n + 1, rows))
     now = np.zeros(rows)
@@ -266,7 +298,7 @@ def _simulate(
         times[step] = now
         current = nxt
     slot = inner.searchsorted(now, side="right")
-    late = (now >= starts[-1]) | (now + flat.take((slot * nodes + current) * nodes) >= horizon)
+    late = now + flat.take((slot * nodes + current) * nodes) >= horizon
     slot[late] = instance.n_intervals - 1
     slots[n] = slot
     leg = flat.take((slot * nodes + current) * nodes)
@@ -454,9 +486,11 @@ class TdTspDecoder:
     ``cost`` is the scalar fast path: it simulates one route in plain
     Python, without numpy calls and without assembling arcs and flows,
     because it runs on every charged decode.  Per arc it reads the leg
-    from the current customer's travel row, adds it to the clock and
-    the cost, and compares the clock with the start of the next slot;
-    only a clock at or past that edge looks the slot up again.  It
+    from the current customer's travel row, adds it to the clock, and
+    compares the clock with the start of the next slot; only a clock at
+    or past that edge looks the slot up again.  On an instance that is
+    not exact (see the module docstring) it also adds the service time
+    to the clock and the leg to the travel time.  It
     remembers the last route it simulated, as the bytes of the stable
     argsort and the cost, and a vector with the same order costs one
     comparison; the pair is replaced in one assignment, so an order is
@@ -489,26 +523,51 @@ class TdTspDecoder:
         return cost
 
     def _route_cost(self, order: list) -> float:
+        """The penalized cost of visiting ``order``, 0-based customers.
+
+        On an exact instance the loop carries only the clock, as each
+        leg already holds the service time of the customer it reaches,
+        and the travel time is the clock minus the total service time.
+        That gives the float loop's bits: every clock is a sum of
+        integers below 2**53, so each partial sum is an integer that a
+        float holds exactly.  The clock therefore has the same value
+        after every arc as the float loop's ``now += leg + s[idx]``,
+        and every slot decision is the same.  Every customer is visited
+        once, so the clock is the exact sum of the legs plus the total
+        service time, and subtracting the total gives the float loop's
+        exact sum of the legs.  The return leg and the penalty are then
+        added to the same operands.
+        """
         inst = self.instance
         big_h = inst.n_intervals
         t_bar = inst.interval_length
-        cur, out, back, s, edges = inst._route_tables
+        cur, out, back, s, edges, service_total = inst._route_tables
         rows = out[0]
         edge = edges[0]
         now = 0.0
-        total = 0.0
-        for idx in order:
-            leg = cur[idx]
-            now += leg + s[idx]
-            total += leg
-            # Below the edge the slot has not changed (see the module
-            # docstring); at or past it, floor division decides the
-            # slot, as in _simulate.
-            if now >= edge:
-                slot = min(int(now // t_bar), big_h - 1)
-                rows = out[slot]
-                edge = edges[slot]
-            cur = rows[idx]
+        if service_total is None:
+            total = 0.0
+            for idx in order:
+                leg = cur[idx]
+                now += leg + s[idx]
+                total += leg
+                # Below the edge the slot has not changed (see the
+                # module docstring); at or past it, floor division
+                # decides the slot, as in _simulate.
+                if now >= edge:
+                    slot = min(int(now // t_bar), big_h - 1)
+                    rows = out[slot]
+                    edge = edges[slot]
+                cur = rows[idx]
+        else:
+            for idx in order:
+                now += cur[idx]
+                if now >= edge:
+                    slot = min(int(now // t_bar), big_h - 1)
+                    rows = out[slot]
+                    edge = edges[slot]
+                cur = rows[idx]
+            total = now - service_total
         slot = int(now // t_bar)
         if slot < big_h:
             leg = back[slot][idx]

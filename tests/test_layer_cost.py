@@ -37,6 +37,8 @@ def test_layer_cost_prints_every_figure():
         "nelder_mead.decodes_d20",
         "nelder_mead.decodes_d50",
         "nelder_mead.decodes_tdtsp50",
+        "tdtsp.cost.us_n50",
+        "tdtsp.cost.us_n50_tenths",
         "tdtsp.oracle.ms_n6",
         "tdtsp.oracle.ms_n8",
         "host_factor",

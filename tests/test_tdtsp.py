@@ -304,6 +304,177 @@ def test_slot_start_is_the_first_clock_of_its_slot():
         starts[0] = 0.0
 
 
+def test_last_slot_start_is_at_or_above_the_horizon():
+    # The kernel's late test is the return-leg test alone: a clock that
+    # reaches the H-th slot start is at or past the horizon already.
+    rng = np.random.default_rng(72)
+    t_bars = 10.0 ** rng.uniform(-3.0, 5.0, size=100_000)
+    counts = rng.integers(1, 10_001, size=100_000)
+    for t_bar, h in zip(t_bars.tolist(), counts.tolist()):
+        assert _slot_start(h, t_bar) >= h * t_bar
+    for h in (1, 3, 7, 40):
+        instance = tenths_instance(2, h, 73, rng)
+        assert instance._slot_starts[-1] >= instance.horizon
+
+
+def reference_route_costs(instance, orders):
+    """The scalar route loop with the clock and the travel time summed
+    apart, over lists built from the instance's arrays: the reference
+    whose bytes the exact loop must give.  ``orders`` hold 0-based
+    customers."""
+    n = instance.n_customers
+    big_h = instance.n_intervals
+    t_bar = instance.interval_length
+    start = instance.travel[0, 0, 1 : n + 1].tolist()
+    out = instance.travel[:, 1 : n + 1, 1 : n + 1].tolist()
+    back = instance.travel[:, 1 : n + 1, 0].tolist()
+    s = instance.service[1 : n + 1].tolist()
+    edges = [k * t_bar for k in range(1, big_h)] + [math.inf]
+
+    def reference_route_cost(order):
+        cur = start
+        rows = out[0]
+        edge = edges[0]
+        now = 0.0
+        total = 0.0
+        for idx in order:
+            leg = cur[idx]
+            now += leg + s[idx]
+            total += leg
+            if now >= edge:
+                slot = min(int(now // t_bar), big_h - 1)
+                rows = out[slot]
+                edge = edges[slot]
+            cur = rows[idx]
+        slot = int(now // t_bar)
+        if slot < big_h:
+            leg = back[slot][idx]
+            if now + leg < big_h * t_bar:
+                return total + leg
+        return total + back[big_h - 1][idx] + big_h * t_bar * LATE_PENALTY_FACTOR
+
+    return [reference_route_cost(order) for order in orders]
+
+
+def integer_slot_instance(n, h, seed, rng):
+    """A generated instance's integer travel times with service times of
+    1 to 5 and slots of 5 to 14 time units: integer clocks that often
+    land exactly on a slot edge."""
+    service = np.zeros(n + 2)
+    service[1 : n + 1] = rng.integers(1, 6, size=n)
+    return TdTspInstance(
+        n_customers=n, n_intervals=h, interval_length=float(rng.integers(5, 15)),
+        service=service, travel=generate_tdtsp_instance(n, h, seed=seed).travel, seed=None,
+    )
+
+
+def route_outcome(instance, keys):
+    sol = decode_tdtsp(instance, keys)
+    if not sol.penalized:
+        return "on time"
+    if sol.arrival[sol.order[-1]] >= instance.horizon:
+        return "late mid-route"
+    return "late on return"
+
+
+def test_exact_route_loop_gives_the_reference_bytes():
+    # Generated instances with horizons that split routes into on time,
+    # late mid-route and late on the return leg, tied keys, and integer
+    # instances with integral slots whose clocks land on slot edges:
+    # the exact loop returns the reference's bytes on every row.
+    rng = np.random.default_rng(74)
+    outcomes = set()
+    on_edge = 0
+    for case in range(120):
+        n, h = int(rng.integers(1, 61)), int(rng.integers(1, 8))
+        if case < 60:
+            service = generate_tdtsp_instance(n, h, seed=case).service.sum()
+            horizon = service + rng.uniform(0.0, 1.5) * 6.5 * (n + 1)
+            instance = generate_tdtsp_instance(n, h, seed=case, horizon=horizon)
+        else:
+            instance = integer_slot_instance(n, int(rng.integers(1, 41)), case, rng)
+        assert instance._route_tables.service_total is not None
+        decoder = TdTspDecoder(instance)
+        block = rng.random((int(rng.integers(1, 40)), n))
+        block[1::2] = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=block[1::2].shape)
+        got = [decoder.cost(row) for row in block]
+        want = reference_route_costs(instance, block.argsort(axis=1, kind="stable").tolist())
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        outcomes.update(route_outcome(instance, row) for row in block)
+        if case >= 60:
+            edges = {k * instance.interval_length for k in range(1, instance.n_intervals)}
+            on_edge += sum(
+                clock in edges
+                for row in block
+                for clock in decode_tdtsp(instance, row).arrival[1:-1].tolist()
+            )
+    assert outcomes == {"on time", "late mid-route", "late on return"}
+    assert on_edge > 0
+
+
+def bounded_instance(travel_max):
+    """Three customers with integer service times and one leg of
+    ``travel_max``, the largest travel time."""
+    base = generate_tdtsp_instance(3, 2, seed=75)
+    travel = base.travel.copy()
+    travel[:, 1, 2] = travel_max
+    return TdTspInstance(
+        n_customers=3, n_intervals=2, interval_length=base.interval_length,
+        service=base.service, travel=travel, seed=None,
+    )
+
+
+def test_route_loop_is_chosen_from_the_data(bench_instance):
+    # Integer data whose routes stay below 2**53 take the exact loop;
+    # one fractional service or travel time, or a travel time that
+    # breaks the bound, sends the instance to the float loop, whose
+    # costs are decode_tdtsp's.
+    rng = np.random.default_rng(76)
+    for instance in (
+        bench_instance,
+        generate_tdtsp_instance(6, 3, seed=77),
+        generate_tdtsp_instance(50, 5, seed=1),
+        tight_fifty_customer_instance(),
+    ):
+        assert instance._route_tables.service_total == instance.service.sum()
+        assert instance._route_tables.service is None
+    for h in (1, 5, 40):
+        assert tenths_instance(8, h, 78, rng)._route_tables.service_total is None
+
+    base = generate_tdtsp_instance(8, 3, seed=79)
+    half = base.service.copy()
+    half[4] = 0.5
+    halves = base.travel.copy()
+    halves[:, 2, 3] += 0.5
+    at_bound = (2**53 - 1 - bounded_instance(0.0).service.sum()) // 4
+    fractional = [
+        TdTspInstance(
+            n_customers=8, n_intervals=3, interval_length=base.interval_length,
+            service=half, travel=base.travel, seed=None,
+        ),
+        TdTspInstance(
+            n_customers=8, n_intervals=3, interval_length=base.interval_length,
+            service=base.service, travel=halves, seed=None,
+        ),
+        bounded_instance(float(at_bound + 1)),
+    ]
+    for instance in fractional:
+        tables = instance._route_tables
+        assert tables.service_total is None
+        assert tables.service == instance.service[1:-1].tolist()
+        decoder = TdTspDecoder(instance)
+        for keys in rng.random((200, instance.n_customers)):
+            assert decoder.cost(keys) == decode_tdtsp(instance, keys).cost
+
+    exact = bounded_instance(float(at_bound))
+    assert exact._route_tables.service_total is not None
+    orders = [list(order) for order in itertools.permutations(range(3))]
+    decoder = TdTspDecoder(exact)
+    got = [decoder.cost(keys_in_order(np.array(order))) for order in orders]
+    assert np.array(got).tobytes() == np.array(reference_route_costs(exact, orders)).tobytes()
+    assert max(got) > at_bound
+
+
 def test_the_float_below_a_slot_edge_lies_in_an_earlier_slot():
     # The scalar route loop looks its slot up again only once the clock
     # reaches the float k * interval_length; every clock below it must

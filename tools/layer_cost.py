@@ -23,6 +23,12 @@ Prints one JSON object:
 - ``nelder_mead.decodes_d20``, ``nelder_mead.decodes_d50`` and
   ``nelder_mead.decodes_tdtsp50``: the decodes those descents asked
   for, the same on every host;
+- ``tdtsp.cost.us_n50``: CPU microseconds per ``TdTspDecoder.cost``
+  call on a fixed set of key vectors, each of a new visiting order, on
+  the benchmark's 50-customer, 5-interval TD-TSP instance, whose
+  integer times take the exact route loop;
+- ``tdtsp.cost.us_n50_tenths``: the same on that instance with 0.1
+  added to every travel time, which takes the float route loop;
 - ``tdtsp.oracle.ms_n6`` and ``tdtsp.oracle.ms_n8``: CPU milliseconds
   per ``brute_force_tdtsp`` call on generated instances of 6 customers
   and 3 slots, as in the benchmark's TTT set-up, and of 8 customers
@@ -66,6 +72,7 @@ from randomkeys import (  # noqa: E402
     PortfolioDecoder,
     ShakeConfig,
     TdTspDecoder,
+    TdTspInstance,
     brute_force_tdtsp,
     generate_tdtsp_instance,
     shake,
@@ -134,9 +141,10 @@ def _oracle_ms(clock: HostClock, n: int, slots: int, count: int, repeats: int) -
 
 def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     """The figures the module docstring lists: ``calls`` portfolio
-    decodes, ``calls`` shakes per shake row, ``descents`` descents per
-    Nelder-Mead row, and ``calls // 100`` oracle calls at 6 customers
-    and ``calls // 1000`` at 8 (at least one each), per repeat."""
+    decodes, ``calls`` shakes per shake row, ``calls`` route decodes per
+    TD-TSP cost row, ``descents`` descents per Nelder-Mead row, and
+    ``calls // 100`` oracle calls at 6 customers and ``calls // 1000``
+    at 8 (at least one each), per repeat."""
     clock = HostClock()
     rng = np.random.default_rng(1)
     rows: dict[str, float] = {}
@@ -169,7 +177,19 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
         _descents_us(clock, rows, f"d{d}", cost, starts, rng, repeats)
 
     # The benchmark's TD-TSP instances: 50 customers, 5 time intervals.
-    route = TdTspDecoder(generate_tdtsp_instance(50, 5, 1))
+    instance = generate_tdtsp_instance(50, 5, 1)
+    tenths = TdTspInstance(
+        n_customers=50, n_intervals=5, interval_length=instance.interval_length,
+        service=instance.service, travel=instance.travel + 0.1,
+    )
+    keys = list(np.random.default_rng(50).random((calls, 50)))
+    for name, data in (("us_n50", instance), ("us_n50_tenths", tenths)):
+        decoder = TdTspDecoder(data)
+        rows[f"tdtsp.cost.{name}"] = _median_us(
+            clock, lambda: [decoder.cost(k) for k in keys], calls, repeats
+        )
+
+    route = TdTspDecoder(instance)
     starts = [EvaluatedSolution(x, route.cost(x)) for x in rng.random((descents, 50))]
     _descents_us(clock, rows, "tdtsp50", route.cost, starts, rng, repeats)
 
