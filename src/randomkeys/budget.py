@@ -5,13 +5,14 @@ the decoder calls, holds the call limit and the deadline, and keeps the
 best decode of the run.  The ensemble is its only caller: it charges
 the initial fill and then what its driver decodes for the searchers,
 which only ask for key vectors, one at a time or as a block of
-independent rows.  There is one decode path: each vector, block rows
-included, is one ``Decoder.cost`` call charged by
-:meth:`Evaluator.evaluate`.  Once the call limit or deadline is hit, or
-a decode has reached the target, the evaluator refuses: it decodes
-nothing and returns ``None``, or a block's list cut where the run
-ended, so no decode is ever issued past the budget and the reported
-call count is exact.
+independent rows, and are told their costs.  There is one decode path:
+each vector, block rows included, is one ``Decoder.cost`` call charged
+by :meth:`Evaluator.charge`, which returns the cost as a float.  Only a
+decode that beats the run's best becomes an :class:`EvaluatedSolution`.
+Once the call limit or deadline is hit, or a decode has reached the
+target, the evaluator refuses: it decodes nothing and returns ``None``,
+or a block's list of costs cut where the run ended, so no decode is
+ever issued past the budget and the reported call count is exact.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import DecoderError
 __all__ = ["Decoder", "EvaluatedSolution", "RunBudget", "Evaluator"]
 
 
+@dataclass(frozen=True, eq=False)
 class EvaluatedSolution:
     """A key vector together with its decoded cost.
 
@@ -35,29 +37,17 @@ class EvaluatedSolution:
     evaluated, ``origin`` the searcher label that produced it.  The key
     array is marked read-only on construction, so the keys of a charged
     decode cannot change after it.  Solutions compare by identity, so
-    two decodes of equal keys stay distinct objects.
-
-    The evaluator builds one of these for every decode, so it is a
-    plain ``__slots__`` class: a frozen dataclass costs about twice as
-    much to construct.  Treat its fields as read-only.
+    two decodes of equal keys stay distinct objects.  The evaluator
+    builds one for each new best of a run, over its own copy of the keys.
     """
 
-    __slots__ = ("keys", "cost", "decoded_at", "origin")
+    keys: np.ndarray
+    cost: float
+    decoded_at: int = 0
+    origin: str = ""
 
-    def __init__(
-        self, keys: np.ndarray, cost: float, decoded_at: int = 0, origin: str = ""
-    ) -> None:
-        keys.setflags(write=False)
-        self.keys = keys
-        self.cost = cost
-        self.decoded_at = decoded_at
-        self.origin = origin
-
-    def __repr__(self) -> str:
-        return (
-            f"EvaluatedSolution(keys={self.keys!r}, cost={self.cost!r}, "
-            f"decoded_at={self.decoded_at!r}, origin={self.origin!r})"
-        )
+    def __post_init__(self) -> None:
+        self.keys.setflags(write=False)
 
 
 class Decoder(Protocol):
@@ -108,8 +98,7 @@ class RunBudget:
 
 
 class Evaluator:
-    """Charges the budget for each decode, stamps evaluated solutions
-    and keeps the best decode.
+    """Charges the budget for each decode and keeps the best decode.
 
     ``best`` is the first decode of the run with the lowest cost and
     ``time_to_best`` the :meth:`elapsed` time right after it.  A decode
@@ -143,10 +132,11 @@ class Evaluator:
             return float(self.calls)
         return time.monotonic() - self._t0
 
-    def evaluate(self, keys: np.ndarray, origin: str = "") -> Optional[EvaluatedSolution]:
-        """Decode ``keys``, charge one call and compare the solution
-        against the best, or return ``None`` without decoding once the
-        budget is spent or the target was reached."""
+    def charge(self, keys: np.ndarray, origin: str = "") -> Optional[float]:
+        """Decode ``keys``, charge one call and return its cost, or
+        return ``None`` without decoding once the budget is spent or the
+        target was reached.  A cost strictly below the best so far makes
+        a new best over a copy of ``keys``."""
         if keys.shape != self._shape:
             raise DecoderError(f"expected {self.dimension} keys, got shape {keys.shape}")
         if (
@@ -162,30 +152,27 @@ class Evaluator:
         self.calls += 1
         if not math.isfinite(cost):
             raise DecoderError(f"decoder returned non-finite cost {cost!r}")
-        # Positional: keyword arguments add about 0.3 us to every decode.
-        solution = EvaluatedSolution(keys, cost, self.calls, origin)
         if self.best is None or cost < self.best.cost:
-            self.best = solution
+            self.best = EvaluatedSolution(keys.copy(), cost, self.calls, origin)
             self.time_to_best = self.elapsed()
             self.reached_target = self.target_cost is not None and cost <= self.target_cost
-        return solution
+        return cost
 
-    def evaluate_block(self, block: np.ndarray, origin: str = "") -> list[EvaluatedSolution]:
-        """Charge the rows of ``block`` in order through :meth:`evaluate`,
-        each solution over its own copy of its row.  The list is shorter
-        than the block when the run ended within it; no row past that
-        point is decoded.  A block decodes exactly as its rows asked for
-        one at a time would; asking for it at once saves the driver a
-        round trip per row.
+    def charge_block(self, block: np.ndarray, origin: str = "") -> list[float]:
+        """Charge the rows of ``block`` in order through :meth:`charge`
+        and return their costs.  The list is shorter than the block when
+        the run ended within it; no row past that point is decoded.  A
+        block decodes exactly as its rows asked for one at a time would;
+        asking for it at once saves the driver a round trip per row.
         """
         if block.ndim != 2 or block.shape[1] != self.dimension:
             raise DecoderError(
                 f"expected a block of {self.dimension}-key rows, got shape {block.shape}"
             )
-        solutions = []
+        costs = []
         for row in block:
-            solution = self.evaluate(row.copy(), origin)
-            if solution is None:
+            cost = self.charge(row, origin)
+            if cost is None:
                 break
-            solutions.append(solution)
-        return solutions
+            costs.append(cost)
+        return costs

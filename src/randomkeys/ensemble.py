@@ -5,11 +5,11 @@ first charges one block of random vectors, the initial fill.  Then one
 driver resumes the ask/tell searchers round-robin on the calling
 thread, decodes what they ask for through one :class:`Evaluator`, and
 switches at the first pause on or after a fixed quantum of decoder
-calls.  A searcher asks for one key vector or for a block of
-independent vectors, whose rows are charged in order.  The evaluator
-charges the budget and keeps the best decode of the run; the run ends
-at the first decode it refuses, once the budget is spent or the target
-cost reached.
+calls.  A searcher asks for one key vector, told its cost as a float,
+or for a block of independent vectors, whose rows are charged in order
+and told as a list of costs.  The evaluator charges the budget and
+keeps the best decode of the run; the run ends at the first decode it
+refuses, once the budget is spent or the target cost reached.
 
 Time fields count in the unit of the budget: decoder calls when it has
 no ``time_limit``, wall seconds otherwise.  Under a call-only budget a
@@ -118,7 +118,7 @@ def run_ensemble(
         for label, spec, rng in zip(_unique_labels(searchers), searchers, rngs[1:])
     ]
     fill = rngs[0].random((pool_capacity, dimension))
-    if len(evaluator.evaluate_block(fill, "init")) == pool_capacity:
+    if len(evaluator.charge_block(fill, "init")) == pool_capacity:
         _drive_round_robin(labelled, evaluator, quantum)
 
     best = evaluator.best
@@ -138,11 +138,12 @@ def _drive_round_robin(
     labelled: list[tuple[str, Search]], evaluator: Evaluator, quantum: int
 ) -> None:
     """Resume each searcher in turn, decode what it asks for under its
-    label, and move on at its first pause once it has used ``quantum``
-    calls since it was resumed.  A 1-D ask is one decode, a 2-D ask a
-    block whose rows are decoded in order.  Return at the first decode
-    the evaluator refuses; no searcher is resumed after it.  A searcher
-    that returns raises ``RuntimeError`` naming its label."""
+    label, tell it the costs, and move on at its first pause once it
+    has used ``quantum`` calls since it was resumed.  A 1-D ask is one
+    decode, a 2-D ask a block whose rows are decoded in order.  Return
+    at the first decode the evaluator refuses; no searcher is resumed
+    after it.  A searcher that returns raises ``RuntimeError`` naming
+    its label."""
     while True:
         for label, search in labelled:
             resumed_at = evaluator.calls
@@ -152,14 +153,14 @@ def _drive_round_robin(
                     if keys is None:
                         keys = search.send(None)
                     elif keys.ndim == 1:
-                        if (solution := evaluator.evaluate(keys, label)) is None:
+                        if (cost := evaluator.charge(keys, label)) is None:
                             return
-                        keys = search.send(solution)
+                        keys = search.send(cost)
                     else:
-                        solutions = evaluator.evaluate_block(keys, label)
-                        if len(solutions) < len(keys):
+                        costs = evaluator.charge_block(keys, label)
+                        if len(costs) < len(keys):
                             return
-                        keys = search.send(solutions)
+                        keys = search.send(costs)
             except StopIteration:
                 raise RuntimeError(
                     f"searcher {label!r} returned after {evaluator.calls} decoder "

@@ -1,10 +1,11 @@
 """Local searches over key vectors and the RVND descent that cycles them.
 
-Each search is an ask/tell generator: ``solution = yield keys`` asks
-for one decode and receives the evaluated solution, and the return
-value is the result.  Nelder-Mead also asks for its initial simplex
-and for each shrink as one ``(d, d)`` block of independent vectors,
-``solutions = yield block``, and receives their solutions as a list in
+Each search is an ask/tell generator that starts from an incumbent
+given as ``(keys, cost, rng)``: ``cost = yield keys`` asks for one
+decode and receives its cost as a float, and the return value is the
+result, a ``(keys, cost)`` pair.  Nelder-Mead also asks for its initial
+simplex and for each shrink as one ``(d, d)`` block of independent
+vectors, ``costs = yield block``, and receives their costs as a list in
 row order.  The four neighbourhoods are first-improvement: each
 returns the first neighbour that costs strictly less than the
 incumbent, or the incumbent.  :func:`rvnd` runs each of them with
@@ -21,7 +22,6 @@ from typing import Generator, Union
 
 import numpy as np
 
-from .budget import EvaluatedSolution
 from .keys import KEY_MAX
 
 __all__ = [
@@ -40,26 +40,24 @@ FAREY_VALUES = (
     4 / 7, 3 / 5, 2 / 3, 5 / 7, 3 / 4, 4 / 5, 5 / 6, 6 / 7, 0.9999,
 )
 
-# Asks for key vectors or blocks of them, is told their evaluated
-# solutions, one or a list, and returns the solution it ends on.
-Moves = Generator[
-    np.ndarray, Union[EvaluatedSolution, list[EvaluatedSolution]], EvaluatedSolution
-]
+# Asks for key vectors or blocks of them, is told their costs, one float
+# or a list, and returns the (keys, cost) pair it ends on.
+Moves = Generator[np.ndarray, Union[float, list[float]], tuple[np.ndarray, float]]
 
 
-def swap_moves(current: EvaluatedSolution, rng: np.random.Generator) -> Moves:
+def swap_moves(keys: np.ndarray, cost: float, rng: np.random.Generator) -> Moves:
     """Try exchanging key pairs (i, j), i < j, in random order."""
-    d = current.keys.shape[0]
+    d = keys.shape[0]
     for p in rng.permutation(d * (d - 1) // 2).tolist():
         i, j = _pair(p, d)
-        if current.keys[i] == current.keys[j]:
+        if keys[i] == keys[j]:
             continue
-        cand = current.keys.copy()
+        cand = keys.copy()
         cand[i], cand[j] = cand[j], cand[i]
         trial = yield cand
-        if trial.cost < current.cost:
-            return trial
-    return current
+        if trial < cost:
+            return cand, trial
+    return keys, cost
 
 
 def _pair(p: int, d: int) -> tuple[int, int]:
@@ -73,37 +71,37 @@ def _pair(p: int, d: int) -> tuple[int, int]:
     return d - 2 - r, d - 1 - (back - r * (r + 1) // 2)
 
 
-def mirror_moves(current: EvaluatedSolution, rng: np.random.Generator) -> Moves:
+def mirror_moves(keys: np.ndarray, cost: float, rng: np.random.Generator) -> Moves:
     """Try replacing single keys with their mirror 1 - key."""
-    d = current.keys.shape[0]
+    d = keys.shape[0]
     for i in rng.permutation(d):
-        value = min(max(1.0 - current.keys[i], 0.0), KEY_MAX)
-        if value == current.keys[i]:
+        value = min(max(1.0 - keys[i], 0.0), KEY_MAX)
+        if value == keys[i]:
             continue
-        cand = current.keys.copy()
+        cand = keys.copy()
         cand[i] = value
         trial = yield cand
-        if trial.cost < current.cost:
-            return trial
-    return current
+        if trial < cost:
+            return cand, trial
+    return keys, cost
 
 
-def farey_moves(current: EvaluatedSolution, rng: np.random.Generator) -> Moves:
+def farey_moves(keys: np.ndarray, cost: float, rng: np.random.Generator) -> Moves:
     """Try snapping single keys to Farey fractions of order 7."""
-    d = current.keys.shape[0]
+    d = keys.shape[0]
     for i in rng.permutation(d):
         for value in FAREY_VALUES:
-            if value == current.keys[i]:
+            if value == keys[i]:
                 continue
-            cand = current.keys.copy()
+            cand = keys.copy()
             cand[i] = value
             trial = yield cand
-            if trial.cost < current.cost:
-                return trial
-    return current
+            if trial < cost:
+                return cand, trial
+    return keys, cost
 
 
-def nelder_mead_moves(current: EvaluatedSolution, rng: np.random.Generator) -> Moves:
+def nelder_mead_moves(keys: np.ndarray, cost: float, rng: np.random.Generator) -> Moves:
     """Downhill-simplex descent from the incumbent, clamped to the key box.
 
     The initial simplex is the incumbent plus, per coordinate, a copy
@@ -116,10 +114,10 @@ def nelder_mead_moves(current: EvaluatedSolution, rng: np.random.Generator) -> M
     in any coordinate (max-norm), and returns the best vertex when it
     beats the incumbent.  ``rng`` is unused.
     """
-    return _nelder_mead(current, 50 * current.keys.shape[0])
+    return _nelder_mead(keys, cost, 50 * keys.shape[0])
 
 
-def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
+def _nelder_mead(keys: np.ndarray, cost: float, limit: int) -> Moves:
     """The descent of :func:`nelder_mead_moves`, stopped after ``limit``
     decodes.
 
@@ -130,11 +128,12 @@ def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
     descent.  An answer to the ``limit``-th decode is kept when it
     completes a step and dropped when the step needs one more ask.
 
-    ``simplex[k]`` is vertex k and row k of ``points`` its keys.  The
+    Row k of ``points`` is vertex k and ``costs[k]`` its cost.  The
     vertices stay in the order of a stable sort by cost: sorted in full
     after each block, while a reflection, expansion or contraction
     replaces only the worst vertex and inserts the new one after every
-    vertex that costs no more.
+    vertex that costs no more.  The result is the first vertex of
+    lowest cost, returned as a copy of its row.
 
     The simplex has converged when every row lies less than 1e-4 from
     row 0 in max-norm.  A full test that fails keeps a witness, the
@@ -145,11 +144,10 @@ def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
     is ``np.add.reduce`` over the rows divided by ``d``, the reduction
     ``ndarray.sum`` runs.
     """
-    keys = current.keys
     d = keys.shape[0]
-    simplex = [current]
     points = np.empty((d + 1, d))
     points[0] = keys
+    costs = [cost]
     used = 0
     # Row i is the incumbent with key i moved 0.05 up, or down where up
     # would leave the box.
@@ -161,13 +159,13 @@ def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
             if used == limit:
                 break
             block = _in_box(block[: limit - used])
-            simplex[1:1 + len(block)] = yield block
-            used += len(block)
-            if len(block) < d:
+            rows = len(block)
+            costs[1:1 + rows] = yield block
+            points[1:1 + rows] = block
+            used += rows
+            if rows < d:
                 break
-            # Each solution holds a copy of its row's keys.
-            points[1:] = block
-            costs = _sort(simplex, points)
+            costs = _sort(costs, points)
             block = None
             # The best-ranked row that the last full test found 1e-4 or
             # more from row 0.  Row 0 is never one, so 0 means "test in
@@ -181,38 +179,41 @@ def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
             witness = int(np.argmax(spread >= 1e-4))
         if used == limit:
             break
-        worst = simplex[-1]
+        worst = points[-1]
         centroid = np.add.reduce(points[:-1], axis=0) / d
-        reflected = yield _in_box(centroid + (centroid - worst.keys))
+        # The reflection is the new vertex unless a later ask replaces it.
+        new = reflected = _in_box(centroid + (centroid - worst))
+        new_cost = reflected_cost = yield reflected
         used += 1
-        if reflected.cost < simplex[0].cost:
+        if reflected_cost < costs[0]:
             if used == limit:
                 break
-            expanded = yield _in_box(centroid + 2.0 * (centroid - worst.keys))
+            expanded = _in_box(centroid + 2.0 * (centroid - worst))
+            expanded_cost = yield expanded
             used += 1
-            new = expanded if expanded.cost < reflected.cost else reflected
-        elif reflected.cost < simplex[-2].cost:
-            new = reflected
-        else:
+            if expanded_cost < reflected_cost:
+                new, new_cost = expanded, expanded_cost
+        elif reflected_cost >= costs[-2]:
             if used == limit:
                 break
-            if reflected.cost < worst.cost:
-                contracted = yield _in_box(centroid + 0.5 * (reflected.keys - centroid))
-                new = contracted if contracted.cost <= reflected.cost else None
+            if reflected_cost < costs[-1]:
+                new = _in_box(centroid + 0.5 * (reflected - centroid))
+                new_cost = yield new
+                shrink = new_cost > reflected_cost
             else:
-                contracted = yield _in_box(centroid - 0.5 * (centroid - worst.keys))
-                new = contracted if contracted.cost < worst.cost else None
+                new = _in_box(centroid - 0.5 * (centroid - worst))
+                new_cost = yield new
+                shrink = new_cost >= costs[-1]
             used += 1
-            if new is None:
+            if shrink:
                 # Shrink: pull every vertex but the best halfway towards it.
                 block = points[0] + 0.5 * (points[1:] - points[0])
                 continue
-        del simplex[-1], costs[-1]
-        k = bisect_right(costs, new.cost)
-        simplex.insert(k, new)
-        costs.insert(k, new.cost)
+        del costs[-1]
+        k = bisect_right(costs, new_cost)
+        costs.insert(k, new_cost)
         points[k + 1:] = points[k:-1]
-        points[k] = new.keys
+        points[k] = new
         # Rows 0 to k - 1 stay and the rest move down one, the worst
         # dropped: the witness still lies as far from an unchanged row 0
         # unless it was dropped or row 0 is new.
@@ -220,39 +221,37 @@ def _nelder_mead(current: EvaluatedSolution, limit: int) -> Moves:
             witness = 0
         elif witness >= k:
             witness += 1
-    best = min(simplex, key=lambda s: s.cost)
-    return best if best.cost < current.cost else current
+    k = costs.index(min(costs))
+    return (points[k].copy(), costs[k]) if costs[k] < cost else (keys, cost)
 
 
 def _in_box(keys: np.ndarray) -> np.ndarray:
     return keys.clip(0.0, KEY_MAX)
 
 
-def _sort(simplex: list[EvaluatedSolution], points: np.ndarray) -> list[float]:
-    """Stable-sort the vertices by cost, rows with them; return the costs."""
-    order = sorted(range(len(simplex)), key=lambda k: simplex[k].cost)
-    simplex[:] = [simplex[k] for k in order]
+def _sort(costs: list[float], points: np.ndarray) -> list[float]:
+    """Stable-sort the rows of ``points`` by ``costs``; return them sorted."""
+    order = sorted(range(len(costs)), key=costs.__getitem__)
     points[:] = points[order]
-    return [s.cost for s in simplex]
+    return [costs[k] for k in order]
 
 
-def rvnd(start: EvaluatedSolution, rng: np.random.Generator) -> Moves:
+def rvnd(keys: np.ndarray, cost: float, rng: np.random.Generator) -> Moves:
     """Random variable neighbourhood descent over the four neighbourhoods.
 
     Runs them in a freshly shuffled order, reshuffling and restarting
     the list after every improvement, until all four fail in a row.
-    The returned cost is never above ``start.cost``.
+    The returned cost is never above ``cost``.
     """
     searches = (swap_moves, mirror_moves, farey_moves, nelder_mead_moves)
-    current = start
     order = [searches[k] for k in rng.permutation(len(searches))]
     i = 0
     while i < len(order):
-        found = yield from order[i](current, rng)
-        if found.cost < current.cost:
-            current = found
+        found, found_cost = yield from order[i](keys, cost, rng)
+        if found_cost < cost:
+            keys, cost = found, found_cost
             order = [searches[k] for k in rng.permutation(len(searches))]
             i = 0
         else:
             i += 1
-    return current
+    return keys, cost

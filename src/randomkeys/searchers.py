@@ -1,16 +1,17 @@
 """The four metaheuristics that search the key hypercube.
 
 Each searcher is an ask/tell generator that knows nothing of the
-problem: ``solution = yield keys`` asks for one decode and receives the
-evaluated solution, ``solutions = yield block`` asks for the rows of a
+problem: ``cost = yield keys`` asks for one decode and receives its
+cost as a float, ``costs = yield block`` asks for the rows of a
 ``(rows, d)`` block of independent vectors and receives the list of
-their solutions in row order, and ``yield None`` after every outer
+their costs in row order, and ``yield None`` after every outer
 iteration marks a point where the driver may switch to another
 searcher.  Local search runs inside with ``yield from``.  The searchers
 never decode, charge the budget or stop the run; the ensemble's driver
 and its evaluator do, and a run that ends within a block never resumes
 the searcher that asked for it.  A searcher never returns.  Each one
-keeps its own incumbents; the searchers share nothing but the budget.
+keeps its own incumbents as (keys, cost) pairs, BRKGA its population
+as one array and a cost list; they share nothing but the budget.
 
 BRKGA asks for its first population and for each generation as one
 block, SA for its 100 calibration neighbours, and Nelder-Mead, inside
@@ -41,18 +42,16 @@ from typing import ClassVar, Generator, Optional, Union
 
 import numpy as np
 
-from .budget import EvaluatedSolution, is_count
+from .budget import is_count
 from .keys import BlendConfig, ShakeConfig, blend, shake
 from .localsearch import rvnd
 
 __all__ = ["BrkgaParams", "SaParams", "IlsParams", "VnsParams", "SearcherParams"]
 
 # Asks for key vectors or blocks of them (``None`` to pause), is told
-# their evaluated solutions, one or a list, and runs until the driver
-# stops resuming it; it never returns.
-Search = Generator[
-    Optional[np.ndarray], Union[EvaluatedSolution, list[EvaluatedSolution], None], None
-]
+# their costs, one float or a list, and runs until the driver stops
+# resuming it; it never returns.
+Search = Generator[Optional[np.ndarray], Union[float, list[float], None], None]
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,8 @@ class BrkgaParams:
     vectors that one draw per mutant would give, the parents as one
     index draw per side, and the children as one ``blend`` of the
     stacked parents.  The mutants and then the children are asked for
-    as one block.
+    as one block.  The population is one array ranked by a stable sort
+    of its costs: among ties, elites first, then the block in row order.
     """
 
     population_size: int = 100
@@ -100,18 +100,19 @@ class BrkgaParams:
         n_children = p - n_elite - n_mutant
         crossover = BlendConfig(inherit_prob=self.inherit_bias)
 
-        population = yield rng.random((p, dimension))
-        population.sort(key=lambda s: s.cost)
+        population = rng.random((p, dimension))
+        costs = yield population
         while True:
+            order = sorted(range(p), key=costs.__getitem__)
+            population, costs = population[order], [costs[k] for k in order]
             yield None
             mutants = rng.random((n_mutant, dimension))
-            parents = np.stack([s.keys for s in population])
             elites = rng.integers(n_elite, size=n_children)
             others = n_elite + rng.integers(p - n_elite, size=n_children)
-            children = blend(parents[elites], parents[others], crossover, rng)
-            offspring = yield np.concatenate((mutants, children))
-            population = population[:n_elite] + offspring
-            population.sort(key=lambda s: s.cost)
+            children = blend(population[elites], population[others], crossover, rng)
+            offspring = np.concatenate((mutants, children))
+            costs = costs[:n_elite] + (yield offspring)
+            population = np.concatenate((population[:n_elite], offspring))
 
 
 @dataclass(frozen=True)
@@ -146,11 +147,12 @@ class SaParams:
 
     def search(self, dimension: int, rng: np.random.Generator) -> Search:
         moves = self.moves_per_temperature or dimension
-        current = yield rng.random(dimension)
-        best = current
+        current = rng.random(dimension)
+        cost = yield current
+        best, best_cost = current, cost
 
-        neighbours = np.stack([shake(current.keys, self.shake, rng) for _ in range(100)])
-        deltas = [neighbour.cost - current.cost for neighbour in (yield neighbours)]
+        neighbours = np.stack([shake(current, self.shake, rng) for _ in range(100)])
+        deltas = [neighbour_cost - cost for neighbour_cost in (yield neighbours)]
         worsening = [d for d in deltas if d > 0]
         t_start = (
             -float(np.mean(worsening)) / math.log(self.initial_acceptance)
@@ -160,20 +162,21 @@ class SaParams:
         temperature = t_start
         while True:
             for _ in range(moves):
-                candidate = yield shake(current.keys, self.shake, rng)
-                delta = candidate.cost - current.cost
+                candidate = shake(current, self.shake, rng)
+                candidate_cost = yield candidate
+                delta = candidate_cost - cost
                 if delta < 0:
                     accept = True
                 else:
                     ratio = delta / temperature
                     accept = rng.random() < (math.exp(-ratio) if ratio < 700 else 0.0)
                 if accept:
-                    current = candidate
-                if current.cost < best.cost:
-                    best = current
+                    current, cost = candidate, candidate_cost
+                if cost < best_cost:
+                    best, best_cost = current, cost
             temperature *= self.cooling_rate
             if temperature < self.restart_floor:
-                current = best
+                current, cost = best, best_cost
                 temperature = t_start
             yield None
 
@@ -184,13 +187,15 @@ def _shaken_descents(
     """Shake the incumbent at ``configs[level]``, descend with RVND, and
     keep the result if it is better.  An improvement resets the level
     to 0; a failure advances it cyclically."""
-    current = yield rng.random(dimension)
+    current = rng.random(dimension)
+    cost = yield current
     level = 0
     while True:
-        candidate = yield shake(current.keys, configs[level], rng)
-        candidate = yield from rvnd(candidate, rng)
-        if candidate.cost < current.cost:
-            current = candidate
+        candidate = shake(current, configs[level], rng)
+        candidate_cost = yield candidate
+        candidate, candidate_cost = yield from rvnd(candidate, candidate_cost, rng)
+        if candidate_cost < cost:
+            current, cost = candidate, candidate_cost
             level = 0
         else:
             level = (level + 1) % len(configs)

@@ -73,18 +73,18 @@ def toy_portfolio(n: int, k: int, seed: int, lam: float = 0.5) -> PortfolioInsta
     )
 
 
-def answer(search, evaluate):
+def answer(search, charge):
     """Run an ask/tell generator to its return value.
 
-    Each key vector it asks for is answered with ``evaluate(keys)``
-    (usually an ``Evaluator``'s bound ``evaluate``); its pauses are
-    passed over.  A 2-D ask, a block of vectors, is answered row by row
-    through ``evaluate``, each on its own copy of the row, as
-    ``Evaluator.evaluate_block`` charges one, and the generator is told
-    the list.  When an ask is refused, by ``None`` for a vector or for
-    any row of a block, the generator is not resumed and this returns
-    ``None``.  A searcher never returns, so on one this runs until the
-    evaluator's budget is spent.
+    Each key vector it asks for is answered with ``charge(keys)``
+    (usually an ``Evaluator``'s bound ``charge``), a cost; its pauses
+    are passed over.  A 2-D ask, a block of vectors, is answered row by
+    row through ``charge``, as ``Evaluator.charge_block`` charges one,
+    and the generator is told the list of costs.  When an ask is
+    refused, by ``None`` for a vector or for any row of a block, the
+    generator is not resumed and this returns ``None``.  A searcher
+    never returns, so on one this runs until the evaluator's budget is
+    spent.
     """
     reply = None
     try:
@@ -93,15 +93,15 @@ def answer(search, evaluate):
             if keys is None:
                 reply = None
             elif keys.ndim == 1:
-                reply = evaluate(keys)
+                reply = charge(keys)
                 if reply is None:
                     return None
             else:
                 reply = []
                 for row in keys:
-                    solution = evaluate(row.copy())
-                    if solution is None:
+                    cost = charge(row)
+                    if cost is None:
                         return None
-                    reply.append(solution)
+                    reply.append(cost)
     except StopIteration as stop:
         return stop.value

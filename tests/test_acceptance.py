@@ -270,8 +270,8 @@ def test_c7_invariant_suites(bench_instance):
 
     evaluator = Evaluator(Probe(), RunBudget(decoder_calls=10**8))
     while rvnd_cases < 10_000:
-        start = evaluator.evaluate(rng.random(4))
-        answer(rvnd(start, rng), evaluator.evaluate)
+        start = rng.random(4)
+        answer(rvnd(start, evaluator.charge(start), rng), evaluator.charge)
 
     # pool capacity, monotonicity, dedup: 1e4 random inserts
     pool = ElitePool(capacity=7)

@@ -62,32 +62,32 @@ def test_budget_refuses_limits_that_never_end_or_overcharge(limits):
 
 def test_budget_takes_numpy_integer_calls():
     ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=np.int64(2)))
-    assert [ev.evaluate(KEYS.copy()) is None for _ in range(3)] == [False, False, True]
+    assert [ev.charge(KEYS.copy()) is None for _ in range(3)] == [False, False, True]
 
 
 def test_charge_stops_exactly_at_call_limit():
     decoder = CountingDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=3))
     for _ in range(3):
-        assert ev.evaluate(KEYS) is not None
-    assert ev.evaluate(KEYS) is None
+        assert ev.charge(KEYS) is not None
+    assert ev.charge(KEYS) is None
     assert ev.calls == decoder.calls == 3
 
 
 def test_stop_flag_blocks_further_charges():
     decoder = CountingDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=100), target_cost=2.0)
-    ev.evaluate(KEYS)
+    ev.charge(KEYS)
     assert ev.reached_target
-    assert ev.evaluate(np.array([0.1, 0.1, 0.1])) is None
+    assert ev.charge(np.array([0.1, 0.1, 0.1])) is None
     assert ev.calls == decoder.calls == 1
 
 
 def test_virtual_elapsed_counts_calls():
     ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=10))
     assert ev.elapsed() == 0.0
-    ev.evaluate(KEYS)
-    ev.evaluate(KEYS)
+    ev.charge(KEYS)
+    ev.charge(KEYS)
     assert ev.elapsed() == 2.0
 
 
@@ -97,8 +97,8 @@ def test_wall_elapsed_is_nonnegative_seconds():
     assert ev.elapsed() < 1.0
     # a call limit beside the time limit does not change the unit
     ev = Evaluator(CountingDecoder(), RunBudget(time_limit=60.0, decoder_calls=10))
-    ev.evaluate(KEYS)
-    ev.evaluate(KEYS)
+    ev.charge(KEYS)
+    ev.charge(KEYS)
     assert ev.elapsed() < 1.0
 
 
@@ -114,32 +114,34 @@ def test_evaluator_refuses_past_the_deadline(monkeypatch):
     decoder = CountingDecoder()
     ev = Evaluator(decoder, RunBudget(time_limit=5.0, decoder_calls=10))
     now[0] = 104.5
-    assert ev.evaluate(KEYS) is not None
+    assert ev.charge(KEYS) is not None
     assert ev.elapsed() == 4.5
     now[0] = 105.0
-    assert ev.evaluate(KEYS) is None
+    assert ev.charge(KEYS) is None
     assert ev.calls == decoder.calls == 1
 
 
 def test_evaluator_keeps_first_strictly_lower_decode():
     ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=10))
     assert ev.best is None
-    ev.evaluate(np.array([0.3, 0.3, 0.3]), origin="init")
-    first = ev.evaluate(np.array([0.1, 0.1, 0.1]), origin="sa")
-    ev.evaluate(np.array([0.1, 0.1, 0.1]), origin="ils")  # ties, not lower
-    ev.evaluate(np.array([0.5, 0.5, 0.5]), origin="vns")
+    ev.charge(np.array([0.3, 0.3, 0.3]), origin="init")
+    ev.charge(np.array([0.1, 0.1, 0.1]), origin="sa")
+    first = ev.best
+    ev.charge(np.array([0.1, 0.1, 0.1]), origin="ils")  # ties, not lower
+    ev.charge(np.array([0.5, 0.5, 0.5]), origin="vns")
     assert ev.best is first
+    assert (first.origin, first.decoded_at) == ("sa", 2)
     assert ev.time_to_best == 2.0
 
 
 def test_evaluator_stops_the_clock_at_the_target():
     decoder = CountingDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=10), target_cost=0.5)
-    ev.evaluate(np.array([0.3, 0.3, 0.3]))
+    ev.charge(np.array([0.3, 0.3, 0.3]))
     assert not ev.reached_target
-    ev.evaluate(np.array([0.1, 0.1, 0.1]))
+    ev.charge(np.array([0.1, 0.1, 0.1]))
     assert ev.reached_target
-    assert ev.evaluate(np.array([0.0, 0.0, 0.0])) is None
+    assert ev.charge(np.array([0.0, 0.0, 0.0])) is None
     assert decoder.calls == ev.calls == 2
     assert ev.best.decoded_at == 2
 
@@ -147,10 +149,10 @@ def test_evaluator_stops_the_clock_at_the_target():
 def test_evaluator_never_decodes_past_budget():
     decoder = CountingDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=2))
-    ev.evaluate(np.array([0.1, 0.2, 0.3]))
-    ev.evaluate(np.array([0.4, 0.5, 0.6]))
-    assert ev.evaluate(np.array([0.7, 0.8, 0.9])) is None
-    assert ev.evaluate(np.array([0.0, 0.0, 0.0])) is None
+    ev.charge(np.array([0.1, 0.2, 0.3]))
+    ev.charge(np.array([0.4, 0.5, 0.6]))
+    assert ev.charge(np.array([0.7, 0.8, 0.9])) is None
+    assert ev.charge(np.array([0.0, 0.0, 0.0])) is None
     assert decoder.calls == 2
     assert ev.calls == 2
 
@@ -160,16 +162,17 @@ def test_evaluator_ends_a_search_at_the_target():
     first one at or below the target: its next ask ends it."""
     decoder = CountingDecoder(dim=6)
     ev = Evaluator(decoder, RunBudget(decoder_calls=10_000), target_cost=1.5)
-    start = ev.evaluate(np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4]))
+    start = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.4])
+    start_cost = ev.charge(start)
     costs = []
 
-    def evaluate(keys):
-        solution = ev.evaluate(keys)
-        if solution is not None:
-            costs.append(solution.cost)
-        return solution
+    def charge(keys):
+        cost = ev.charge(keys)
+        if cost is not None:
+            costs.append(cost)
+        return cost
 
-    assert answer(rvnd(start, np.random.default_rng(1)), evaluate) is None
+    assert answer(rvnd(start, start_cost, np.random.default_rng(1)), charge) is None
     assert costs[-1] <= 1.5 < min(costs[:-1])
     assert ev.calls == decoder.calls == len(costs) + 1
     assert ev.best.cost == costs[-1]
@@ -178,13 +181,17 @@ def test_evaluator_ends_a_search_at_the_target():
 
 def test_evaluator_stamps_origin_and_ordinal():
     ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=5))
-    first = ev.evaluate(np.array([0.1, 0.1, 0.1]), origin="sa")
+    # Only a new best is stamped, so each decode here is lower.
+    assert ev.charge(np.array([0.2, 0.2, 0.2]), origin="sa") == pytest.approx(0.6)
+    first = ev.best
     assert first.origin == "sa"
     assert first.decoded_at == 1
-    second = ev.evaluate(np.array([0.2, 0.2, 0.2]), "ils")
+    assert first.cost == pytest.approx(0.6)
+    ev.charge(np.array([0.1, 0.1, 0.1]), "ils")
+    second = ev.best
     assert second.origin == "ils"
     assert second.decoded_at == 2
-    assert second.cost == pytest.approx(0.6)
+    assert second.cost == pytest.approx(0.3)
 
 
 def test_evaluator_wraps_decoder_failures():
@@ -196,7 +203,7 @@ def test_evaluator_wraps_decoder_failures():
 
     ev = Evaluator(Broken(), RunBudget(decoder_calls=5))
     with pytest.raises(DecoderError):
-        ev.evaluate(np.array([0.1, 0.2]))
+        ev.charge(np.array([0.1, 0.2]))
 
 
 def test_evaluator_rejects_non_finite_cost():
@@ -208,7 +215,7 @@ def test_evaluator_rejects_non_finite_cost():
 
     ev = Evaluator(Nan(), RunBudget(decoder_calls=5))
     with pytest.raises(DecoderError):
-        ev.evaluate(np.array([0.5]))
+        ev.charge(np.array([0.5]))
 
 
 def test_evaluator_refuses_a_key_vector_of_the_wrong_length():
@@ -216,7 +223,7 @@ def test_evaluator_refuses_a_key_vector_of_the_wrong_length():
     ev = Evaluator(decoder, RunBudget(decoder_calls=10))
     for keys in (np.array([0.3, 0.1, 0.2]), np.zeros(7), np.zeros((1, 6)), np.float64(0.5)):
         with pytest.raises(DecoderError):
-            ev.evaluate(keys)
+            ev.charge(keys)
     assert ev.calls == 0
     assert ev.best is None
 
@@ -226,7 +233,7 @@ def test_evaluator_refuses_a_block_of_the_wrong_shape():
     ev = Evaluator(decoder, RunBudget(decoder_calls=10))
     for block in (KEYS, np.zeros((4, 2)), np.zeros((4, 4)), np.zeros((2, 4, 3))):
         with pytest.raises(DecoderError):
-            ev.evaluate_block(block)
+            ev.charge_block(block)
     assert ev.calls == decoder.calls == 0
 
 
@@ -242,17 +249,18 @@ def test_block_crossing_the_call_limit_is_cut_before_it_is_decoded():
 
     decoder = Recording()
     ev = Evaluator(decoder, RunBudget(decoder_calls=5))
-    ev.evaluate(KEYS)
-    ev.evaluate(KEYS)
+    ev.charge(KEYS)
+    ev.charge(KEYS)
     block = np.random.default_rng(1).random((4, 3))
-    solutions = ev.evaluate_block(block, "brkga")
+    costs = ev.charge_block(block, "brkga")
     assert decoder.decoded[2:] == [row.tobytes() for row in block[:3]]
-    assert [s.keys.tobytes() for s in solutions] == [row.tobytes() for row in block[:3]]
-    assert [s.decoded_at for s in solutions] == [3, 4, 5]
-    assert {s.origin for s in solutions} == {"brkga"}
+    assert costs == [float(row.sum()) for row in block[:3]]
+    # No row costs less than the first decode, which stays the best.
+    assert min(costs) > float(KEYS.sum())
+    assert (ev.best.decoded_at, ev.best.origin) == (1, "")
     assert ev.calls == decoder.calls == 5
     # A block asked for once the budget is spent decodes nothing.
-    assert ev.evaluate_block(block) == []
+    assert ev.charge_block(block) == []
     assert ev.calls == decoder.calls == 5
 
 
@@ -265,28 +273,48 @@ def test_target_and_deadline_runs_decode_blocks_row_by_row(budget, target):
     decoder = CountingDecoder()
     ev = Evaluator(decoder, budget, target_cost=target)
     block = np.array([[0.5, 0.5, 0.5], [0.5, 0.25, 0.5], [0.25, 0.25, 0.25], [0.0, 0.0, 0.125]])
-    solutions = ev.evaluate_block(block)
+    costs = ev.charge_block(block)
     if target is None:
-        assert len(solutions) == decoder.calls == ev.calls == 4
+        assert len(costs) == decoder.calls == ev.calls == 4
     else:
         # The third row reaches the target; the fourth is never decoded.
-        assert len(solutions) == decoder.calls == ev.calls == 3
+        assert len(costs) == decoder.calls == ev.calls == 3
         assert ev.reached_target
-        assert ev.evaluate_block(block) == []
+        assert ev.charge_block(block) == []
         assert decoder.calls == 3
 
 
 def test_block_best_is_its_first_minimum():
     ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=10))
-    ev.evaluate(np.array([0.5, 0.5, 0.5]))
+    ev.charge(np.array([0.5, 0.5, 0.5]))
     block = np.array(
         [[0.75, 0.75, 0.75], [0.25, 0.125, 0.125], [0.125, 0.125, 0.25], [0.25, 0.25, 0.25]]
     )
-    solutions = ev.evaluate_block(block, "sa")
-    assert [s.cost for s in solutions] == [float(row.sum()) for row in block]
-    assert ev.best is solutions[1]
-    assert ev.best.decoded_at == ev.time_to_best == 3
-    assert all(s.keys.base is None and not s.keys.flags.writeable for s in solutions)
+    costs = ev.charge_block(block, "sa")
+    assert costs == [float(row.sum()) for row in block]
+    best = ev.best
+    assert (best.cost, best.keys.tobytes(), best.origin) == (costs[1], block[1].tobytes(), "sa")
+    assert best.decoded_at == ev.time_to_best == 3
+    assert best.keys.base is None and not best.keys.flags.writeable
+
+
+def test_best_keys_are_the_evaluators_own_copy():
+    """The best keeps a read-only copy of the keys it was decoded from:
+    writing to the charged array, a block row or a single vector, later
+    leaves ``best.keys`` and ``best.cost`` as they were."""
+    ev = Evaluator(CountingDecoder(), RunBudget(decoder_calls=10))
+    block = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    ev.charge(block[0], "brkga")
+    block[0, 0] = 0.9
+    assert ev.best.keys.tolist() == [0.1, 0.2, 0.3]
+    assert ev.best.cost == pytest.approx(0.6)
+    assert not ev.best.keys.flags.writeable
+    single = np.array([0.05, 0.1, 0.15])
+    ev.charge(single, "sa")
+    single[:] = 0.9
+    assert ev.best.keys.tolist() == [0.05, 0.1, 0.15]
+    assert ev.best.cost == pytest.approx(0.3)
+    assert not ev.best.keys.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -299,5 +327,5 @@ def test_block_decoder_must_return_a_finite_cost_per_row(bad):
     decoder = Broken()
     ev = Evaluator(decoder, RunBudget(decoder_calls=10))
     with pytest.raises(DecoderError):
-        ev.evaluate_block(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+        ev.charge_block(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
     assert decoder.calls == 2

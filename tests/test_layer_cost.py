@@ -31,6 +31,8 @@ def test_layer_cost_prints_every_figure():
         "portfolio.cost.us",
         "keys.shake.us_d50",
         "keys.shake.us_d6",
+        "budget.charge.us_d50",
+        "budget.charge_block.us_row_d50",
         "nelder_mead.ask_us_d20",
         "nelder_mead.ask_us_d50",
         "nelder_mead.ask_us_tdtsp50",

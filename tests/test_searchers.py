@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from randomkeys import (
+    BlendConfig,
     BrkgaParams,
     Evaluator,
     IlsParams,
@@ -11,6 +12,7 @@ from randomkeys import (
     SaParams,
     ShakeConfig,
     VnsParams,
+    blend,
     shake,
 )
 from conftest import answer
@@ -45,7 +47,7 @@ def drive(params, calls=4000, seed=1, dim=4, decoder=None):
     decoder = decoder or SphereDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=calls))
     search = params.search(dim, np.random.default_rng(seed))
-    assert answer(search, ev.evaluate) is None
+    assert answer(search, ev.charge) is None
     return ev
 
 
@@ -102,7 +104,7 @@ def test_brkga_respects_exact_call_budget():
     decoder = SphereDecoder()
     ev = Evaluator(decoder, RunBudget(decoder_calls=137))
     gen = BrkgaParams(population_size=20).search(4, np.random.default_rng(2))
-    assert answer(gen, ev.evaluate) is None
+    assert answer(gen, ev.charge) is None
     assert ev.calls == 137
 
 
@@ -115,7 +117,7 @@ def test_sa_yields_after_each_temperature_step():
     def to_next_pause():
         reply = None
         while (keys := gen.send(reply)) is not None:
-            reply = ev.evaluate(keys) if keys.ndim == 1 else ev.evaluate_block(keys)
+            reply = ev.charge(keys) if keys.ndim == 1 else ev.charge_block(keys)
 
     to_next_pause()
     after_first = ev.calls
@@ -152,12 +154,12 @@ def test_sa_restarts_from_its_own_best():
     gen = params.search(4, rng)
     walked, reply = [], None
     while (keys := gen.send(reply)) is not None:
-        reply = ev.evaluate(keys) if keys.ndim == 1 else ev.evaluate_block(keys)
+        reply = ev.charge(keys) if keys.ndim == 1 else ev.charge_block(keys)
         if keys.ndim == 1:
-            walked.append(reply)
-    assert [s.cost for s in walked] == [1.0, 0.5, 0.4, 0.4, 0.4, 0.4]
-    expected = shake(walked[2].keys, params.shake, copy.deepcopy(rng))
-    assert not np.array_equal(expected, shake(walked[5].keys, params.shake, copy.deepcopy(rng)))
+            walked.append((keys, reply))
+    assert [cost for _, cost in walked] == [1.0, 0.5, 0.4, 0.4, 0.4, 0.4]
+    expected = shake(walked[2][0], params.shake, copy.deepcopy(rng))
+    assert not np.array_equal(expected, shake(walked[5][0], params.shake, copy.deepcopy(rng)))
     assert np.array_equal(gen.send(None), expected)
 
 
@@ -195,9 +197,9 @@ def test_sa_flat_landscape_accepts_zero_delta():
 
 
 def test_brkga_asks_own_their_buffers():
-    # A generation is asked for as one block, but a charged solution
-    # whose keys were a row view would keep the whole block alive as
-    # long as the solution; each must own a read-only copy of its row.
+    # A generation is asked for as one block, but a best whose keys
+    # were a row view would keep the whole block alive as long as the
+    # best; each new best must own a read-only copy of its row.
     class Summed:
         dimension = 6
 
@@ -209,13 +211,80 @@ def test_brkga_asks_own_their_buffers():
     calls = 20 + 2 * (20 - n_elite)  # the first population and two generations
     ev = Evaluator(Summed(), RunBudget(decoder_calls=calls))
     gen = params.search(6, np.random.default_rng(4))
-    charged, reply = [], None
+    charged, bests, reply = [], [], None
     while len(charged) < calls:
         block = gen.send(reply)
-        reply = None if block is None else ev.evaluate_block(block, "brkga")
-        charged += reply or []
+        if block is None:
+            reply = None
+            continue
+        reply = []
+        for row in block:
+            reply.append(ev.charge(row, "brkga"))
+            if ev.best not in bests:
+                bests.append(ev.best)
+        charged += reply
     assert len(charged) == calls == ev.calls
+    assert len(bests) > 1
     assert all(
         s.keys.base is None and s.keys.shape == (6,) and not s.keys.flags.writeable
-        for s in charged
+        for s in bests
     )
+
+
+def reference_brkga(params, dimension, rng):
+    """BRKGA with its population as a list of (keys, cost) pairs, ranked
+    by ``list.sort`` on the cost: the order that the package's array and
+    cost list must reproduce, tied costs included.  It yields each ask
+    and, at each pause, the ranked pairs."""
+    p = params.population_size
+    n_elite = max(1, int(p * params.elite_fraction))
+    n_mutant = min(int(p * params.mutant_fraction), p - n_elite - 1)
+    n_children = p - n_elite - n_mutant
+    crossover = BlendConfig(inherit_prob=params.inherit_bias)
+    first = rng.random((p, dimension))
+    population = list(zip(first, (yield first)))
+    population.sort(key=lambda pair: pair[1])
+    while True:
+        yield population
+        mutants = rng.random((n_mutant, dimension))
+        parents = np.stack([keys for keys, _ in population])
+        elites = rng.integers(n_elite, size=n_children)
+        others = n_elite + rng.integers(p - n_elite, size=n_children)
+        children = blend(parents[elites], parents[others], crossover, rng)
+        offspring = np.concatenate((mutants, children))
+        population = population[:n_elite] + list(zip(offspring, (yield offspring)))
+        population.sort(key=lambda pair: pair[1])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_brkga_ranks_tied_costs_as_a_stable_list_sort(seed):
+    """Costs on a coarse grid tie often.  After every generation the
+    package's population rows and costs must be in the order of a
+    stable sort of (keys, cost) pairs, elites before offspring and
+    offspring in row order among equal costs, and it must ask for the
+    same blocks as the list reference."""
+
+    class Coarse:
+        dimension = 5
+
+        def cost(self, keys):
+            return float(np.floor(keys.sum()))
+
+    decoder = Coarse()
+    params = BrkgaParams(population_size=30)
+    gen = params.search(5, np.random.default_rng(seed))
+    ref = reference_brkga(params, 5, np.random.default_rng(seed))
+    asked, expected = next(gen), next(ref)
+    generations = ties = 0
+    while generations < 12:
+        assert asked.tobytes() == expected.tobytes()
+        costs = [decoder.cost(row) for row in asked]
+        assert gen.send(costs) is None
+        ranked = ref.send(costs)
+        state = gen.gi_frame.f_locals
+        assert state["population"].tobytes() == np.stack([k for k, _ in ranked]).tobytes()
+        assert state["costs"] == [c for _, c in ranked]
+        ties += len(ranked) - len(set(state["costs"]))
+        generations += 1
+        asked, expected = next(gen), next(ref)
+    assert ties > 20 * generations

@@ -1,4 +1,4 @@
-"""Time the decoder, shake, Nelder-Mead and oracle layers of the ensemble workloads.
+"""Time the decoder, shake, charging, Nelder-Mead and oracle layers of the ensemble workloads.
 
 Usage, from the root of a checkout:
 
@@ -13,6 +13,11 @@ Prints one JSON object:
   ``shake`` call with the default ``ShakeConfig``, on one fixed key
   vector of the benchmark's TD-TSP dimensions (50 and 6 customers) and
   a generator of fixed seed, with no decoder;
+- ``budget.charge.us_d50``: CPU microseconds per ``Evaluator.charge``
+  call on one fixed 50-key vector, with a null decoder whose cost is
+  always 0.0, so that only the first call makes a new best;
+- ``budget.charge_block.us_row_d50``: the same per row of
+  ``Evaluator.charge_block`` on a fixed ``(100, 50)`` block;
 - ``nelder_mead.ask_us_d20`` and ``nelder_mead.ask_us_d50``: CPU
   microseconds per decode that ``nelder_mead_moves`` asks for,
   descending on a quadratic from fixed starts at d = 20 and 50, the
@@ -37,8 +42,10 @@ Prints one JSON object:
   what a process builds once is built in the untimed warm-up pass;
 - ``host_factor``: the median host-speed correction applied.
 
-A block ask, which Nelder-Mead makes for its initial simplex and for
-each shrink, is answered row by row and counts one decode per row.
+A descent is told costs as the ensemble tells them: a float for a
+vector, and for a block ask, which Nelder-Mead makes for its initial
+simplex and for each shrink, a list with one cost per row, each row
+counted as one decode.
 Each figure is the median over repeats of one timed pass, corrected for
 the speed of a shared host by ``bench/hostspeed.py``.  Copy the script
 into another checkout to time that tree the same way.
@@ -68,8 +75,9 @@ import numpy as np  # noqa: E402
 
 from hostspeed import HostClock  # noqa: E402
 from randomkeys import (  # noqa: E402
-    EvaluatedSolution,
+    Evaluator,
     PortfolioDecoder,
+    RunBudget,
     ShakeConfig,
     TdTspDecoder,
     TdTspInstance,
@@ -81,6 +89,16 @@ from randomkeys.localsearch import nelder_mead_moves  # noqa: E402
 from workloads import toy_portfolio  # noqa: E402
 
 
+class _NullDecoder:
+    """A decoder of the given dimension whose every cost is 0.0."""
+
+    def __init__(self, dimension: int) -> None:
+        self.dimension = dimension
+
+    def cost(self, keys: np.ndarray) -> float:
+        return 0.0
+
+
 def _median_us(clock: HostClock, work, count: int, repeats: int) -> float:
     """Median corrected microseconds per unit of ``work()``, which does
     ``count`` units; one untimed warm-up pass first."""
@@ -89,22 +107,20 @@ def _median_us(clock: HostClock, work, count: int, repeats: int) -> float:
     return statistics.median(samples) * 1e6
 
 
-def _descend(start: EvaluatedSolution, cost, rng: np.random.Generator) -> int:
-    """Run one Nelder-Mead descent from ``start``, answering a block row
-    by row; return its decodes."""
-    moves = nelder_mead_moves(start, rng)
+def _descend(start: tuple, cost, rng: np.random.Generator) -> int:
+    """Run one Nelder-Mead descent from the ``(keys, cost)`` pair
+    ``start``, answering a block row by row; return its decodes."""
+    moves = nelder_mead_moves(*start, rng)
     decodes = 0
     try:
         keys = next(moves)
         while True:
             if keys.ndim == 1:
                 decodes += 1
-                keys = moves.send(EvaluatedSolution(keys, cost(keys)))
+                keys = moves.send(cost(keys))
             else:
                 decodes += len(keys)
-                keys = moves.send(
-                    [EvaluatedSolution(row.copy(), cost(row)) for row in keys]
-                )
+                keys = moves.send([cost(row) for row in keys])
     except StopIteration:
         return decodes
 
@@ -141,10 +157,11 @@ def _oracle_ms(clock: HostClock, n: int, slots: int, count: int, repeats: int) -
 
 def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     """The figures the module docstring lists: ``calls`` portfolio
-    decodes, ``calls`` shakes per shake row, ``calls`` route decodes per
-    TD-TSP cost row, ``descents`` descents per Nelder-Mead row, and
-    ``calls // 100`` oracle calls at 6 customers and ``calls // 1000``
-    at 8 (at least one each), per repeat."""
+    decodes, ``calls`` shakes per shake row, ``calls`` charges and
+    ``calls // 100`` blocks (at least one) per charging row, ``calls``
+    route decodes per TD-TSP cost row, ``descents`` descents per
+    Nelder-Mead row, and ``calls // 100`` oracle calls at 6 customers
+    and ``calls // 1000`` at 8 (at least one each), per repeat."""
     clock = HostClock()
     rng = np.random.default_rng(1)
     rows: dict[str, float] = {}
@@ -166,6 +183,18 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
 
         rows[f"keys.shake.us_d{d}"] = _median_us(clock, shakes, calls, repeats)
 
+    charging = Evaluator(_NullDecoder(50), RunBudget(decoder_calls=2**62))
+    vector = np.random.default_rng(50).random(50)
+    rows["budget.charge.us_d50"] = _median_us(
+        clock, lambda: [charging.charge(vector) for _ in range(calls)], calls, repeats
+    )
+    block = np.random.default_rng(100).random((100, 50))
+    blocks = max(1, calls // 100)
+    rows["budget.charge_block.us_row_d50"] = _median_us(
+        clock, lambda: [charging.charge_block(block) for _ in range(blocks)],
+        100 * blocks, repeats,
+    )
+
     for d in (20, 50):
         target = rng.random(d)
 
@@ -173,7 +202,7 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
             diff = vector - target
             return float(diff @ diff)
 
-        starts = [EvaluatedSolution(x, cost(x)) for x in rng.random((descents, d))]
+        starts = [(x, cost(x)) for x in rng.random((descents, d))]
         _descents_us(clock, rows, f"d{d}", cost, starts, rng, repeats)
 
     # The benchmark's TD-TSP instances: 50 customers, 5 time intervals.
@@ -190,7 +219,7 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
         )
 
     route = TdTspDecoder(instance)
-    starts = [EvaluatedSolution(x, route.cost(x)) for x in rng.random((descents, 50))]
+    starts = [(x, route.cost(x)) for x in rng.random((descents, 50))]
     _descents_us(clock, rows, "tdtsp50", route.cost, starts, rng, repeats)
 
     rows["tdtsp.oracle.ms_n6"] = _oracle_ms(clock, 6, 3, max(1, calls // 100), repeats)
