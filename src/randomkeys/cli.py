@@ -100,12 +100,23 @@ def _portfolio(args, means, covariance, risk_aversion: float) -> PortfolioInstan
         raise InstanceFormatError(str(exc)) from exc
 
 
-def _load_problem(args):
-    """Build (decoder, describe_best) for the chosen kind and flags."""
-    kind = args.kind
+def _instance(args):
+    """The instance named by --instance, read as --kind says."""
     path = Path(args.instance)
-    if kind == "mip":
-        instance = load_mip(path)
+    if args.kind == "mip":
+        return load_mip(path)
+    if args.kind == "portfolio":
+        means, covariance = load_orlib_portfolio(path)
+        return _portfolio(args, means, covariance, args.risk_aversion)
+    # tdtsp, the one kind left that argparse's choices admit
+    return load_tdtsp(path)
+
+
+def _load_problem(args):
+    """Build (decoder, size, describe_best) for the chosen kind and
+    flags; ``size`` is what the wall-clock budget schedule reads."""
+    instance = _instance(args)
+    if args.kind == "mip":
         decoder = MipDecoder(instance, PenaltyModel(weight=args.penalty_weight))
 
         def describe(report: RunReport) -> dict:
@@ -119,10 +130,8 @@ def _load_problem(args):
                 "feasible": verdict.feasible,
             }
 
-        return decoder, describe
-    if kind == "portfolio":
-        means, covariance = load_orlib_portfolio(path)
-        instance = _portfolio(args, means, covariance, args.risk_aversion)
+        return decoder, decoder.dimension, describe
+    if args.kind == "portfolio":
         decoder = PortfolioDecoder(instance)
 
         def describe(report: RunReport) -> dict:
@@ -138,9 +147,7 @@ def _load_problem(args):
                 "feasible": verdict.feasible,
             }
 
-        return decoder, describe
-    # tdtsp, the one kind left that argparse's choices admit
-    instance = load_tdtsp(path)
+        return decoder, instance.n_assets, describe
     decoder = TdTspDecoder(instance)
 
     def describe(report: RunReport) -> dict:
@@ -155,7 +162,7 @@ def _load_problem(args):
             "feasible": verdict.feasible,
         }
 
-    return decoder, describe
+    return decoder, instance.n_customers, describe
 
 
 def _budget_from_args(args, kind: str, size: int) -> RunBudget:
@@ -175,14 +182,6 @@ def _budget_from_args(args, kind: str, size: int) -> RunBudget:
             )
         time_limit = budget_for(kind, size)
     return RunBudget(time_limit=time_limit, decoder_calls=calls)
-
-
-def _instance_size(args, decoder) -> int:
-    if args.kind == "portfolio":
-        return decoder.instance.n_assets
-    if args.kind == "tdtsp":
-        return decoder.instance.n_customers
-    return decoder.dimension
 
 
 def _run_seeds(args, decoder, searchers, budget, seeds, target=None) -> list[RunReport]:
@@ -211,8 +210,8 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence[str]]
 
 
 def cmd_solve(args) -> int:
-    decoder, describe = _load_problem(args)
-    budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
+    decoder, size, describe = _load_problem(args)
+    budget = _budget_from_args(args, args.kind, size)
     searchers = _parse_searchers(args.searchers)
     reports = _run_seeds(args, decoder, searchers, budget, args.seeds, args.target_cost)
     rows = [
@@ -293,14 +292,14 @@ def cmd_rpd(args) -> int:
 
 
 def cmd_ttt(args) -> int:
-    decoder, _ = _load_problem(args)
+    decoder, size, _ = _load_problem(args)
     target = ttt_target(args.reference, args.target_percent)
     if not math.isfinite(target):
         raise InstanceFormatError(
             f"--reference {args.reference} and --target-percent {args.target_percent} "
             f"give a target that is not finite"
         )
-    budget = _budget_from_args(args, args.kind, _instance_size(args, decoder))
+    budget = _budget_from_args(args, args.kind, size)
     # censoring point: the budget in the unit time_to_best counts, which
     # is wall seconds when there is a time limit and decoder calls if not
     if budget.time_limit is not None:
@@ -387,13 +386,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    instance = _instance(args)
     if args.kind == "mip":
-        instance = load_mip(Path(args.instance))
         cost, x = brute_force_mip(instance, PenaltyModel(weight=args.penalty_weight))
         payload = {"kind": "mip", "cost": cost, "x": x.tolist()}
     elif args.kind == "portfolio":
-        means, covariance = load_orlib_portfolio(Path(args.instance))
-        instance = _portfolio(args, means, covariance, args.risk_aversion)
         cost, assets, weights = brute_force_portfolio(instance, args.grid_step)
         payload = {
             "kind": "portfolio",
@@ -403,7 +400,6 @@ def cmd_oracle(args) -> int:
             "grid_step": args.grid_step,
         }
     else:  # tdtsp
-        instance = load_tdtsp(Path(args.instance))
         cost, order = brute_force_tdtsp(instance)
         payload = {"kind": "tdtsp", "cost": cost, "order": list(order)}
     text = json.dumps(payload, indent=2, sort_keys=True)

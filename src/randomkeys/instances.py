@@ -44,7 +44,8 @@ def parse_orlib_portfolio(text: str) -> tuple[np.ndarray, np.ndarray]:
     Expected layout: the asset count, then one "mean stddev" line per
     asset, then n(n+1)/2 lines "i j correlation" covering every pair
     i <= j (1-based).  The covariance is assembled as
-    corr * s_i * s_j and mirrored exactly from one triangle.
+    corr * s_i * s_j, one whole-array product, and its upper triangle
+    is mirrored exactly onto the lower one.
     """
     tokens: list[tuple[int, str]] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -127,12 +128,8 @@ def parse_orlib_portfolio(text: str) -> tuple[np.ndarray, np.ndarray]:
             f"correlation for pair ({rows_idx[hole] + 1}, {cols_idx[hole] + 1}) is missing"
         )
 
-    covariance = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            value = upper[i, j] * stddev[i] * stddev[j]
-            covariance[i, j] = value
-            covariance[j, i] = value
+    prod = upper * stddev[:, None] * stddev[None, :]
+    covariance = np.where(np.tri(n, dtype=bool).T, prod, prod.T)
     return means, covariance
 
 

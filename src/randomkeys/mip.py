@@ -118,6 +118,8 @@ def map_keys_to_assignment(instance: GenericMipInstance, keys: np.ndarray) -> np
     which lands each key uniformly on the l..u lattice; continuous
     variables interpolate the box affinely.
     """
+    if keys.shape != (instance.n_variables,):
+        raise ValueError(f"expected {instance.n_variables} keys, got shape {keys.shape}")
     l, u = instance.lower, instance.upper
     p = instance.n_integer
     x = l + (u - l) * keys

@@ -151,9 +151,6 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
     A negative weight key, or a sum that is not finite, takes the full
     penalty path.
     """
-    k = instance.cardinality
-    if keys.shape != (2 * k,):
-        raise ValueError(f"expected {2 * k} keys, got shape {keys.shape}")
     assets, weights, risk, mean_return, objective, penalty, cost = _decode(
         instance, keys
     )
@@ -173,7 +170,8 @@ def _decode(
 ) -> tuple[list[int], np.ndarray, float, float, float, float, float]:
     """The decoder kernel: assets, weights, risk, mean return,
     objective, penalty and cost, computed as :func:`decode_portfolio`
-    describes.
+    describes.  It refuses keys of any shape but (2K,), so one check
+    serves both :func:`decode_portfolio` and :meth:`PortfolioDecoder.cost`.
 
     The keys are read into a list once, for the selection loop and the
     non-negative test.  On unit bounds the penalty path uses the scalar
@@ -182,8 +180,8 @@ def _decode(
     and a dot with the picked means: their bits depend on BLAS, so any
     other formula could change a cost."""
     k = instance.cardinality
-    if keys.shape[0] != 2 * k:
-        raise ValueError(f"expected {2 * k} keys, got {keys.shape[0]}")
+    if keys.shape != (2 * k,):
+        raise ValueError(f"expected {2 * k} keys, got shape {keys.shape}")
     key_list = keys.tolist()
     remaining = list(instance._assets)
     m = len(remaining)

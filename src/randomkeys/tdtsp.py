@@ -12,35 +12,36 @@ time from the slot of its departure.  Once the simulated time leaves
 the horizon, remaining arcs fall back to the last slot and the route
 is penalized by 1000 * horizon on top of its travel cost.
 
-The rule lives in two places on purpose: the row-vectorised kernel
-``_simulate``, which :func:`decode_tdtsp` runs on one row and
+The route walk lives in two places on purpose: the row-vectorised
+kernel ``_simulate``, which :func:`decode_tdtsp` runs on one row and
 :func:`brute_force_tdtsp` on blocks of a lexicographic permutation
-table, and the scalar :meth:`TdTspDecoder.cost`, the plain-Python fast
-path charged on every decode of a run.  The tests hold the two
-independent versions equal bit for bit.
+table, and the scalar :meth:`TdTspDecoder.cost`, charged on every
+decode of a run.  The tests hold the two walks equal bit for bit.
 
-The kernel does not divide.  Slot k starts at the smallest float clock
-that floor division by ``interval_length`` puts in slot k or later;
-the instance caches these H starts, and the kernel finds each clock's
-slot by binary search among them, so the slot rule also lives in the
-starts.  The scalar loop keeps its own edges and its floor division.
+The slot rule lives in one place.  Slot k starts at the smallest float
+clock that floor division by ``interval_length`` puts in slot k or
+later.  The instance caches these H starts, and both walks take a
+clock's slot as the number of the first H - 1 starts at or below it
+(``searchsorted``, ``bisect_right``): floor division capped at H - 1,
+bit for bit.  So neither walk checks the other's slot rule; the tests'
+floor-division references, the ``_slot_start`` tests and the interval
+family of :func:`check_tdtsp` in the benchmark's gate do.
 
-The fast path reads nested lists indexed by customer, cached on the
-instance, and keeps the travel row of the customer it stands at.  The
-rounded product ``k * interval_length`` lies at or below the smallest
-clock that floor division puts in slot k, so a clock below it is still
-in the current slot; only a clock that reaches it has its slot looked
-up, by floor division.  It has two loops, chosen once per instance
-from the data.  An instance is exact when every travel and service
-time is an integer and ``(n + 1) * max travel + total service`` is
-below 2**53; every clock of its routes is then an integer that a float
-holds exactly.  Its legs carry the service time of the customer they
-reach, so the exact loop keeps only the clock, at one list read, one
-addition and one comparison per arc, and takes the travel time as the
-final clock minus the total service time.  Any other instance runs
-the float loop, which sums the clock and the travel time apart, at
-three list reads, two additions and one comparison per arc.  Every
-clock and cost of either loop keeps the bits of ``_simulate``'s.
+The fast path reads one node table per slot as nested lists, customers
+first and the depot last.  It keeps the row of the node it stands at,
+so the depot's row starts a route and the last customer's row ends
+with the leg back; only a clock that reaches the next slot's start
+looks its slot up.  It has two loops, chosen once per instance from
+the data.  An instance is exact when every travel and service time is
+an integer and ``(n + 1) * max travel + total service`` is below
+2**53; every clock of its routes is then an integer that a float holds
+exactly.  Its legs carry the service time of the node they reach, so
+the exact loop keeps only the clock, at one list read, one addition
+and one comparison per arc, and takes the travel time as the final
+clock minus the total service time.  Any other instance runs the float
+loop, which sums the clock and the travel time apart, at three list
+reads, two additions and one comparison per arc.  Every clock and cost
+of either loop keeps the bits of ``_simulate``'s.
 
 Many key vectors map to one visiting order, and the searchers often
 ask for a vector whose order is the one just decoded (a Nelder-Mead
@@ -55,6 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -82,22 +84,20 @@ LATE_PENALTY_FACTOR = 1000.0
 
 class _RouteTables(NamedTuple):
     """An instance's travel and service times as nested Python lists,
-    indexed by 0-based customer, for the scalar route loops of
-    :meth:`TdTspDecoder.cost`; lists index several times faster than
-    numpy scalars there.
+    for the scalar route loops of :meth:`TdTspDecoder.cost`; lists
+    index several times faster than numpy scalars there.
 
     On an exact instance (see :meth:`TdTspInstance._route_tables`) each
-    leg into a customer already holds that customer's service time,
-    and ``service_total`` holds their sum in place of the list; on any
+    leg already holds the service time of the node it reaches, and
+    ``service_total`` holds their sum in place of the list; on any
     other instance the legs are bare and ``service_total`` is None.
     """
 
-    start: list  # start[c]: depot to customer c in slot 0
-    out: list  # out[h][c][j]: customer c to customer j in slot h
-    back: list  # back[h][c]: customer c to the terminal in slot h
+    out: list  # out[h][c][j]: node c to node j in slot h; customers 0..n-1, depot n
     service: Optional[list]  # service[c]; None on an exact instance
-    edges: list  # edges[h]: (h + 1) * interval_length; inf for the last slot
+    edges: list  # edges[h]: the start of slot h + 1; inf for the last slot
     service_total: Optional[float]  # the summed service times; None selects the float loop
+    horizon: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +183,7 @@ class TdTspInstance:
         integer and ``(n + 1) * max travel + total service`` is below
         2**53, so that every clock of every route is an integer that a
         float holds exactly; its legs then carry the service time of
-        the customer they reach."""
+        the node they reach.  The edges are ``_simulate``'s slot starts."""
         n = self.n_customers
         travel, service = self.travel, self.service
         total = float(service.sum())
@@ -193,13 +193,18 @@ class TdTspInstance:
             and (n + 1) * float(travel.max()) + total < 2.0**53
         )
         legs = travel + service if exact else travel
+        # Node order 1..n, 0; four block copies beat two takes here.
+        table = np.empty((self.n_intervals, n + 1, n + 1))
+        table[:, :n, :n] = legs[:, 1 : n + 1, 1 : n + 1]
+        table[:, :n, n] = legs[:, 1 : n + 1, 0]
+        table[:, n, :n] = legs[:, 0, 1 : n + 1]
+        table[:, n, n] = legs[:, 0, 0]
         return _RouteTables(
-            start=legs[0, 0, 1 : n + 1].tolist(),
-            out=legs[:, 1 : n + 1, 1 : n + 1].tolist(),
-            back=travel[:, 1 : n + 1, 0].tolist(),
+            out=table.tolist(),
             service=None if exact else service[1 : n + 1].tolist(),
-            edges=[k * self.interval_length for k in range(1, self.n_intervals)] + [math.inf],
+            edges=self._slot_starts[:-1].tolist() + [math.inf],
             service_total=total if exact else None,
+            horizon=self.horizon,
         )
 
     @cached_property
@@ -486,26 +491,27 @@ class TdTspDecoder:
     ``cost`` is the scalar fast path: it simulates one route in plain
     Python, without numpy calls and without assembling arcs and flows,
     because it runs on every charged decode.  Per arc it reads the leg
-    from the current customer's travel row, adds it to the clock, and
-    compares the clock with the start of the next slot; only a clock at
-    or past that edge looks the slot up again.  On an instance that is
-    not exact (see the module docstring) it also adds the service time
-    to the clock and the leg to the travel time.  It
-    remembers the last route it simulated, as the bytes of the stable
-    argsort and the cost, and a vector with the same order costs one
-    comparison; the pair is replaced in one assignment, so an order is
-    never paired with another order's cost.  It is the only method a
-    run calls: the evaluator decodes a block's rows one by one through
-    it too.  ``decode`` assembles one route through the row-vectorised
-    kernel that the oracle also uses, so the cost a searcher is charged
-    is checked against a second implementation; both return the same
-    float on every vector.
+    from the current node's row, adds it to the clock, and compares the
+    clock with the next slot's start; only a clock at or past it looks
+    the slot up again.  On an instance that is not exact (see the module
+    docstring) it also adds the service time to the clock and the leg
+    to the travel time.  It remembers the last route it simulated, as
+    the bytes of the stable argsort and the cost, and a vector with the
+    same order costs one comparison; the pair is replaced in one
+    assignment, so an order is never paired with another order's cost.
+    Only a memo miss checks the shape of the keys.  It is the only
+    method a run calls: the evaluator decodes a block's rows one by one
+    through it too.  ``decode`` assembles one route through the
+    row-vectorised kernel that the oracle also uses, so the cost a
+    searcher is charged is checked against a second implementation;
+    both return the same float on every vector.
     """
 
     def __init__(self, instance: TdTspInstance) -> None:
         self.instance = instance
-        # The last route as (order bytes, cost); no order has empty bytes.
-        self._last: tuple[bytes, float] = (b"", 0.0)
+        self._shape = (instance.n_customers,)
+        # The last route as (order bytes, cost); no keys' bytes are None.
+        self._last: tuple[Optional[bytes], float] = (None, 0.0)
 
     @property
     def dimension(self) -> int:
@@ -517,6 +523,8 @@ class TdTspDecoder:
         last = self._last
         if stamp == last[0]:
             return last[1]
+        if keys.shape != self._shape:
+            raise ValueError(f"expected {self._shape[0]} keys, got shape {keys.shape}")
         cost = self._route_cost(order.tolist())
         # One assignment, so the stored order never pairs with another's cost.
         self._last = (stamp, cost)
@@ -536,13 +544,14 @@ class TdTspDecoder:
         once, so the clock is the exact sum of the legs plus the total
         service time, and subtracting the total gives the float loop's
         exact sum of the legs.  The return leg and the penalty are then
-        added to the same operands.
+        added to the same operands.  The last customer's row, in the
+        clock's slot, ends with the return leg; a clock past the last
+        slot is at or past the H-th start, thus the horizon, so the
+        return-leg test alone sends it to the penalty.
         """
-        inst = self.instance
-        big_h = inst.n_intervals
-        t_bar = inst.interval_length
-        cur, out, back, s, edges, service_total = inst._route_tables
+        out, s, edges, service_total, horizon = self.instance._route_tables
         rows = out[0]
+        cur = rows[-1]
         edge = edges[0]
         now = 0.0
         if service_total is None:
@@ -551,11 +560,10 @@ class TdTspDecoder:
                 leg = cur[idx]
                 now += leg + s[idx]
                 total += leg
-                # Below the edge the slot has not changed (see the
-                # module docstring); at or past it, floor division
-                # decides the slot, as in _simulate.
+                # At or past the next slot's start, the slot is the
+                # number of starts at or below the clock, as in _simulate.
                 if now >= edge:
-                    slot = min(int(now // t_bar), big_h - 1)
+                    slot = bisect_right(edges, now)
                     rows = out[slot]
                     edge = edges[slot]
                 cur = rows[idx]
@@ -563,17 +571,15 @@ class TdTspDecoder:
             for idx in order:
                 now += cur[idx]
                 if now >= edge:
-                    slot = min(int(now // t_bar), big_h - 1)
+                    slot = bisect_right(edges, now)
                     rows = out[slot]
                     edge = edges[slot]
                 cur = rows[idx]
             total = now - service_total
-        slot = int(now // t_bar)
-        if slot < big_h:
-            leg = back[slot][idx]
-            if now + leg < big_h * t_bar:
-                return total + leg
-        return total + back[big_h - 1][idx] + big_h * t_bar * LATE_PENALTY_FACTOR
+        leg = cur[-1]
+        if now + leg < horizon:
+            return total + leg
+        return total + out[-1][idx][-1] + horizon * LATE_PENALTY_FACTOR
 
     def decode(self, keys: np.ndarray) -> TdTspSolution:
         return decode_tdtsp(self.instance, keys)

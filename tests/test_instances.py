@@ -39,6 +39,40 @@ def test_orlib_parse_builds_covariance_from_correlations():
     assert np.array_equal(cov, cov.T)
 
 
+def reference_covariance(stddev, upper):
+    """The covariance by one scalar product per pair i <= j, mirrored:
+    the bytes the parser's whole-array product must give."""
+    n = len(stddev)
+    covariance = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            value = upper[i, j] * stddev[i] * stddev[j]
+            covariance[i, j] = value
+            covariance[j, i] = value
+    return covariance
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 60])
+def test_orlib_covariance_gives_the_pairwise_loops_bytes(n):
+    rng = np.random.default_rng(n)
+    means = rng.normal(0.0, 0.01, n)
+    stddev = rng.random(n) * 0.1
+    stddev[1::7] = 0.0
+    stddev[3::7] = -0.0
+    upper = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    upper[0, 1::3] = -0.0
+    np.fill_diagonal(upper, 1.0)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    lines = [str(n)]
+    lines += [f"{m!r} {sd!r}" for m, sd in zip(means.tolist(), stddev.tolist())]
+    # Both index orders name the same pair.
+    lines += [f"{b + 1} {a + 1} {upper[a, b].item()!r}" if (a + b) % 2 else
+              f"{a + 1} {b + 1} {upper[a, b].item()!r}" for a, b in pairs]
+    got_means, got = parse_orlib_portfolio("\n".join(lines) + "\n")
+    assert got_means.tobytes() == means.tobytes()
+    assert got.tobytes() == reference_covariance(stddev, upper).tobytes()
+
+
 @pytest.mark.parametrize(
     "mutation, message",
     [

@@ -141,6 +141,16 @@ def test_decoder_dimension_and_cost():
     assert dec.cost(np.array([0.9, 0.9, 0.9])) == pytest.approx(-6.0)
 
 
+def test_decode_refuses_keys_of_another_shape():
+    inst = box_instance([0, 0, 0], [4, 4, 4])
+    keys = np.array([0.5, 0.25, 0.75])
+    for wrong in (keys[:, None], np.array(0.5), np.array([0.5]), keys[:0]):
+        for decode in (lambda k: map_keys_to_assignment(inst, k),
+                       lambda k: decode_mip(inst, k), MipDecoder(inst).cost):
+            with pytest.raises(ValueError, match=r"expected 3 keys, got shape"):
+                decode(wrong)
+
+
 def test_penalty_model_validation():
     for weight in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):

@@ -712,9 +712,11 @@ def test_brute_force_guard():
 
 
 def test_decode_refuses_keys_of_another_shape(bench_instance):
-    for keys in (BENCH_KEYS[:, None], np.array(0.5), BENCH_KEYS[:5]):
-        with pytest.raises(ValueError, match=r"expected 6 keys, got shape"):
-            decode_tdtsp(bench_instance, keys)
+    cost = TdTspDecoder(bench_instance).cost
+    for keys in (BENCH_KEYS[:, None], np.array(0.5), BENCH_KEYS[:5], np.array([])):
+        for decode in (lambda k: decode_tdtsp(bench_instance, k), cost):
+            with pytest.raises(ValueError, match=r"expected 6 keys, got shape"):
+                decode(keys)
 
 
 def test_generator_shapes_and_reproducibility():

@@ -21,6 +21,7 @@ from randomkeys import (
     RunBudget,
     SaParams,
     TdTspDecoder,
+    TdTspInstance,
     VnsParams,
     brute_force_tdtsp,
     generate_tdtsp_instance,
@@ -33,6 +34,20 @@ ENSEMBLE = [BrkgaParams(), SaParams(), IlsParams(), VnsParams()]
 
 def tdtsp(seed, customers=12):
     return TdTspDecoder(generate_tdtsp_instance(customers, 3, seed))
+
+
+def tenths(seed, customers=12, slots=24):
+    """Tenths of a generated instance's travel times, service times of
+    0.1 to 0.3 and slots of 0.3, as ``test_tdtsp.tenths_instance`` builds
+    them: the decoder runs its float loop, and a run meets routes on
+    time and late."""
+    service = np.zeros(customers + 2)
+    service[1:-1] = np.random.default_rng(seed).integers(1, 4, size=customers) * 0.1
+    travel = generate_tdtsp_instance(customers, slots, seed).travel * 0.1
+    return TdTspDecoder(TdTspInstance(
+        n_customers=customers, n_intervals=slots, interval_length=0.3,
+        service=service, travel=travel, seed=None,
+    ))
 
 
 def target_case():
@@ -52,6 +67,12 @@ CASES = {
         tdtsp(6), [BrkgaParams(), SaParams()], 2500, 6, {"quantum": 37}
     ),
     "target": target_case,
+    "tenths-9": lambda: (tenths(9), ENSEMBLE, 3000, 9, {}),
+    # A horizon below the total service time: every route is late.
+    "late-10": lambda: (
+        TdTspDecoder(generate_tdtsp_instance(12, 3, 10, horizon=20_000.0)),
+        ENSEMBLE, 3000, 10, {},
+    ),
     "portfolio": lambda: (
         PortfolioDecoder(toy_portfolio(30, 5, seed=8)), ENSEMBLE, 3000, 8, {}
     ),
@@ -81,6 +102,10 @@ PINNED = {
                               "98c0cef72e75c0560753d27f2c774b7f3b3f6cb6f0ca02728b548c0a23cb7195"),
     "target": (27.0, 309, 309.0, "ils",
                "b0aec191e5c216188a36fe9e59080c6cb9b4c0c4b4ebf65353897ddb7eec3c7b"),
+    "tenths-9": (3.900000000000001, 3000, 1305.0, "ils",
+                 "a83e9d9154f2ec8e68aa17462798f2432ec4232a7ac81ad71650895400ce4cc7"),
+    "late-10": (20000025.0, 3000, 2499.0, "vns",
+                "82642ad77e8d9af75008b53a4f2c36639333147e7fa94357b4e77f43eef7b2b7"),
     "portfolio": (-0.004537546432863562, 3000, 2897.0, "ils",
                   "259593cdb06d91890623e50132014869c861060d748d0f18b2dc816346a31f71"),
 }

@@ -34,6 +34,11 @@ Prints one JSON object:
   integer times take the exact route loop;
 - ``tdtsp.cost.us_n50_tenths``: the same on that instance with 0.1
   added to every travel time, which takes the float route loop;
+- ``tdtsp.cost.us_n6``: the same on a 6-customer, 3-interval instance
+  of the benchmark's TTT set-up, where a route is short and the fixed
+  cost of each call weighs most; of its 720 orders a random key vector
+  repeats the one before it about once in 720 calls, which then costs
+  one comparison;
 - ``tdtsp.oracle.ms_n6`` and ``tdtsp.oracle.ms_n8``: CPU milliseconds
   per ``brute_force_tdtsp`` call on generated instances of 6 customers
   and 3 slots, as in the benchmark's TTT set-up, and of 8 customers
@@ -211,8 +216,13 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
         n_customers=50, n_intervals=5, interval_length=instance.interval_length,
         service=instance.service, travel=instance.travel + 0.1,
     )
-    keys = list(np.random.default_rng(50).random((calls, 50)))
-    for name, data in (("us_n50", instance), ("us_n50_tenths", tenths)):
+    # The TTT workload's instances: 6 customers, 3 time intervals.
+    small = generate_tdtsp_instance(6, 3, 1)
+    wide = list(np.random.default_rng(50).random((calls, 50)))
+    short = list(np.random.default_rng(6).random((calls, 6)))
+    for name, data, keys in (
+        ("us_n50", instance, wide), ("us_n50_tenths", tenths, wide), ("us_n6", small, short)
+    ):
         decoder = TdTspDecoder(data)
         rows[f"tdtsp.cost.{name}"] = _median_us(
             clock, lambda: [decoder.cost(k) for k in keys], calls, repeats
