@@ -12,26 +12,25 @@ time from the slot of its departure.  Once the simulated time leaves
 the horizon, remaining arcs fall back to the last slot and the route
 is penalized by 1000 * horizon on top of its travel cost.
 
-The route walk lives in two places on purpose: the row-vectorised
-kernel ``_simulate``, which :func:`decode_tdtsp` runs on one row and
-:func:`brute_force_tdtsp` on blocks of a lexicographic permutation
-table, and the scalar :meth:`TdTspDecoder.cost`, charged on every
-decode of a run.  The tests hold the two walks equal bit for bit.
+:func:`decode_tdtsp` walks the instance's arrays, and the benchmark's
+gate re-decodes every best with it.  :meth:`TdTspDecoder.cost`, charged
+on every decode, and :func:`brute_force_tdtsp` step over the route
+tables, lists built once per instance.  The tests hold them equal.
 
 The slot rule lives in one place.  Slot k starts at the smallest float
 clock that floor division by ``interval_length`` puts in slot k or
-later.  The instance caches these H starts, and both walks take a
+later.  The instance caches these H starts, and every walk takes a
 clock's slot as the number of the first H - 1 starts at or below it
-(``searchsorted``, ``bisect_right``): floor division capped at H - 1,
-bit for bit.  So neither walk checks the other's slot rule; the tests'
-floor-division references, the ``_slot_start`` tests and the interval
-family of :func:`check_tdtsp` in the benchmark's gate do.
+(``bisect_right``): floor division capped at H - 1, bit for bit.  So no
+walk checks another's slot rule; the tests' floor-division references,
+the ``_slot_start`` tests and the interval family of
+:func:`check_tdtsp` in the benchmark's gate do.
 
-The fast path reads one node table per slot as nested lists, customers
-first and the depot last.  It keeps the row of the node it stands at,
-so the depot's row starts a route and the last customer's row ends
-with the leg back; only a clock that reaches the next slot's start
-looks its slot up.  It has two loops, chosen once per instance from
+The fast path reads the route tables, one node table per slot,
+customers first and the depot last.  It keeps the row of the node it
+stands at, so the depot's row starts a route and the last customer's
+row ends with the leg back; only a clock that reaches the next slot's
+start looks its slot up.  It has two loops, chosen once per instance from
 the data.  An instance is exact when every travel and service time is
 an integer and ``(n + 1) * max travel + total service`` is below
 2**53; every clock of its routes is then an integer that a float holds
@@ -41,7 +40,7 @@ and one comparison per arc, and takes the travel time as the final
 clock minus the total service time.  Any other instance runs the float
 loop, which sums the clock and the travel time apart, at three list
 reads, two additions and one comparison per arc.  Every clock and cost
-of either loop keeps the bits of ``_simulate``'s.
+of either loop keeps the bits of :func:`decode_tdtsp`'s.
 
 Many key vectors map to one visiting order, and the searchers often
 ask for a vector whose order is the one just decoded (a Nelder-Mead
@@ -53,13 +52,12 @@ neither the memo nor the cached lists can go stale.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,7 +82,7 @@ LATE_PENALTY_FACTOR = 1000.0
 
 class _RouteTables(NamedTuple):
     """An instance's travel and service times as nested Python lists,
-    for the scalar route loops of :meth:`TdTspDecoder.cost`; lists
+    for :meth:`TdTspDecoder.cost` and :func:`brute_force_tdtsp`; lists
     index several times faster than numpy scalars there.
 
     On an exact instance (see :meth:`TdTspInstance._route_tables`) each
@@ -183,7 +181,7 @@ class TdTspInstance:
         integer and ``(n + 1) * max travel + total service`` is below
         2**53, so that every clock of every route is an integer that a
         float holds exactly; its legs then carry the service time of
-        the node they reach.  The edges are ``_simulate``'s slot starts."""
+        the node they reach.  The edges are the slot starts."""
         n = self.n_customers
         travel, service = self.travel, self.service
         total = float(service.sum())
@@ -258,85 +256,52 @@ class TdTspSolution:
     cost: float
 
 
-def _simulate(
-    instance: TdTspInstance, orders: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate the routes in ``orders``, (rows, n) customer ids each in
-    visiting order, from the depot to the terminal.
-
-    Returns ``(slots, times, travel_cost, late, cost)``: per arc, as
-    (n + 1, rows) arrays, the departure slot and the time after the arc
-    (arrival plus service); per row the travel time, whether the route
-    is late, and the travel time plus the late penalty.  Times are
-    finite and non-negative, so the clock never runs back: a route past
-    the last slot stays past it, and no frozen slot needs keeping.
-
-    A clock's slot is the number of the instance's first H - 1 slot
-    starts at or below it, one binary search per step; that is floor
-    division capped at H - 1, bit for bit, without dividing.  A route
-    is late when its return leg ends at or past the horizon.  That
-    covers a clock that reaches the H-th start before the return leg:
-    the start is the smallest float at or above the exact product
-    H * interval_length, so it is at or above the rounded horizon, and
-    no leg is negative.  Legs are read with one ``take`` from the
-    flattened travel array.  The oracle calls the kernel on at most
-    8! = 40,320 rows at a time.
-    """
-    rows, n = orders.shape
-    nodes = n + 2
-    horizon = instance.horizon
-    flat = instance.travel.ravel()
-    service = instance.service
-    inner = instance._slot_starts[:-1]
-    slots = np.empty((n + 1, rows), dtype=np.int64)
-    times = np.empty((n + 1, rows))
-    now = np.zeros(rows)
-    travel_cost = np.zeros(rows)
-    current = np.zeros(rows, dtype=np.int64)
-    for step in range(n):
-        slot = inner.searchsorted(now, side="right")
-        slots[step] = slot
-        nxt = orders[:, step]
-        leg = flat.take((slot * nodes + current) * nodes + nxt)
-        now += leg + service[nxt]
-        travel_cost += leg
-        times[step] = now
-        current = nxt
-    slot = inner.searchsorted(now, side="right")
-    late = now + flat.take((slot * nodes + current) * nodes) >= horizon
-    slot[late] = instance.n_intervals - 1
-    slots[n] = slot
-    leg = flat.take((slot * nodes + current) * nodes)
-    times[n] = now + leg
-    travel_cost += leg
-    cost = travel_cost + np.where(late, horizon * LATE_PENALTY_FACTOR, 0.0)
-    return slots, times, travel_cost, late, cost
-
-
 def decode_tdtsp(instance: TdTspInstance, keys: np.ndarray) -> TdTspSolution:
-    """Simulate the route encoded by ``keys`` and assemble the solution."""
+    """Simulate the route encoded by ``keys`` and assemble the solution.
+
+    A scalar walk over the instance's arrays, not its route tables.  A
+    route is late when its return leg ends at or past the horizon (so
+    is any clock past the H-th start); it then returns in the last slot.
+    """
     n = instance.n_customers
     if keys.shape != (n,):
         raise ValueError(f"expected {n} keys, got shape {keys.shape}")
-    order = keys.argsort(kind="stable") + 1
-    slots, times, travel_cost, late, cost = _simulate(instance, order[None])
-    arrival = np.zeros(n + 2)
-    arrival[order] = times[:n, 0]
-    arrival[n + 1] = times[n, 0]
-    route = [0, *order.tolist(), n + 1]
-    steps = list(zip(route, route[1:]))
+    order = (keys.argsort(kind="stable") + 1).tolist()
+    travel = instance.travel
+    service = instance.service.tolist()
+    starts = instance._slot_starts[:-1].tolist()
+    horizon = float(instance.horizon)
+    arrival = [0.0] * (n + 2)
+    arcs = []
+    i, now, total = 0, 0.0, 0.0
+    for j in order:
+        slot = bisect_right(starts, now)
+        leg = travel.item(slot, i, j)
+        now += leg + service[j]
+        total += leg
+        arcs.append((i, j, slot))
+        arrival[j] = now
+        i = j
+    slot = bisect_right(starts, now)
+    late = now + travel.item(slot, i, 0) >= horizon
+    slot = instance.n_intervals - 1 if late else slot
+    leg = travel.item(slot, i, 0)
+    arrival[n + 1] = now + leg
+    total += leg
+    arcs.append((i, n + 1, slot))
+    route = [0, *order, n + 1]
     return TdTspSolution(
-        order=tuple(route[1:-1]),
-        arrival=arrival,
-        arcs=tuple((i, j, h) for (i, j), h in zip(steps, slots[:, 0].tolist())),
+        order=tuple(order),
+        arrival=np.array(arrival),
+        arcs=tuple(arcs),
         flows=tuple(
             flow
-            for step, (i, j) in enumerate(steps)
+            for step, (i, j) in enumerate(zip(route, route[1:]))
             for flow in ((i, j, n - step), (j, i, step))
         ),
-        travel_cost=float(travel_cost[0]),
-        penalized=bool(late[0]),
-        cost=float(cost[0]),
+        travel_cost=total,
+        penalized=late,
+        cost=total + horizon * LATE_PENALTY_FACTOR if late else total,
     )
 
 
@@ -499,12 +464,10 @@ class TdTspDecoder:
     the bytes of the stable argsort and the cost, and a vector with the
     same order costs one comparison; the pair is replaced in one
     assignment, so an order is never paired with another order's cost.
-    Only a memo miss checks the shape of the keys.  It is the only
-    method a run calls: the evaluator decodes a block's rows one by one
-    through it too.  ``decode`` assembles one route through the
-    row-vectorised kernel that the oracle also uses, so the cost a
-    searcher is charged is checked against a second implementation;
-    both return the same float on every vector.
+    Keys of another shape are refused before the memo is read.  It is
+    the only method a run calls: the evaluator decodes a block's rows
+    one by one through it too.  ``decode`` assembles the route with
+    :func:`decode_tdtsp`, a second walk, which gives the same float.
     """
 
     def __init__(self, instance: TdTspInstance) -> None:
@@ -518,13 +481,13 @@ class TdTspDecoder:
         return self.instance.n_customers
 
     def cost(self, keys: np.ndarray) -> float:
+        if keys.shape != self._shape:
+            raise ValueError(f"expected {self._shape[0]} keys, got shape {keys.shape}")
         order = keys.argsort(kind="stable")
         stamp = order.tobytes()
         last = self._last
         if stamp == last[0]:
             return last[1]
-        if keys.shape != self._shape:
-            raise ValueError(f"expected {self._shape[0]} keys, got shape {keys.shape}")
         cost = self._route_cost(order.tolist())
         # One assignment, so the stored order never pairs with another's cost.
         self._last = (stamp, cost)
@@ -561,7 +524,7 @@ class TdTspDecoder:
                 now += leg + s[idx]
                 total += leg
                 # At or past the next slot's start, the slot is the
-                # number of starts at or below the clock, as in _simulate.
+                # number of starts at or below the clock, as in decode_tdtsp.
                 if now >= edge:
                     slot = bisect_right(edges, now)
                     rows = out[slot]
@@ -586,61 +549,84 @@ class TdTspDecoder:
 
 
 _PERMUTATION_GUARD = 10
-# Orders of at most this many customers come from one permutation table.
-_TABLE_SIZE = 8
-
-
-@cache
-def _permutation_table(k: int) -> np.ndarray:
-    """Read-only (k!, k) array of the permutations of ``range(k)`` in
-    lexicographic order.  The rows that start with ``first`` are the
-    table for k - 1, each entry at or above ``first`` raised by one.
-    The oracle asks for k <= 8 only, so the cache holds at most nine
-    tables, about 3 MB."""
-    if k == 0:
-        table = np.zeros((1, 0), dtype=np.int64)
-    else:
-        below = _permutation_table(k - 1)
-        table = np.empty((k * len(below), k), dtype=np.int64)
-        table[:, 0] = np.arange(k).repeat(len(below))
-        rest = table[:, 1:]
-        rest[:] = np.tile(below, (k, 1))
-        rest += rest >= table[:, :1]
-    table.setflags(write=False)
-    return table
 
 
 def brute_force_tdtsp(instance: TdTspInstance) -> tuple[float, tuple[int, ...]]:
-    """Exact optimum by enumerating all n! visiting orders.
+    """Exact (cost, visiting order) by a lexicographic depth-first branch
+    and bound (Little, Murty, Sweeney & Karel, 1963).
 
-    The orders come in lexicographic order, at most 8! = 40,320 of them
-    per call of the route kernel: each lexicographic prefix of the
-    first n - 8 customers (none when n <= 8) followed by the cached
-    permutation table of the remaining ones, mapped onto them in
-    ascending order.  The first of the lowest costs wins, so among tied
-    routes the lexicographically smallest order is returned.  Refuses
-    instances with more than 10 customers.  Returns (cost, visiting
-    order).
+    Each step is the float loop of :meth:`TdTspDecoder.cost`, so a leaf
+    costs the decoder's float.  On an exact instance the legs carry the
+    service times, and a prefix is dropped once ``total``, the cheapest
+    legs into the unvisited customers (in the slots that a clock below
+    ``(n + 1) * max travel + total service`` reaches) and back, less the
+    total service time, reach the best: integers below 2**53, so the
+    test is exact.  Elsewhere it is ``total >= best``, which is safe as
+    rounding is monotone and no leg is negative.  Only a strictly lower
+    leaf replaces the best, so ties keep the lexicographically first
+    order.  Refuses more than 10 customers.
     """
     n = instance.n_customers
     if n > _PERMUTATION_GUARD:
         raise OracleGuardError(
             f"{n} customers means {math.factorial(n)} routes, above the guard"
         )
-    k = min(n, _TABLE_SIZE)
-    table = _permutation_table(k)
-    customers = range(1, n + 1)
-    perms = np.empty((len(table), n), dtype=np.int64)
+    out, service, edges, service_total, horizon = instance._route_tables
+    if service_total is None:
+        s, into, base, rest = service, [0.0] * n, 0.0, 0.0
+    else:
+        # A customer's leg to itself is never taken.
+        travel = instance.travel
+        reach = bisect_right(edges, (n + 1) * float(travel.max()) + service_total) + 1
+        legs = travel[:reach, : n + 1, 1 : n + 1].copy()
+        legs[:, range(1, n + 1), range(n)] = math.inf
+        into = (legs.min(axis=(0, 1)) + instance.service[1 : n + 1]).tolist()
+        s, base = [0.0] * n, service_total
+        rest = sum(into) + float(travel[:, 1 : n + 1, 0].min()) - base
+    penalty = float(horizon) * LATE_PENALTY_FACTOR
     best_cost = math.inf
     best_order: tuple[int, ...] = ()
-    for prefix in itertools.permutations(customers, n - k):
-        perms[:, : n - k] = prefix
-        perms[:, n - k :] = np.array([c for c in customers if c not in prefix])[table]
-        cost = _simulate(instance, perms)[4]
-        pos = int(np.argmin(cost))
-        if cost[pos] < best_cost:
-            best_cost = float(cost[pos])
-            best_order = tuple(perms[pos].tolist())
+    order = [0] * n
+
+    # rest: the cheapest legs into the unvisited customers and back, less base.
+    def visit(free, depth, now, total, rest, rows, edge, cur):
+        nonlocal best_cost, best_order
+        for pos, j in enumerate(free):
+            leg = cur[j]
+            t = total + leg
+            r = rest - into[j]
+            if t + r >= best_cost:
+                continue
+            clock = now + (leg + s[j])
+            if clock >= edge:
+                slot = bisect_right(edges, clock)
+                here, until = out[slot], edges[slot]
+            else:
+                here, until = rows, edge
+            order[depth] = j
+            if depth < n - 2:
+                visit(free[:pos] + free[pos + 1 :], depth + 1, clock, t, r, here, until, here[j])
+                continue
+            if depth == n - 2:
+                # The last customer is stepped here: one call fewer per route.
+                k = free[1 - pos]
+                leg = here[j][k]
+                t += leg
+                if t + r - into[k] >= best_cost:
+                    continue
+                clock += leg + s[k]
+                if clock >= until:
+                    here = out[bisect_right(edges, clock)]
+                order[depth + 1] = j = k
+            ret = here[j][-1]
+            if clock + ret < horizon:
+                cost = (t - base) + ret
+            else:
+                cost = (t - base) + out[-1][j][-1] + penalty
+            if cost < best_cost:
+                best_cost, best_order = cost, tuple(c + 1 for c in order)
+
+    visit(list(range(n)), 0, 0.0, 0.0, rest, out[0], edges[0], out[0][-1])
     return best_cost, best_order
 
 

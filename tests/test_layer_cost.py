@@ -42,6 +42,7 @@ def test_layer_cost_prints_every_figure():
         "tdtsp.cost.us_n50",
         "tdtsp.cost.us_n50_tenths",
         "tdtsp.cost.us_n6",
+        "tdtsp.decode.us_n50",
         "tdtsp.oracle.ms_n6",
         "tdtsp.oracle.ms_n8",
         "host_factor",

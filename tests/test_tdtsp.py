@@ -22,7 +22,7 @@ from randomkeys import (
     run_ensemble,
     travel_time_lower_bound,
 )
-from randomkeys.tdtsp import LATE_PENALTY_FACTOR, _simulate, _slot_start
+from randomkeys.tdtsp import LATE_PENALTY_FACTOR, _slot_start
 from conftest import BENCH_KEYS
 
 
@@ -185,10 +185,9 @@ def test_route_kernel_equals_cost_on_every_row():
     # Random sizes and slot counts, horizons short enough that routes
     # end on time, late mid-route or late on the return leg, blocks of
     # one row, tied keys, and a memo primed with one of the block's
-    # routes: the row kernel that decode_tdtsp and the oracle run gives
-    # the scalar costs, byte for byte.  The last 80 cases have
-    # fractional times whose clocks land on slot edges and one ulp
-    # below them.
+    # routes: decode_tdtsp, row by row, gives the scalar costs, byte for
+    # byte.  The last 80 cases have fractional times whose clocks land
+    # on slot edges and one ulp below them.
     rng = np.random.default_rng(62)
     late = set()
     edge_clocks = set()
@@ -205,11 +204,11 @@ def test_route_kernel_equals_cost_on_every_row():
         block = rng.random((1 if case % 4 == 0 else int(rng.integers(2, 90)), n))
         block[1::2] = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=block[1::2].shape)
         decoder.cost(block[-1])
-        kernel = _simulate(instance, block.argsort(axis=1, kind="stable") + 1)[4]
+        decoded = [decode_tdtsp(instance, row).cost for row in block]
         expected = [decoder.cost(row) for row in block]
-        assert kernel.tobytes() == np.array(expected).tobytes()
+        assert np.array(decoded).tobytes() == np.array(expected).tobytes()
         assert [decoder.cost(row) for row in block] == expected
-        late.update(cost >= decoder.instance.horizon for cost in kernel.tolist())
+        late.update(cost >= decoder.instance.horizon for cost in decoded)
         if case >= 80:
             edge_clocks.update(slot_edge_clocks(instance, block))
     assert late == {False, True}
@@ -217,9 +216,9 @@ def test_route_kernel_equals_cost_on_every_row():
 
 
 def reference_simulate(instance, orders):
-    """The route kernel with slots by floor division capped at H - 1 and
-    legs by a 3-D fancy index: the reference whose bytes ``_simulate``
-    must give."""
+    """A row-vectorised route walk with slots by floor division capped at
+    H - 1 and legs by a 3-D fancy index: the reference whose bytes
+    ``decode_tdtsp`` must give on each row of ``orders``."""
     rows, n = orders.shape
     big_h = instance.n_intervals
     t_bar = instance.interval_length
@@ -252,8 +251,9 @@ def reference_simulate(instance, orders):
 
 def test_route_kernel_gives_the_floor_division_reference_bytes():
     # The case mix of test_route_kernel_equals_cost_on_every_row: every
-    # output of the kernel, not only the cost, keeps the reference's
-    # bytes, also for clocks exactly on a slot start or one ulp below.
+    # output of decode_tdtsp, row by row, not only the cost, keeps the
+    # reference's bytes, also for clocks exactly on a slot start or one
+    # ulp below.
     rng = np.random.default_rng(62)
     late = set()
     clocks = set()
@@ -269,11 +269,16 @@ def test_route_kernel_gives_the_floor_division_reference_bytes():
         block = rng.random((1 if case % 4 == 0 else int(rng.integers(2, 90)), n))
         block[1::2] = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=block[1::2].shape)
         orders = block.argsort(axis=1, kind="stable") + 1
-        got = _simulate(instance, orders)
         want = reference_simulate(instance, orders)
-        for name, a, b in zip(("slots", "times", "travel_cost", "late", "cost"), got, want):
-            assert a.dtype == b.dtype and a.shape == b.shape, name
-            assert a.tobytes() == b.tobytes(), name
+        for row, keys in enumerate(block):
+            sol = decode_tdtsp(instance, keys)
+            assert sol.order == tuple(orders[row].tolist())
+            assert [h for _, _, h in sol.arcs] == want[0][:, row].tolist()
+            times = np.append(sol.arrival[orders[row]], sol.arrival[n + 1])
+            assert times.tobytes() == want[1][:, row].tobytes()
+            assert np.float64(sol.travel_cost).tobytes() == want[2][row].tobytes()
+            assert sol.penalized is bool(want[3][row])
+            assert np.float64(sol.cost).tobytes() == want[4][row].tobytes()
         late.update(want[3].tolist())
         starts = instance._slot_starts.tolist()
         below = {math.nextafter(start, -math.inf) for start in starts}
@@ -679,10 +684,31 @@ def tied_instance(n):
     )
 
 
+def near_tied_instance(n, seed):
+    """Travel times of 1 or 2, one more in slot 0, service times of 1 to
+    3 and slots of 3 to 5: routes cross slots, many cost within one of
+    the optimum, and the oracle's bound is often tight."""
+    rng = np.random.default_rng(seed)
+    h = 4
+    travel = rng.integers(1, 3, size=(h, n + 2, n + 2)).astype(float)
+    travel[0] += 1.0
+    travel[:, n + 1, :] = travel[:, 0, :]
+    travel[:, :, n + 1] = travel[:, :, 0]
+    service = np.zeros(n + 2)
+    service[1 : n + 1] = rng.integers(1, 4, size=n)
+    return TdTspInstance(
+        n_customers=n, n_intervals=h, interval_length=float(rng.integers(3, 6)),
+        service=service, travel=travel, seed=None,
+    )
+
+
 def test_brute_force_gives_the_reference_optimum():
     # Generated, tight and all-late generated, and tenths instances at
-    # n = 1..8, one table call each; one n = 9 instance, which runs the
-    # prefix loop; and ties, where both pick the first order.
+    # n = 1..8; an n = 9 instance; an exact instance whose route bound
+    # lies just below 2**53; an all-late tenths instance at n = 9, where
+    # the bound is the travel time alone; near ties, where the bound is
+    # often tight; and ties, where both pick the first order, also at
+    # the guard of 10 customers.
     rng = np.random.default_rng(69)
     late = set()
     cases = []
@@ -696,12 +722,20 @@ def test_brute_force_gives_the_reference_optimum():
             tenths_instance(n, int(rng.integers(1, 41)), 70 + n, rng),
         ]
     cases += [generate_tdtsp_instance(9, 3, seed=71), tied_instance(4), tied_instance(9)]
+    at_bound = (2**53 - 1 - bounded_instance(0.0).service.sum()) // 4
+    exact = bounded_instance(float(at_bound))
+    assert exact._route_tables.service_total is not None
+    late_tenths = tenths_instance(9, 4, 80, rng)
+    # Every route is late: ten legs of at least 0.1 and the service times.
+    assert late_tenths.service.sum() + 1.0 > late_tenths.horizon
+    cases += [exact, late_tenths]
+    cases += [near_tied_instance(n, 10 * n + k) for n in range(3, 8) for k in range(4)]
     for instance in cases:
         opt = brute_force_tdtsp(instance)
         assert opt == reference_brute_force(instance)
         late.add(opt[0] >= instance.horizon * LATE_PENALTY_FACTOR)
     assert late == {False, True}
-    for n in (4, 9):
+    for n in (4, 9, 10):
         assert brute_force_tdtsp(tied_instance(n)) == (n + 1.0, tuple(range(1, n + 1)))
 
 
@@ -717,6 +751,11 @@ def test_decode_refuses_keys_of_another_shape(bench_instance):
         for decode in (lambda k: decode_tdtsp(bench_instance, k), cost):
             with pytest.raises(ValueError, match=r"expected 6 keys, got shape"):
                 decode(keys)
+    # A memo primed with the same visiting order answers no other shape.
+    for decode in (lambda k: decode_tdtsp(bench_instance, k), cost):
+        cost(BENCH_KEYS)
+        with pytest.raises(ValueError, match=r"expected 6 keys, got shape"):
+            decode(BENCH_KEYS[None])
 
 
 def test_generator_shapes_and_reproducibility():

@@ -39,12 +39,17 @@ Prints one JSON object:
   cost of each call weighs most; of its 720 orders a random key vector
   repeats the one before it about once in 720 calls, which then costs
   one comparison;
+- ``tdtsp.decode.us_n50``: CPU microseconds per ``decode_tdtsp`` call,
+  which assembles the whole solution, on the key vectors and the
+  instance of ``tdtsp.cost.us_n50``;
 - ``tdtsp.oracle.ms_n6`` and ``tdtsp.oracle.ms_n8``: CPU milliseconds
   per ``brute_force_tdtsp`` call on generated instances of 6 customers
   and 3 slots, as in the benchmark's TTT set-up, and of 8 customers
   and 5 slots; each call gets an instance generated afresh, outside the
   timing, so no per-instance cache carries over between calls, while
-  what a process builds once is built in the untimed warm-up pass;
+  what a process builds once is built in the untimed warm-up pass; so
+  each call also builds the instance's route tables, which a decoder
+  of the same instance then reuses;
 - ``host_factor``: the median host-speed correction applied.
 
 A descent is told costs as the ensemble tells them: a float for a
@@ -87,6 +92,7 @@ from randomkeys import (  # noqa: E402
     TdTspDecoder,
     TdTspInstance,
     brute_force_tdtsp,
+    decode_tdtsp,
     generate_tdtsp_instance,
     shake,
 )
@@ -164,7 +170,7 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     """The figures the module docstring lists: ``calls`` portfolio
     decodes, ``calls`` shakes per shake row, ``calls`` charges and
     ``calls // 100`` blocks (at least one) per charging row, ``calls``
-    route decodes per TD-TSP cost row, ``descents`` descents per
+    route decodes per TD-TSP cost or decode row, ``descents`` descents per
     Nelder-Mead row, and ``calls // 100`` oracle calls at 6 customers
     and ``calls // 1000`` at 8 (at least one each), per repeat."""
     clock = HostClock()
@@ -227,6 +233,10 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
         rows[f"tdtsp.cost.{name}"] = _median_us(
             clock, lambda: [decoder.cost(k) for k in keys], calls, repeats
         )
+
+    rows["tdtsp.decode.us_n50"] = _median_us(
+        clock, lambda: [decode_tdtsp(instance, k) for k in wide], calls, repeats
+    )
 
     route = TdTspDecoder(instance)
     starts = [(x, route.cost(x)) for x in rng.random((descents, 50))]
