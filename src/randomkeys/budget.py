@@ -5,14 +5,18 @@ the decoder calls, holds the call limit and the deadline, and keeps the
 best decode of the run.  The ensemble is its only caller: it charges
 the initial fill and then what its driver decodes for the searchers,
 which only ask for key vectors, one at a time or as a block of
-independent rows, and are told their costs.  There is one decode path:
-each vector, block rows included, is one ``Decoder.cost`` call charged
-by :meth:`Evaluator.charge`, which returns the cost as a float.  Only a
-decode that beats the run's best becomes an :class:`EvaluatedSolution`.
-Once the call limit or deadline is hit, or a decode has reached the
-target, the evaluator refuses: it decodes nothing and returns ``None``,
-or a block's list of costs cut where the run ended, so no decode is
-ever issued past the budget and the reported call count is exact.
+independent rows, and are told their costs.  A vector is one
+``Decoder.cost`` call, charged by :meth:`Evaluator.charge`.  A block is
+one ``Decoder.cost_rows`` call, cut to the calls left and charged at
+once, when the decoder has that method and the run has a call limit
+only; otherwise its rows are charged one by one, so that a run which
+reaches its target or deadline within a block decodes no row after it.
+Only a decode that beats the run's best becomes an
+:class:`EvaluatedSolution`.  Once the call limit or deadline is hit, or
+a decode has reached the target, the evaluator refuses: it decodes
+nothing and returns ``None``, or a block's list of costs cut where the
+run ended, so no decode is ever issued past the budget and the reported
+call count is exact.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ class Decoder(Protocol):
 
     ``dimension`` is the key-vector length; ``cost`` maps a key vector
     to a finite float (penalties included).  Implementations must be
-    deterministic and must not mutate the key array.  It is the only
-    method the evaluator calls: every decode of a run, block rows
-    included, is one ``cost`` call.
+    deterministic and must not mutate the key array.  A decoder may also
+    have ``cost_rows(block) -> list[float]``, the floats ``cost`` gives
+    a 2-D block's rows; the evaluator calls it as the module says.
     """
 
     @property
@@ -123,6 +127,8 @@ class Evaluator:
         self.reached_target = False
         self.best: Optional[EvaluatedSolution] = None
         self.time_to_best = 0.0
+        ends_in_block = target_cost is not None or self._deadline is not None
+        self._cost_rows = None if ends_in_block else getattr(decoder, "cost_rows", None)
 
     def elapsed(self) -> float:
         """Time in the unit of the budget: decoder calls when it has no
@@ -153,26 +159,45 @@ class Evaluator:
         if not math.isfinite(cost):
             raise DecoderError(f"decoder returned non-finite cost {cost!r}")
         if self.best is None or cost < self.best.cost:
-            self.best = EvaluatedSolution(keys.copy(), cost, self.calls, origin)
-            self.time_to_best = self.elapsed()
-            self.reached_target = self.target_cost is not None and cost <= self.target_cost
+            self._improve(keys, cost, self.calls, origin)
         return cost
 
+    def _improve(self, keys: np.ndarray, cost: float, decoded_at: int, origin: str) -> None:
+        """Make decode ``decoded_at`` the best, over a copy of ``keys``."""
+        self.best = EvaluatedSolution(keys.copy(), cost, decoded_at, origin)
+        self.time_to_best = float(decoded_at) if self._deadline is None else self.elapsed()
+        self.reached_target = self.target_cost is not None and cost <= self.target_cost
+
     def charge_block(self, block: np.ndarray, origin: str = "") -> list[float]:
-        """Charge the rows of ``block`` in order through :meth:`charge`
-        and return their costs.  The list is shorter than the block when
-        the run ended within it; no row past that point is decoded.  A
-        block decodes exactly as its rows asked for one at a time would;
-        asking for it at once saves the driver a round trip per row.
+        """Charge the rows of ``block`` in order and return their costs.
+        The list is shorter than the block when the run ended within it;
+        no row past that point is decoded.  A block decodes exactly as its
+        rows asked for one at a time would, and saves the driver a round
+        trip per row; a failed ``cost_rows`` call charges no row.
         """
         if block.ndim != 2 or block.shape[1] != self.dimension:
             raise DecoderError(
                 f"expected a block of {self.dimension}-key rows, got shape {block.shape}"
             )
-        costs = []
-        for row in block:
-            cost = self.charge(row, origin)
-            if cost is None:
-                break
-            costs.append(cost)
+        if self._cost_rows is None:
+            costs = []
+            for row in block:
+                if (cost := self.charge(row, origin)) is None:
+                    break
+                costs.append(cost)
+            return costs
+        block = block[: self.call_limit - self.calls]
+        if not len(block):
+            return []
+        try:
+            costs = self._cost_rows(block)
+        except Exception as exc:
+            raise DecoderError(f"decoder failed on a block of {len(block)} rows") from exc
+        if len(costs) != len(block) or not all(map(math.isfinite, costs)):
+            raise DecoderError(f"expected {len(block)} finite costs, got {costs!r}")
+        low = min(costs)
+        if self.best is None or low < self.best.cost:
+            k = costs.index(low)
+            self._improve(block[k], low, self.calls + k + 1, origin)
+        self.calls += len(costs)
         return costs

@@ -16,8 +16,8 @@ as one array and a cost list; they share nothing but the budget.
 BRKGA asks for its first population and for each generation as one
 block, SA for its 100 calibration neighbours, and Nelder-Mead, inside
 ILS's and VNS's descents, for its initial simplex and for each shrink.
-The evaluator decodes a block row by row, as it decodes any vector, so
-a block ask only saves the driver a round trip per row.  Every vector
+The evaluator charges a block as it would its rows asked for one by
+one, so a block ask saves a round trip per row and no more.  Every vector
 of a block is drawn before the ask, in the order in which one ask per
 vector would draw them, so the draw stream is that of row-by-row asks;
 Nelder-Mead's blocks draw nothing.

@@ -202,7 +202,7 @@ class TdTspInstance:
             service=None if exact else service[1 : n + 1].tolist(),
             edges=self._slot_starts[:-1].tolist() + [math.inf],
             service_total=total if exact else None,
-            horizon=self.horizon,
+            horizon=float(self.horizon),
         )
 
     @cached_property
@@ -464,10 +464,10 @@ class TdTspDecoder:
     the bytes of the stable argsort and the cost, and a vector with the
     same order costs one comparison; the pair is replaced in one
     assignment, so an order is never paired with another order's cost.
-    Keys of another shape are refused before the memo is read.  It is
-    the only method a run calls: the evaluator decodes a block's rows
-    one by one through it too.  ``decode`` assembles the route with
-    :func:`decode_tdtsp`, a second walk, which gives the same float.
+    Keys of another shape are refused before the memo is read.
+    ``cost_rows`` gives a block's rows the costs of ``cost``, with one
+    argsort and a walk per row whose order differs from the row before.
+    ``decode`` assembles the route with :func:`decode_tdtsp`: a second walk, same float.
     """
 
     def __init__(self, instance: TdTspInstance) -> None:
@@ -492,6 +492,21 @@ class TdTspDecoder:
         # One assignment, so the stored order never pairs with another's cost.
         self._last = (stamp, cost)
         return cost
+
+    def cost_rows(self, block: np.ndarray) -> list[float]:
+        """The costs and the memo that ``cost`` called on each row of a
+        non-empty ``block`` in turn gives, bit for bit."""
+        if block.ndim != 2 or block.shape[1:] != self._shape:
+            raise ValueError(f"expected rows of {self._shape[0]} keys, got shape {block.shape}")
+        orders = block.argsort(axis=1, kind="stable")
+        new = np.empty(len(orders), dtype=bool)
+        new[0] = orders[0].tobytes() != self._last[0]
+        new[1:] = (orders[1:] != orders[:-1]).any(axis=1)
+        # Entry 0 is the memo's cost, so a row that repeats it reads index 0.
+        values = [self._last[1]] + [self._route_cost(order) for order in orders[new].tolist()]
+        costs = [values[i] for i in new.cumsum().tolist()]
+        self._last = (orders[-1].tobytes(), costs[-1])
+        return costs
 
     def _route_cost(self, order: list) -> float:
         """The penalized cost of visiting ``order``, 0-based customers.
@@ -583,7 +598,7 @@ def brute_force_tdtsp(instance: TdTspInstance) -> tuple[float, tuple[int, ...]]:
         into = (legs.min(axis=(0, 1)) + instance.service[1 : n + 1]).tolist()
         s, base = [0.0] * n, service_total
         rest = sum(into) + float(travel[:, 1 : n + 1, 0].min()) - base
-    penalty = float(horizon) * LATE_PENALTY_FACTOR
+    penalty = horizon * LATE_PENALTY_FACTOR
     best_cost = math.inf
     best_order: tuple[int, ...] = ()
     order = [0] * n

@@ -329,3 +329,114 @@ def test_block_decoder_must_return_a_finite_cost_per_row(bad):
     with pytest.raises(DecoderError):
         ev.charge_block(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
     assert decoder.calls == 2
+
+
+class BlockDecoder(CountingDecoder):
+    """A CountingDecoder that also costs blocks, recording each one."""
+
+    def __init__(self, dim=3):
+        super().__init__(dim)
+        self.blocks = []
+
+    def cost_rows(self, block):
+        self.blocks.append(block.copy())
+        return [float(row.sum()) for row in block]
+
+
+def test_cost_rows_block_crossing_the_call_limit_decodes_only_the_rows_that_fit():
+    decoder = BlockDecoder()
+    ev = Evaluator(decoder, RunBudget(decoder_calls=5))
+    ev.charge(KEYS)
+    ev.charge(KEYS)
+    block = np.random.default_rng(1).random((4, 3))
+    costs = ev.charge_block(block, "brkga")
+    assert [b.tobytes() for b in decoder.blocks] == [block[:3].tobytes()]
+    assert costs == [float(row.sum()) for row in block[:3]]
+    assert min(costs) > float(KEYS.sum())
+    assert (ev.best.decoded_at, ev.best.origin) == (1, "")
+    assert ev.calls == 5 and decoder.calls == 2
+    # A block asked for once the budget is spent decodes nothing.
+    assert ev.charge_block(block) == []
+    assert len(decoder.blocks) == 1 and ev.calls == 5
+
+
+def test_cost_rows_block_best_is_its_first_strict_minimum():
+    ev = Evaluator(BlockDecoder(), RunBudget(decoder_calls=10))
+    ev.charge(np.array([0.5, 0.5, 0.5]))
+    block = np.array(
+        [[0.75, 0.75, 0.75], [0.25, 0.125, 0.125], [0.125, 0.125, 0.25], [0.25, 0.25, 0.25]]
+    )
+    costs = ev.charge_block(block, "sa")
+    assert costs == [float(row.sum()) for row in block]
+    best = ev.best
+    assert (best.cost, best.keys.tobytes(), best.origin) == (costs[1], block[1].tobytes(), "sa")
+    assert best.decoded_at == ev.time_to_best == 3
+    assert best.keys.base is None and not best.keys.flags.writeable
+    block[1] = 0.0
+    assert best.keys.tolist() == [0.25, 0.125, 0.125]
+    # A block that only ties the best leaves it alone.
+    ev.charge_block(block[2:3], "ils")
+    assert ev.best is best and ev.calls == 6
+
+
+def test_cost_rows_charges_as_the_rows_one_by_one_would():
+    instance = generate_tdtsp_instance(30, 4, seed=3)
+
+    class RowsOnly:
+        dimension = 30
+
+        def __init__(self):
+            self.decoder = TdTspDecoder(instance)
+
+        def cost(self, keys):
+            return self.decoder.cost(keys)
+
+    rng = np.random.default_rng(4)
+    whole = Evaluator(TdTspDecoder(instance), RunBudget(decoder_calls=200))
+    rows = Evaluator(RowsOnly(), RunBudget(decoder_calls=200))
+    base = rng.random(30)
+    blocks = [rng.random((60, 30)), base + rng.random((50, 1)) * 0.01, rng.random((120, 30))]
+    for block in blocks:
+        assert whole.charge_block(block, "nm") == rows.charge_block(block, "nm")
+        assert whole.calls == rows.calls
+        assert whole.best.keys.tobytes() == rows.best.keys.tobytes()
+        assert (whole.best.cost, whole.best.decoded_at, whole.time_to_best) == (
+            rows.best.cost, rows.best.decoded_at, rows.time_to_best
+        )
+    assert whole.calls == 200
+
+
+@pytest.mark.parametrize(
+    "budget, target",
+    [(RunBudget(decoder_calls=100), 1.0), (RunBudget(time_limit=100.0), None)],
+    ids=["target", "deadline"],
+)
+def test_target_and_deadline_runs_never_call_cost_rows(budget, target):
+    decoder = BlockDecoder()
+    ev = Evaluator(decoder, budget, target_cost=target)
+    block = np.array([[0.5, 0.5, 0.5], [0.5, 0.25, 0.5], [0.25, 0.25, 0.25], [0.0, 0.0, 0.0]])
+    costs = ev.charge_block(block)
+    assert decoder.blocks == []
+    assert len(costs) == decoder.calls == ev.calls == (3 if target else 4)
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [
+        lambda block: 1 / 0,
+        lambda block: [1.0, float("nan"), 1.0][: len(block)],
+        lambda block: [1.0, float("inf"), 1.0][: len(block)],
+        lambda block: [1.0] * (len(block) - 1),
+        lambda block: [1.0] * (len(block) + 1),
+    ],
+    ids=["raises", "nan", "inf", "short", "long"],
+)
+def test_failed_cost_rows_raises_and_charges_nothing(answer):
+    decoder = BlockDecoder()
+    decoder.cost_rows = answer
+    ev = Evaluator(decoder, RunBudget(decoder_calls=10))
+    ev.charge(KEYS)
+    best = ev.best
+    with pytest.raises(DecoderError):
+        ev.charge_block(np.zeros((3, 3)))
+    assert ev.calls == 1 and ev.best is best

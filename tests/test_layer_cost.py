@@ -33,6 +33,8 @@ def test_layer_cost_prints_every_figure():
         "keys.shake.us_d6",
         "budget.charge.us_d50",
         "budget.charge_block.us_row_d50",
+        "budget.charge_block.us_row_tdtsp50_shrink",
+        "budget.charge_block.us_row_tdtsp50_random",
         "nelder_mead.ask_us_d20",
         "nelder_mead.ask_us_d50",
         "nelder_mead.ask_us_tdtsp50",

@@ -608,6 +608,89 @@ def test_interrupted_route_leaves_the_memo_unchanged(monkeypatch):
     assert decoder.cost(a) == decode_tdtsp(instance, a).cost
 
 
+def block_cases(rng, n):
+    """(prime, block) pairs that probe ``cost_rows``: the decoder costs
+    ``prime`` first, then the block.  Random rows; shrink-like runs of
+    rows in one order, A-B-A included; tied keys; -0.0 beside 0.0; NaN
+    keys; a first row in the order of ``prime``; and one-row blocks."""
+    a, b = rng.random(n), rng.random(n)
+    yield a, rng.random((int(rng.integers(2, 80)), n))
+    runs = [a, b, a, rng.random(n), rng.random(n)]
+    shrink = np.array(
+        [r * rng.uniform(0.5, 1.0) for r in runs for _ in range(int(rng.integers(1, 15)))]
+    )
+    yield a, shrink
+    yield b, shrink
+    tied = rng.choice([0.0, 0.25, 0.5, KEY_MAX], size=(30, n))
+    tied[1::3] = tied[::3][: len(tied[1::3])]
+    yield a, tied
+    signed = np.where(tied == 0.0, rng.choice([0.0, -0.0], size=tied.shape), tied)
+    yield tied[0], signed
+    holes = rng.random((20, n))
+    holes[rng.random(holes.shape) < 0.2] = np.nan
+    holes[1::2] = holes[::2]
+    yield holes[0], holes
+    yield a, a[None] * 0.5
+    yield a, b[None]
+
+
+def test_cost_rows_gives_the_bits_and_memo_of_cost_row_by_row():
+    # Exact instances with routes on time and late (mid-route or on the
+    # return leg), and tenths instances, which take the float loop.
+    rng = np.random.default_rng(63)
+    late = set()
+    for case in range(40):
+        n, h = int(rng.integers(1, 61)), int(rng.integers(1, 8))
+        if case % 2:
+            instance = tenths_instance(n, h, case, rng)
+        else:
+            service = generate_tdtsp_instance(n, h, seed=case).service.sum()
+            horizon = service + rng.uniform(0.0, 1.5) * 6.5 * (n + 1)
+            instance = generate_tdtsp_instance(n, h, seed=case, horizon=horizon)
+        for prime, block in block_cases(rng, n):
+            rows, whole = TdTspDecoder(instance), TdTspDecoder(instance)
+            walks = []
+            route = whole._route_cost
+            whole._route_cost = lambda order: walks.append(order) or route(order)
+            rows.cost(prime)
+            whole.cost(prime)
+            walks.clear()
+            expected = [rows.cost(row) for row in block]
+            got = whole.cost_rows(block)
+            assert all(type(cost) is float for cost in got)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+            assert whole._last == rows._last
+            # One walk per row whose order differs from the row before.
+            orders = [prime.argsort(kind="stable").tolist()]
+            orders += block.argsort(axis=1, kind="stable").tolist()
+            assert walks == [o for o, before in zip(orders[1:], orders) if o != before]
+            late.update(cost >= instance.horizon for cost in got)
+    assert late == {False, True}
+
+
+def test_cost_rows_refuses_rows_of_another_length():
+    decoder = TdTspDecoder(generate_tdtsp_instance(6, 2, seed=1))
+    for block in (np.zeros(6), np.zeros((3, 5)), np.zeros((2, 3, 6))):
+        with pytest.raises(ValueError):
+            decoder.cost_rows(block)
+    assert decoder._last == (None, 0.0)
+
+
+def test_late_route_costs_are_python_floats():
+    # interval_length is a numpy float here, and so is the horizon.
+    base = generate_tdtsp_instance(6, 3, 1)
+    instance = generate_tdtsp_instance(6, 3, 1, horizon=0.9 * base.service.sum())
+    block = np.random.default_rng(64).random((20, 6))
+    decoder = TdTspDecoder(instance)
+    for keys in block:
+        cost = decoder.cost(keys)
+        assert type(cost) is float
+        assert cost == decode_tdtsp(instance, keys).cost >= instance.horizon
+    costs = TdTspDecoder(instance).cost_rows(block)
+    assert all(type(cost) is float for cost in costs)
+    assert min(costs) >= instance.horizon
+
+
 def test_shared_decoder_reports_as_a_fresh_one():
     instance = generate_tdtsp_instance(30, 3, seed=61)
     searchers = [BrkgaParams(), SaParams(), IlsParams()]

@@ -18,6 +18,15 @@ Prints one JSON object:
   always 0.0, so that only the first call makes a new best;
 - ``budget.charge_block.us_row_d50``: the same per row of
   ``Evaluator.charge_block`` on a fixed ``(100, 50)`` block;
+- ``budget.charge_block.us_row_tdtsp50_shrink`` and
+  ``budget.charge_block.us_row_tdtsp50_random``: CPU microseconds per
+  row of ``Evaluator.charge_block`` under a call limit, on the
+  benchmark's 50-customer TD-TSP decoder, which costs such blocks with
+  ``cost_rows``.  The first charges the blocks that the
+  ``nelder_mead.ask_us_tdtsp50`` descents ask for, initial simplexes
+  and shrinks, whose rows mostly repeat the visiting order of the row
+  before; the second fixed random ``(80, 50)`` blocks, as BRKGA asks
+  for, whose rows each have a new order;
 - ``nelder_mead.ask_us_d20`` and ``nelder_mead.ask_us_d50``: CPU
   microseconds per decode that ``nelder_mead_moves`` asks for,
   descending on a quadratic from fixed starts at d = 20 and 50, the
@@ -118,9 +127,10 @@ def _median_us(clock: HostClock, work, count: int, repeats: int) -> float:
     return statistics.median(samples) * 1e6
 
 
-def _descend(start: tuple, cost, rng: np.random.Generator) -> int:
+def _descend(start: tuple, cost, rng: np.random.Generator, blocks=None) -> int:
     """Run one Nelder-Mead descent from the ``(keys, cost)`` pair
-    ``start``, answering a block row by row; return its decodes."""
+    ``start``, answering a block row by row; return its decodes.  A
+    copy of each block asked for is appended to ``blocks`` if given."""
     moves = nelder_mead_moves(*start, rng)
     decodes = 0
     try:
@@ -131,6 +141,8 @@ def _descend(start: tuple, cost, rng: np.random.Generator) -> int:
                 keys = moves.send(cost(keys))
             else:
                 decodes += len(keys)
+                if blocks is not None:
+                    blocks.append(keys.copy())
                 keys = moves.send([cost(row) for row in keys])
     except StopIteration:
         return decodes
@@ -169,7 +181,9 @@ def _oracle_ms(clock: HostClock, n: int, slots: int, count: int, repeats: int) -
 def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     """The figures the module docstring lists: ``calls`` portfolio
     decodes, ``calls`` shakes per shake row, ``calls`` charges and
-    ``calls // 100`` blocks (at least one) per charging row, ``calls``
+    ``calls // 100`` blocks (at least one) per charging row, the
+    descents' blocks and ``calls // 80`` random blocks (at least one) per
+    TD-TSP charging row, ``calls``
     route decodes per TD-TSP cost or decode row, ``descents`` descents per
     Nelder-Mead row, and ``calls // 100`` oracle calls at 6 customers
     and ``calls // 1000`` at 8 (at least one each), per repeat."""
@@ -241,6 +255,17 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     route = TdTspDecoder(instance)
     starts = [(x, route.cost(x)) for x in rng.random((descents, 50))]
     _descents_us(clock, rows, "tdtsp50", route.cost, starts, rng, repeats)
+
+    shrinks: list = []
+    for start in starts:
+        _descend(start, route.cost, rng, shrinks)
+    randoms = list(np.random.default_rng(80).random((max(1, calls // 80), 80, 50)))
+    for name, blocks in (("shrink", shrinks), ("random", randoms)):
+        charging = Evaluator(TdTspDecoder(instance), RunBudget(decoder_calls=2**62))
+        rows[f"budget.charge_block.us_row_tdtsp50_{name}"] = _median_us(
+            clock, lambda: [charging.charge_block(block) for block in blocks],
+            sum(map(len, blocks)), repeats,
+        )
 
     rows["tdtsp.oracle.ms_n6"] = _oracle_ms(clock, 6, 3, max(1, calls // 100), repeats)
     rows["tdtsp.oracle.ms_n8"] = _oracle_ms(clock, 8, 5, max(1, calls // 1000), repeats)
