@@ -108,7 +108,9 @@ class Evaluator:
     ``time_to_best`` the :meth:`elapsed` time right after it.  A decode
     at or below ``target_cost`` ends the run: every later call is
     refused.  A key vector or block of the wrong shape raises
-    :class:`DecoderError` before anything is charged.
+    :class:`DecoderError` before anything is charged.  So does a decode
+    that fails or costs a non-finite amount: it is never charged, and
+    a block decoded row by row keeps only the rows before it.
     """
 
     def __init__(
@@ -155,9 +157,9 @@ class Evaluator:
             cost = float(self.decoder.cost(keys))
         except Exception as exc:
             raise DecoderError(f"decoder failed on keys {keys!r}") from exc
-        self.calls += 1
         if not math.isfinite(cost):
             raise DecoderError(f"decoder returned non-finite cost {cost!r}")
+        self.calls += 1
         if self.best is None or cost < self.best.cost:
             self._improve(keys, cost, self.calls, origin)
         return cost

@@ -100,69 +100,40 @@ def _portfolio(args, means, covariance, risk_aversion: float) -> PortfolioInstan
         raise InstanceFormatError(str(exc)) from exc
 
 
-def _instance(args):
-    """The instance named by --instance, read as --kind says."""
+def _problem(args):
+    """The (decoder, size) of --instance, read as --kind says; ``size``
+    is what the wall-clock budget schedule reads."""
     path = Path(args.instance)
     if args.kind == "mip":
-        return load_mip(path)
+        decoder = MipDecoder(load_mip(path), PenaltyModel(weight=args.penalty_weight))
+        return decoder, decoder.dimension
     if args.kind == "portfolio":
         means, covariance = load_orlib_portfolio(path)
-        return _portfolio(args, means, covariance, args.risk_aversion)
+        decoder = PortfolioDecoder(_portfolio(args, means, covariance, args.risk_aversion))
+        return decoder, decoder.instance.n_assets
     # tdtsp, the one kind left that argparse's choices admit
-    return load_tdtsp(path)
+    decoder = TdTspDecoder(load_tdtsp(path))
+    return decoder, decoder.dimension
 
 
-def _load_problem(args):
-    """Build (decoder, size, describe_best) for the chosen kind and
-    flags; ``size`` is what the wall-clock budget schedule reads."""
-    instance = _instance(args)
-    if args.kind == "mip":
-        decoder = MipDecoder(instance, PenaltyModel(weight=args.penalty_weight))
-
-        def describe(report: RunReport) -> dict:
-            decoded = decoder.decode(report.best_keys)
-            verdict = check_mip(instance, decoded.x)
-            return {
-                "x": decoded.x.tolist(),
-                "objective": decoded.objective,
-                "penalty": decoded.penalty,
-                "cost": decoded.cost,
-                "feasible": verdict.feasible,
-            }
-
-        return decoder, decoder.dimension, describe
-    if args.kind == "portfolio":
-        decoder = PortfolioDecoder(instance)
-
-        def describe(report: RunReport) -> dict:
-            decoded = decoder.decode(report.best_keys)
-            verdict = check_portfolio(instance, decoded)
-            return {
-                "assets": list(decoded.assets),
-                "weights": decoded.weights.tolist(),
-                "risk": decoded.risk,
-                "return": decoded.mean_return,
-                "penalty": decoded.penalty,
-                "cost": decoded.cost,
-                "feasible": verdict.feasible,
-            }
-
-        return decoder, instance.n_assets, describe
-    decoder = TdTspDecoder(instance)
-
-    def describe(report: RunReport) -> dict:
-        decoded = decoder.decode(report.best_keys)
-        verdict = check_tdtsp(instance, decoded)
-        return {
-            "order": list(decoded.order),
-            "arrival": decoded.arrival.tolist(),
-            "travel_cost": decoded.travel_cost,
-            "penalized": decoded.penalized,
-            "cost": decoded.cost,
-            "feasible": verdict.feasible,
-        }
-
-    return decoder, instance.n_customers, describe
+def _solution(kind: str, decoder, keys: np.ndarray) -> dict:
+    """Solve's report of what ``keys`` decode to, with its recheck."""
+    decoded = decoder.decode(keys)
+    if kind == "mip":
+        verdict = check_mip(decoder.instance, decoded.x)
+        return {"x": decoded.x.tolist(), "objective": decoded.objective,
+                "penalty": decoded.penalty, "cost": decoded.cost,
+                "feasible": verdict.feasible}
+    if kind == "portfolio":
+        verdict = check_portfolio(decoder.instance, decoded)
+        return {"assets": list(decoded.assets), "weights": decoded.weights.tolist(),
+                "risk": decoded.risk, "return": decoded.mean_return,
+                "penalty": decoded.penalty, "cost": decoded.cost,
+                "feasible": verdict.feasible}
+    verdict = check_tdtsp(decoder.instance, decoded)
+    return {"order": list(decoded.order), "arrival": decoded.arrival.tolist(),
+            "travel_cost": decoded.travel_cost, "penalized": decoded.penalized,
+            "cost": decoded.cost, "feasible": verdict.feasible}
 
 
 def _budget_from_args(args, kind: str, size: int) -> RunBudget:
@@ -209,8 +180,22 @@ def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[Sequence[str]]
         writer.writerows(rows)
 
 
+def _read_rows(path: Path, parse, expected: str):
+    """``parse`` of the data rows of the CSV at ``path``, each a dict by
+    column.  A file without data rows is an instance format error; so is
+    a missing column or a bad number, reported after ``expected``."""
+    with path.open() as handle:
+        rows = list(csv.DictReader(handle))
+    if not rows:
+        raise InstanceFormatError(f"{path}: no data rows")
+    try:
+        return parse(rows)
+    except (KeyError, ValueError) as exc:
+        raise InstanceFormatError(f"{path}: {expected}: {exc}") from exc
+
+
 def cmd_solve(args) -> int:
-    decoder, size, describe = _load_problem(args)
+    decoder, size = _problem(args)
     budget = _budget_from_args(args, args.kind, size)
     searchers = _parse_searchers(args.searchers)
     reports = _run_seeds(args, decoder, searchers, budget, args.seeds, args.target_cost)
@@ -242,7 +227,7 @@ def cmd_solve(args) -> int:
             "searcher": best.searcher,
             "keys": best.best_keys.tolist(),
         },
-        "solution": describe(best),
+        "solution": _solution(args.kind, decoder, best.best_keys),
         "aggregate": {
             "mean_cost": float(np.mean([r.best_cost for r in reports])),
             "mean_time_to_best": float(np.mean([r.time_to_best for r in reports])),
@@ -257,16 +242,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_rpd(args) -> int:
-    runs = Path(args.runs)
-    with runs.open() as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows:
-        raise InstanceFormatError(f"{runs}: no data rows")
-    try:
-        costs = [float(r["best_cost"]) for r in rows]
-        times = [float(r["time_to_best"]) for r in rows]
-    except (KeyError, ValueError) as exc:
-        raise InstanceFormatError(f"{runs}: not a runs CSV: {exc}") from exc
+    costs, times = _read_rows(
+        Path(args.runs),
+        lambda rows: ([float(r["best_cost"]) for r in rows],
+                      [float(r["time_to_best"]) for r in rows]),
+        "not a runs CSV",
+    )
     try:
         summary = summarize_rpd(args.instance_id, args.reference, costs, times)
     except ValueError as exc:
@@ -292,7 +273,7 @@ def cmd_rpd(args) -> int:
 
 
 def cmd_ttt(args) -> int:
-    decoder, size, _ = _load_problem(args)
+    decoder, size = _problem(args)
     target = ttt_target(args.reference, args.target_percent)
     if not math.isfinite(target):
         raise InstanceFormatError(
@@ -301,11 +282,9 @@ def cmd_ttt(args) -> int:
         )
     budget = _budget_from_args(args, args.kind, size)
     # censoring point: the budget in the unit time_to_best counts, which
-    # is wall seconds when there is a time limit and decoder calls if not
-    if budget.time_limit is not None:
-        limit = budget.time_limit
-    else:
-        limit = float(budget.decoder_calls)
+    # is wall seconds when there is a time limit (RunBudget refuses 0)
+    # and decoder calls if not
+    limit = budget.time_limit or float(budget.decoder_calls)
     searchers = _parse_searchers(args.searchers)
     results = [
         report.time_to_best if report.best_cost <= target else None
@@ -347,29 +326,19 @@ def cmd_frontier(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    results = Path(args.results)
-    with results.open() as handle:
-        rows = list(csv.DictReader(handle))
-    if not rows:
-        raise InstanceFormatError(f"{results}: no data rows")
-    methods: dict[str, dict[str, float]] = {}
-    try:
+    def by_method(rows) -> dict[str, dict[str, float]]:
+        methods: dict[str, dict[str, float]] = {}
         for r in rows:
             methods.setdefault(r["method"], {})[r["instance"]] = float(r["cost"])
-    except (KeyError, ValueError) as exc:
-        raise InstanceFormatError(
-            f"{results}: expected method,instance,cost rows: {exc}"
-        ) from exc
-    refs = Path(args.references)
-    with refs.open() as handle:
-        ref_rows = list(csv.DictReader(handle))
-    try:
-        best_ref = {r["instance"]: float(r["best"]) for r in ref_rows}
-        lower_ref = {r["instance"]: float(r["lower"]) for r in ref_rows}
-    except (KeyError, ValueError) as exc:
-        raise InstanceFormatError(
-            f"{refs}: expected instance,best,lower rows: {exc}"
-        ) from exc
+        return methods
+
+    methods = _read_rows(Path(args.results), by_method, "expected method,instance,cost rows")
+    best_ref, lower_ref = _read_rows(
+        Path(args.references),
+        lambda rows: ({r["instance"]: float(r["best"]) for r in rows},
+                      {r["instance"]: float(r["lower"]) for r in rows}),
+        "expected instance,best,lower rows",
+    )
     taus = args.taus
     out_rows = []
     try:
@@ -386,23 +355,18 @@ def cmd_profile(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    instance = _instance(args)
+    decoder, _ = _problem(args)
     if args.kind == "mip":
-        cost, x = brute_force_mip(instance, PenaltyModel(weight=args.penalty_weight))
-        payload = {"kind": "mip", "cost": cost, "x": x.tolist()}
+        cost, x = brute_force_mip(decoder.instance, decoder.penalty)
+        payload = {"cost": cost, "x": x.tolist()}
     elif args.kind == "portfolio":
-        cost, assets, weights = brute_force_portfolio(instance, args.grid_step)
-        payload = {
-            "kind": "portfolio",
-            "cost": cost,
-            "assets": list(assets),
-            "weights": weights.tolist(),
-            "grid_step": args.grid_step,
-        }
+        cost, assets, weights = brute_force_portfolio(decoder.instance, args.grid_step)
+        payload = {"cost": cost, "assets": list(assets), "weights": weights.tolist(),
+                   "grid_step": args.grid_step}
     else:  # tdtsp
-        cost, order = brute_force_tdtsp(instance)
-        payload = {"kind": "tdtsp", "cost": cost, "order": list(order)}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+        cost, order = brute_force_tdtsp(decoder.instance)
+        payload = {"cost": cost, "order": list(order)}
+    text = json.dumps({"kind": args.kind, **payload}, indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
@@ -410,12 +374,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    instance = generate_tdtsp_instance(
-        n_customers=args.customers,
-        n_intervals=args.intervals,
-        seed=args.seed,
-        horizon=args.horizon,
-    )
+    try:
+        instance = generate_tdtsp_instance(
+            n_customers=args.customers,
+            n_intervals=args.intervals,
+            seed=args.seed,
+            horizon=args.horizon,
+        )
+    except ValueError as exc:  # a seed or horizon the generator refuses
+        raise InstanceFormatError(str(exc)) from exc
     write_tdtsp(instance, Path(args.out))
     print(f"wrote {args.out} (n={args.customers}, H={args.intervals}, seed={args.seed})")
     return 0
@@ -483,6 +450,15 @@ def _add_portfolio_flags(parser: argparse.ArgumentParser) -> None:
                         help="per-asset weight upper bound")
 
 
+def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags that name a problem: the instance, its kind, the MIP
+    penalty and the portfolio flags."""
+    parser.add_argument("--instance", required=True)
+    parser.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
+    parser.add_argument("--penalty-weight", type=_positive(float), default=1e4)
+    _add_portfolio_flags(parser)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="randomkeys",
@@ -491,18 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run the ensemble on an instance")
-    solve.add_argument("--instance", required=True)
-    solve.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
+    _add_problem_flags(solve)
     solve.add_argument("--seeds", type=_positive(int), default=5,
                        help="number of runs, seeded 1..N")
     solve.add_argument("--target-cost", type=_finite(float), default=None,
                        dest="target_cost",
                        help="stop a run early once this cost is reached")
-    solve.add_argument("--penalty-weight", type=_positive(float), default=1e4)
     solve.add_argument("--out", required=True,
                        help="output prefix; writes PREFIX.json and PREFIX_runs.csv")
     _add_run_flags(solve)
-    _add_portfolio_flags(solve)
     solve.set_defaults(func=cmd_solve)
 
     rpd = sub.add_parser("rpd", help="summarize a runs CSV against a reference")
@@ -514,16 +487,13 @@ def build_parser() -> argparse.ArgumentParser:
     rpd.set_defaults(func=cmd_rpd)
 
     ttt = sub.add_parser("ttt", help="time-to-target experiment")
-    ttt.add_argument("--instance", required=True)
-    ttt.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
+    _add_problem_flags(ttt)
     ttt.add_argument("--reference", type=_finite(float), required=True)
     ttt.add_argument("--target-percent", type=_finite(float), default=1.0,
                      help="target is reference plus this percent of |reference|")
     ttt.add_argument("--repetitions", type=_positive(int), default=10)
-    ttt.add_argument("--penalty-weight", type=_positive(float), default=1e4)
     ttt.add_argument("--out", required=True)
     _add_run_flags(ttt)
-    _add_portfolio_flags(ttt)
     ttt.set_defaults(func=cmd_ttt)
 
     frontier = sub.add_parser("frontier", help="sweep risk aversion on a portfolio")
@@ -551,12 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(func=cmd_profile)
 
     oracle = sub.add_parser("oracle", help="brute-force reference optimum")
-    oracle.add_argument("--instance", required=True)
-    oracle.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
+    _add_problem_flags(oracle)
     oracle.add_argument("--grid-step", type=_positive(float), default=1e-3)
-    oracle.add_argument("--penalty-weight", type=_positive(float), default=1e4)
     oracle.add_argument("--out", default=None)
-    _add_portfolio_flags(oracle)
     oracle.set_defaults(func=cmd_oracle)
 
     generate = sub.add_parser("generate", help="write a random TD-TSP instance")

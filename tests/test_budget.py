@@ -216,6 +216,7 @@ def test_evaluator_rejects_non_finite_cost():
     ev = Evaluator(Nan(), RunBudget(decoder_calls=5))
     with pytest.raises(DecoderError):
         ev.charge(np.array([0.5]))
+    assert ev.calls == 0
 
 
 def test_evaluator_refuses_a_key_vector_of_the_wrong_length():
@@ -329,6 +330,7 @@ def test_block_decoder_must_return_a_finite_cost_per_row(bad):
     with pytest.raises(DecoderError):
         ev.charge_block(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
     assert decoder.calls == 2
+    assert ev.calls == 1  # the row before the failure
 
 
 class BlockDecoder(CountingDecoder):

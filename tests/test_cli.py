@@ -11,17 +11,31 @@ import pytest
 from randomkeys import (
     BrkgaParams,
     GenericMipInstance,
+    MipDecoder,
+    PenaltyModel,
     PortfolioDecoder,
     PortfolioInstance,
     RunBudget,
     SaParams,
     TdTspDecoder,
+    brute_force_mip,
+    brute_force_portfolio,
+    brute_force_tdtsp,
+    check_mip,
+    check_portfolio,
+    check_tdtsp,
     generate_tdtsp_instance,
     run_ensemble,
     ttt_curve,
 )
 from randomkeys.cli import main
-from randomkeys.instances import load_orlib_portfolio, load_tdtsp, write_mip, write_tdtsp
+from randomkeys.instances import (
+    load_mip,
+    load_orlib_portfolio,
+    load_tdtsp,
+    write_mip,
+    write_tdtsp,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA_TDTSP = ROOT / "data" / "tdtsp_n6_h2.json"
@@ -596,3 +610,93 @@ def test_deterministic_output_is_the_same_in_every_process(tmp_path):
         outputs.append([(out / name).read_bytes()
                         for name in ("solve.json", "solve_runs.csv", "ttt.csv")])
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--seed", "1", "--horizon", "1e306"]])
+def test_generate_seed_or_horizon_the_generator_refuses_exits_2(flags, tmp_path, capsys):
+    out = tmp_path / "gen.json"
+    code = main(["generate", "--customers", "4", "--intervals", "2", *flags,
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "instance,best,lower\n"])
+def test_profile_refuses_references_without_data_rows(text, tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("method,instance,cost\nours,a,100.0\n")
+    refs = tmp_path / "refs.csv"
+    refs.write_text(text)
+    out = tmp_path / "p.csv"
+    code = main(["profile", "--results", str(results), "--references", str(refs),
+                 "--out", str(out)])
+    assert code == 2
+    assert f"error: {refs}: no data rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+PORT3 = (
+    "3\n"
+    "0.0013 0.0432\n0.0042 0.0403\n0.0015 0.0413\n"
+    "1 1 1.0\n1 2 0.56\n1 3 0.75\n2 2 1.0\n2 3 0.58\n3 3 1.0\n"
+)
+
+
+@pytest.mark.parametrize("kind", ["mip", "portfolio", "tdtsp"])
+def test_solve_and_oracle_report_what_the_library_gives(
+    kind, knapsack_path, tdtsp_path, tmp_path, capsys
+):
+    port = tmp_path / "port.txt"
+    port.write_text(PORT3)
+    # Problem flags away from their defaults: at a penalty weight of 0.5
+    # the knapsack's optimum is infeasible, and the portfolio bounds and
+    # risk aversion move its optimum.
+    instance, flags = {
+        "mip": (knapsack_path, ["--penalty-weight", "0.5"]),
+        "portfolio": (port, ["--cardinality", "2", "--risk-aversion", "0.3",
+                             "--lower-bound", "0.1", "--upper-bound", "0.8"]),
+        "tdtsp": (tdtsp_path, []),
+    }[kind]
+    problem = ["--instance", str(instance), "--kind", kind, *flags]
+    assert main(["solve", *problem, "--seeds", "2", "--decoder-calls", "300",
+                 "--deterministic", "--out", str(tmp_path / "solve")]) == 0
+    capsys.readouterr()
+    assert main(["oracle", *problem, "--grid-step", "0.01",
+                 "--out", str(tmp_path / "oracle.json")]) == 0
+    keys = np.array(json.loads((tmp_path / "solve.json").read_text())["best"]["keys"])
+
+    if kind == "mip":
+        mip = load_mip(instance)
+        decoded = MipDecoder(mip, PenaltyModel(weight=0.5)).decode(keys)
+        solution = {"x": decoded.x.tolist(), "objective": decoded.objective,
+                    "penalty": decoded.penalty, "cost": decoded.cost,
+                    "feasible": check_mip(mip, decoded.x).feasible}
+        cost, x = brute_force_mip(mip, PenaltyModel(weight=0.5))
+        oracle = {"kind": "mip", "cost": cost, "x": x.tolist()}
+        assert cost == -7.5  # (1, 0, 1) over the capacity by 1
+    elif kind == "portfolio":
+        means, covariance = load_orlib_portfolio(instance)
+        portfolio = PortfolioInstance(means=means, covariance=covariance, cardinality=2,
+                                      risk_aversion=0.3, lower=0.1, upper=0.8)
+        decoded = PortfolioDecoder(portfolio).decode(keys)
+        solution = {"assets": list(decoded.assets), "weights": decoded.weights.tolist(),
+                    "risk": decoded.risk, "return": decoded.mean_return,
+                    "penalty": decoded.penalty, "cost": decoded.cost,
+                    "feasible": check_portfolio(portfolio, decoded).feasible}
+        cost, assets, weights = brute_force_portfolio(portfolio, 0.01)
+        oracle = {"kind": "portfolio", "cost": cost, "assets": list(assets),
+                  "weights": weights.tolist(), "grid_step": 0.01}
+    else:
+        tdtsp = load_tdtsp(instance)
+        decoded = TdTspDecoder(tdtsp).decode(keys)
+        solution = {"order": list(decoded.order), "arrival": decoded.arrival.tolist(),
+                    "travel_cost": decoded.travel_cost, "penalized": decoded.penalized,
+                    "cost": decoded.cost, "feasible": check_tdtsp(tdtsp, decoded).feasible}
+        cost, order = brute_force_tdtsp(tdtsp)
+        oracle = {"kind": "tdtsp", "cost": cost, "order": list(order)}
+    assert json.loads((tmp_path / "solve.json").read_text())["solution"] == solution
+    assert json.loads((tmp_path / "oracle.json").read_text()) == oracle
+    assert json.loads(capsys.readouterr().out) == oracle
