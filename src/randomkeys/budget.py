@@ -8,9 +8,11 @@ which only ask for key vectors, one at a time or as a block of
 independent rows, and are told their costs.  A vector is one
 ``Decoder.cost`` call, charged by :meth:`Evaluator.charge`.  A block is
 one ``Decoder.cost_rows`` call, cut to the calls left and charged at
-once, when the decoder has that method and the run has a call limit
-only; otherwise its rows are charged one by one, so that a run which
-reaches its target or deadline within a block decodes no row after it.
+once, when the decoder has that method and the run has no deadline,
+with or without a target: the decoder stops at the first row at or
+below the target, so no row after it is decoded.  Under a deadline, or
+without the method, the rows are charged one by one, so that a run
+which reaches its deadline within a block decodes no row after it.
 Only a decode that beats the run's best becomes an
 :class:`EvaluatedSolution`.  Once the call limit or deadline is hit, or
 a decode has reached the target, the evaluator refuses: it decodes
@@ -60,8 +62,9 @@ class Decoder(Protocol):
     ``dimension`` is the key-vector length; ``cost`` maps a key vector
     to a finite float (penalties included).  Implementations must be
     deterministic and must not mutate the key array.  A decoder may also
-    have ``cost_rows(block) -> list[float]``, the floats ``cost`` gives
-    a 2-D block's rows; the evaluator calls it as the module says.
+    have ``cost_rows(block, stop) -> list[float]``, the floats ``cost``
+    gives a 2-D block's rows, up to and including the first row that
+    costs less than ``stop``; the evaluator calls it as the module says.
     """
 
     @property
@@ -129,8 +132,9 @@ class Evaluator:
         self.reached_target = False
         self.best: Optional[EvaluatedSolution] = None
         self.time_to_best = 0.0
-        ends_in_block = target_cost is not None or self._deadline is not None
-        self._cost_rows = None if ends_in_block else getattr(decoder, "cost_rows", None)
+        # A block row costing less than this is at or below the target.
+        self._stop = -math.inf if target_cost is None else math.nextafter(target_cost, math.inf)
+        self._cost_rows = getattr(decoder, "cost_rows", None) if self._deadline is None else None
 
     def elapsed(self) -> float:
         """Time in the unit of the budget: decoder calls when it has no
@@ -175,7 +179,9 @@ class Evaluator:
         The list is shorter than the block when the run ended within it;
         no row past that point is decoded.  A block decodes exactly as its
         rows asked for one at a time would, and saves the driver a round
-        trip per row; a failed ``cost_rows`` call charges no row.
+        trip per row.  A failed ``cost_rows`` call charges no row, and so
+        does one whose list is empty, longer than the block, or shorter
+        without ending at or below the target.
         """
         if block.ndim != 2 or block.shape[1] != self.dimension:
             raise DecoderError(
@@ -188,14 +194,16 @@ class Evaluator:
                     break
                 costs.append(cost)
             return costs
-        block = block[: self.call_limit - self.calls]
+        block = block[: 0 if self.reached_target else self.call_limit - self.calls]
         if not len(block):
             return []
         try:
-            costs = self._cost_rows(block)
+            costs = self._cost_rows(block, self._stop)
         except Exception as exc:
             raise DecoderError(f"decoder failed on a block of {len(block)} rows") from exc
-        if len(costs) != len(block) or not all(map(math.isfinite, costs)):
+        # A list shorter than the block must end in the row below the stop.
+        complete = len(costs) == len(block) or (costs and costs[-1] < self._stop)
+        if not complete or len(costs) > len(block) or not all(map(math.isfinite, costs)):
             raise DecoderError(f"expected {len(block)} finite costs, got {costs!r}")
         low = min(costs)
         if self.best is None or low < self.best.cost:

@@ -443,7 +443,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _add_portfolio_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cardinality", type=int, default=5,
                         help="number of assets to select")
-    parser.add_argument("--risk-aversion", type=float, default=0.5)
     parser.add_argument("--lower-bound", type=float, default=0.0,
                         help="per-asset weight lower bound")
     parser.add_argument("--upper-bound", type=float, default=1.0,
@@ -452,10 +451,11 @@ def _add_portfolio_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     """The flags that name a problem: the instance, its kind, the MIP
-    penalty and the portfolio flags."""
+    penalty, the risk aversion and the other portfolio flags."""
     parser.add_argument("--instance", required=True)
     parser.add_argument("--kind", required=True, choices=["mip", "portfolio", "tdtsp"])
     parser.add_argument("--penalty-weight", type=_positive(float), default=1e4)
+    parser.add_argument("--risk-aversion", type=float, default=0.5)
     _add_portfolio_flags(parser)
 
 

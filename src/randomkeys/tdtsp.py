@@ -466,7 +466,11 @@ class TdTspDecoder:
     assignment, so an order is never paired with another order's cost.
     Keys of another shape are refused before the memo is read.
     ``cost_rows`` gives a block's rows the costs of ``cost``, with one
-    argsort and a walk per row whose order differs from the row before.
+    argsort and a walk per row whose order differs from the row before,
+    up to and including the first row that costs less than its
+    ``stop``, and leaves the memo at that row.  The evaluator calls it
+    under a call limit, with or without a target (the stop is the
+    smallest float above the target), and never under a deadline.
     ``decode`` assembles the route with :func:`decode_tdtsp`: a second walk, same float.
     """
 
@@ -493,19 +497,25 @@ class TdTspDecoder:
         self._last = (stamp, cost)
         return cost
 
-    def cost_rows(self, block: np.ndarray) -> list[float]:
+    def cost_rows(self, block: np.ndarray, stop: float = -math.inf) -> list[float]:
         """The costs and the memo that ``cost`` called on each row of a
-        non-empty ``block`` in turn gives, bit for bit."""
+        non-empty ``block`` in turn gives, bit for bit, up to and
+        including the first row that costs less than ``stop``."""
         if block.ndim != 2 or block.shape[1:] != self._shape:
             raise ValueError(f"expected rows of {self._shape[0]} keys, got shape {block.shape}")
         orders = block.argsort(axis=1, kind="stable")
         new = np.empty(len(orders), dtype=bool)
         new[0] = orders[0].tobytes() != self._last[0]
         new[1:] = (orders[1:] != orders[:-1]).any(axis=1)
-        # Entry 0 is the memo's cost, so a row that repeats it reads index 0.
-        values = [self._last[1]] + [self._route_cost(order) for order in orders[new].tolist()]
-        costs = [values[i] for i in new.cumsum().tolist()]
-        self._last = (orders[-1].tobytes(), costs[-1])
+        costs = []
+        cost = self._last[1]
+        for row, fresh in enumerate(new.tolist()):
+            if fresh:
+                cost = self._route_cost(orders[row].tolist())
+            costs.append(cost)
+            if cost < stop:
+                break
+        self._last = (orders[row].tobytes(), cost)
         return costs
 
     def _route_cost(self, order: list) -> float:

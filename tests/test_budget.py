@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,7 @@ def test_block_crossing_the_call_limit_is_cut_before_it_is_decoded():
     ids=["target", "deadline"],
 )
 def test_target_and_deadline_runs_decode_blocks_row_by_row(budget, target):
+    # A decoder without cost_rows.
     decoder = CountingDecoder()
     ev = Evaluator(decoder, budget, target_cost=target)
     block = np.array([[0.5, 0.5, 0.5], [0.5, 0.25, 0.5], [0.25, 0.25, 0.25], [0.0, 0.0, 0.125]])
@@ -334,15 +337,24 @@ def test_block_decoder_must_return_a_finite_cost_per_row(bad):
 
 
 class BlockDecoder(CountingDecoder):
-    """A CountingDecoder that also costs blocks, recording each one."""
+    """A CountingDecoder that also costs blocks, recording each one and
+    its stop; it costs the rows up to and including the first below
+    the stop."""
 
     def __init__(self, dim=3):
         super().__init__(dim)
         self.blocks = []
+        self.stops = []
 
-    def cost_rows(self, block):
+    def cost_rows(self, block, stop=-math.inf):
         self.blocks.append(block.copy())
-        return [float(row.sum()) for row in block]
+        self.stops.append(stop)
+        costs = []
+        for row in block:
+            costs.append(float(row.sum()))
+            if costs[-1] < stop:
+                break
+        return costs
 
 
 def test_cost_rows_block_crossing_the_call_limit_decodes_only_the_rows_that_fit():
@@ -393,19 +405,30 @@ def test_cost_rows_charges_as_the_rows_one_by_one_would():
         def cost(self, keys):
             return self.decoder.cost(keys)
 
+    class BlocksOnly(TdTspDecoder):
+        def cost(self, keys):
+            raise AssertionError("a block row was charged through cost")
+
+    def charge_both(target):
+        whole = Evaluator(BlocksOnly(instance), RunBudget(decoder_calls=200), target)
+        rows = Evaluator(RowsOnly(), RunBudget(decoder_calls=200), target)
+        for block in blocks:
+            assert whole.charge_block(block, "nm") == rows.charge_block(block, "nm")
+            assert whole.calls == rows.calls
+            assert whole.best.keys.tobytes() == rows.best.keys.tobytes()
+            assert (whole.best.cost, whole.best.decoded_at, whole.time_to_best) == (
+                rows.best.cost, rows.best.decoded_at, rows.time_to_best
+            )
+            assert whole.reached_target == rows.reached_target
+        return whole
+
     rng = np.random.default_rng(4)
-    whole = Evaluator(TdTspDecoder(instance), RunBudget(decoder_calls=200))
-    rows = Evaluator(RowsOnly(), RunBudget(decoder_calls=200))
     base = rng.random(30)
     blocks = [rng.random((60, 30)), base + rng.random((50, 1)) * 0.01, rng.random((120, 30))]
-    for block in blocks:
-        assert whole.charge_block(block, "nm") == rows.charge_block(block, "nm")
-        assert whole.calls == rows.calls
-        assert whole.best.keys.tobytes() == rows.best.keys.tobytes()
-        assert (whole.best.cost, whole.best.decoded_at, whole.time_to_best) == (
-            rows.best.cost, rows.best.decoded_at, rows.time_to_best
-        )
-    assert whole.calls == 200
+    best = charge_both(None).best
+    assert best.decoded_at < 200
+    # With the run's best as its target, the third block stops inside.
+    assert charge_both(best.cost).calls == best.decoded_at > 110
 
 
 @pytest.mark.parametrize(
@@ -413,32 +436,65 @@ def test_cost_rows_charges_as_the_rows_one_by_one_would():
     [(RunBudget(decoder_calls=100), 1.0), (RunBudget(time_limit=100.0), None)],
     ids=["target", "deadline"],
 )
-def test_target_and_deadline_runs_never_call_cost_rows(budget, target):
+def test_target_runs_pass_cost_rows_the_stop_and_deadline_runs_never_call_it(budget, target):
     decoder = BlockDecoder()
     ev = Evaluator(decoder, budget, target_cost=target)
     block = np.array([[0.5, 0.5, 0.5], [0.5, 0.25, 0.5], [0.25, 0.25, 0.25], [0.0, 0.0, 0.0]])
     costs = ev.charge_block(block)
-    assert decoder.blocks == []
-    assert len(costs) == decoder.calls == ev.calls == (3 if target else 4)
+    if target is None:
+        assert decoder.blocks == []
+        assert len(costs) == decoder.calls == ev.calls == 4
+    else:
+        # The smallest float above the target, so "below" is "at or below".
+        assert decoder.stops == [math.nextafter(1.0, math.inf)]
+        assert len(costs) == ev.calls == 3 and decoder.calls == 0
+
+
+@pytest.mark.parametrize("decoder_type", [CountingDecoder, BlockDecoder], ids=["rows", "block"])
+def test_target_reached_mid_block_charges_the_rows_up_to_it(decoder_type):
+    decoder = decoder_type()
+    # The third row costs exactly the target.
+    ev = Evaluator(decoder, RunBudget(decoder_calls=100), target_cost=0.75)
+    ev.charge(KEYS)
+    block = np.array([[0.5, 0.5, 0.5], [0.5, 0.25, 0.5], [0.25, 0.25, 0.25], [0.0, 0.0, 0.0]])
+    assert ev.charge_block(block, "sa") == [1.5, 1.25, 0.75]
+    assert ev.calls == 4 and ev.reached_target
+    assert (ev.best.cost, ev.best.decoded_at, ev.time_to_best, ev.best.origin) == (
+        0.75, 4, 4.0, "sa"
+    )
+    # (cost calls, cost_rows calls): the row path costs the three rows
+    # one by one, the block path in one call; once the target is
+    # reached, neither decodes again.
+    decodes = (4, 0) if decoder_type is CountingDecoder else (1, 1)
+    assert (decoder.calls, len(getattr(decoder, "blocks", []))) == decodes
+    assert ev.charge_block(block) == [] and ev.charge(KEYS) is None
+    assert (decoder.calls, len(getattr(decoder, "blocks", []))) == decodes
+    assert ev.calls == 4
 
 
 @pytest.mark.parametrize(
-    "answer",
+    "answer, cause",
     [
-        lambda block: 1 / 0,
-        lambda block: [1.0, float("nan"), 1.0][: len(block)],
-        lambda block: [1.0, float("inf"), 1.0][: len(block)],
-        lambda block: [1.0] * (len(block) - 1),
-        lambda block: [1.0] * (len(block) + 1),
+        (lambda block, stop: 1 / 0, ZeroDivisionError),
+        (lambda block, stop: [1.0, float("nan"), 1.0][: len(block)], None),
+        (lambda block, stop: [1.0, float("inf"), 1.0][: len(block)], None),
+        (lambda block, stop: [1.0] * (len(block) - 1), None),
+        (lambda block, stop: [1.0] * (len(block) + 1), None),
+        (lambda block, stop: [], None),
     ],
-    ids=["raises", "nan", "inf", "short", "long"],
+    ids=["raises", "nan", "inf", "short", "long", "empty"],
 )
-def test_failed_cost_rows_raises_and_charges_nothing(answer):
+def test_failed_cost_rows_raises_and_charges_nothing(answer, cause):
     decoder = BlockDecoder()
     decoder.cost_rows = answer
-    ev = Evaluator(decoder, RunBudget(decoder_calls=10))
+    # A list shorter than the block must end in a cost at or below the
+    # target, which "short" does not reach.
+    ev = Evaluator(decoder, RunBudget(decoder_calls=10), target_cost=0.25)
     ev.charge(KEYS)
     best = ev.best
-    with pytest.raises(DecoderError):
+    with pytest.raises(DecoderError) as failure:
         ev.charge_block(np.zeros((3, 3)))
-    assert ev.calls == 1 and ev.best is best
+    assert ev.calls == 1 and ev.best is best and not ev.reached_target
+    # Each answer fails on its own terms, not on how it is called.
+    assert not isinstance(failure.value.__cause__, TypeError)
+    assert type(failure.value.__cause__) is (type(None) if cause is None else cause)

@@ -286,6 +286,21 @@ def test_frontier_rejects_endpoint_lambdas(tmp_path):
     assert code == 2
 
 
+def test_frontier_refuses_risk_aversion(tmp_path, capsys):
+    # Its sweep takes each risk aversion from --lambdas.
+    port = tmp_path / "port.txt"
+    port.write_text("1\n0.001 0.01\n1 1 1.0\n")
+    with pytest.raises(SystemExit) as refused:
+        main([
+            "frontier", "--instance", str(port), "--lambdas", "0.5",
+            "--risk-aversion", "0.3", "--cardinality", "1", "--decoder-calls", "100",
+            "--out", str(tmp_path / "front.csv"),
+        ])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --risk-aversion 0.3" in capsys.readouterr().err
+    assert not (tmp_path / "front.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["rpd", "profile", "frontier"])
 def test_bad_number_flag_exits_2(command, tmp_path, capsys):
     # A zero rpd reference, a non-numeric tau and a non-numeric lambda.

@@ -35,6 +35,7 @@ def test_layer_cost_prints_every_figure():
         "budget.charge_block.us_row_d50",
         "budget.charge_block.us_row_tdtsp50_shrink",
         "budget.charge_block.us_row_tdtsp50_random",
+        "budget.charge_block.us_row_tdtsp6_target",
         "nelder_mead.ask_us_d20",
         "nelder_mead.ask_us_d50",
         "nelder_mead.ask_us_tdtsp50",

@@ -638,7 +638,7 @@ def test_cost_rows_gives_the_bits_and_memo_of_cost_row_by_row():
     # Exact instances with routes on time and late (mid-route or on the
     # return leg), and tenths instances, which take the float loop.
     rng = np.random.default_rng(63)
-    late = set()
+    late, fired = set(), set()
     for case in range(40):
         n, h = int(rng.integers(1, 61)), int(rng.integers(1, 8))
         if case % 2:
@@ -648,24 +648,47 @@ def test_cost_rows_gives_the_bits_and_memo_of_cost_row_by_row():
             horizon = service + rng.uniform(0.0, 1.5) * 6.5 * (n + 1)
             instance = generate_tdtsp_instance(n, h, seed=case, horizon=horizon)
         for prime, block in block_cases(rng, n):
-            rows, whole = TdTspDecoder(instance), TdTspDecoder(instance)
-            walks = []
-            route = whole._route_cost
-            whole._route_cost = lambda order: walks.append(order) or route(order)
-            rows.cost(prime)
-            whole.cost(prime)
-            walks.clear()
-            expected = [rows.cost(row) for row in block]
-            got = whole.cost_rows(block)
-            assert all(type(cost) is float for cost in got)
-            assert np.array(got).tobytes() == np.array(expected).tobytes()
-            assert whole._last == rows._last
-            # One walk per row whose order differs from the row before.
+            reference = TdTspDecoder(instance)
+            primed = reference.cost(prime)
+            every = [reference.cost(row) for row in block]
             orders = [prime.argsort(kind="stable").tolist()]
             orders += block.argsort(axis=1, kind="stable").tolist()
-            assert walks == [o for o, before in zip(orders[1:], orders) if o != before]
-            late.update(cost >= instance.horizon for cost in got)
+            # A row that repeats the order before it costs what that row
+            # does, so a stop at its cost fires at the first row of its run.
+            repeat = next((i for i in range(1, len(block)) if orders[i + 1] == orders[i]), 0)
+            up = [math.nextafter(cost, math.inf) for cost in (primed, every[repeat], every[-1])]
+            # No stop, the memo's cost, a repeated row's, the last row's,
+            # and the lowest cost, which no row is below.
+            for stop in (-math.inf, *up, min(every)):
+                below = [i for i, cost in enumerate(every) if cost < stop]
+                end = below[0] + 1 if below else len(block)
+                rows, whole = TdTspDecoder(instance), TdTspDecoder(instance)
+                walks = []
+                route = whole._route_cost
+                whole._route_cost = lambda order: walks.append(order) or route(order)
+                rows.cost(prime)
+                whole.cost(prime)
+                walks.clear()
+                expected = [rows.cost(row) for row in block[:end]]
+                got = whole.cost_rows(block, stop)
+                assert all(type(cost) is float for cost in got)
+                assert np.array(got).tobytes() == np.array(expected).tobytes()
+                assert whole._last == rows._last
+                # One walk per row up to the stop whose order differs
+                # from the row before.
+                walked = zip(orders[1 : end + 1], orders)
+                assert walks == [o for o, before in walked if o != before]
+                late.update(cost >= instance.horizon for cost in got)
+                if not below:
+                    fired.add("never")
+                elif end == 1 and orders[1] == orders[0]:
+                    fired.add("memo")
+                elif end < len(block) and orders[end + 1] == orders[end]:
+                    fired.add("inside a run")
+                elif end == len(block) > 1:
+                    fired.add("last")
     assert late == {False, True}
+    assert fired == {"never", "memo", "inside a run", "last"}
 
 
 def test_cost_rows_refuses_rows_of_another_length():

@@ -27,6 +27,11 @@ Prints one JSON object:
   and shrinks, whose rows mostly repeat the visiting order of the row
   before; the second fixed random ``(80, 50)`` blocks, as BRKGA asks
   for, whose rows each have a new order;
+- ``budget.charge_block.us_row_tdtsp6_target``: the same on the
+  6-customer, 3-interval TD-TSP decoder of ``tdtsp.cost.us_n6``, under
+  a call limit and a target below every cost, so that ``cost_rows`` is
+  passed a stop that never fires, on fixed random ``(100, 6)`` blocks,
+  as in the benchmark's TTT runs;
 - ``nelder_mead.ask_us_d20`` and ``nelder_mead.ask_us_d50``: CPU
   microseconds per decode that ``nelder_mead_moves`` asks for,
   descending on a quadratic from fixed starts at d = 20 and 50, the
@@ -183,7 +188,8 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     decodes, ``calls`` shakes per shake row, ``calls`` charges and
     ``calls // 100`` blocks (at least one) per charging row, the
     descents' blocks and ``calls // 80`` random blocks (at least one) per
-    TD-TSP charging row, ``calls``
+    50-customer TD-TSP charging row, ``calls // 100`` (at least one) for
+    the 6-customer one, ``calls``
     route decodes per TD-TSP cost or decode row, ``descents`` descents per
     Nelder-Mead row, and ``calls // 100`` oracle calls at 6 customers
     and ``calls // 1000`` at 8 (at least one each), per repeat."""
@@ -266,6 +272,13 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
             clock, lambda: [charging.charge_block(block) for block in blocks],
             sum(map(len, blocks)), repeats,
         )
+    # No route costs less than the target, so every block is charged whole.
+    charging = Evaluator(TdTspDecoder(small), RunBudget(decoder_calls=2**62), target_cost=-1.0)
+    small_blocks = np.random.default_rng(6).random((max(1, calls // 100), 100, 6))
+    rows["budget.charge_block.us_row_tdtsp6_target"] = _median_us(
+        clock, lambda: [charging.charge_block(block) for block in small_blocks],
+        100 * len(small_blocks), repeats,
+    )
 
     rows["tdtsp.oracle.ms_n6"] = _oracle_ms(clock, 6, 3, max(1, calls // 100), repeats)
     rows["tdtsp.oracle.ms_n8"] = _oracle_ms(clock, 8, 5, max(1, calls // 1000), repeats)
