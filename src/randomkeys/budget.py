@@ -10,9 +10,11 @@ independent rows, and are told their costs.  A vector is one
 one ``Decoder.cost_rows`` call, cut to the calls left and charged at
 once, when the decoder has that method and the run has no deadline,
 with or without a target: the decoder stops at the first row at or
-below the target, so no row after it is decoded.  Under a deadline, or
-without the method, the rows are charged one by one, so that a run
-which reaches its deadline within a block decodes no row after it.
+below the target, so no row after it is decoded.  The TD-TSP and
+portfolio decoders have the method.  Under a deadline, or without the
+method, as on the MIP decoder, the rows are charged one by one, so
+that a run which reaches its deadline within a block decodes no row
+after it.
 Only a decode that beats the run's best becomes an
 :class:`EvaluatedSolution`.  Once the call limit or deadline is hit, or
 a decode has reached the target, the evaluator refuses: it decodes
@@ -63,8 +65,9 @@ class Decoder(Protocol):
     to a finite float (penalties included).  Implementations must be
     deterministic and must not mutate the key array.  A decoder may also
     have ``cost_rows(block, stop) -> list[float]``, the floats ``cost``
-    gives a 2-D block's rows, up to and including the first row that
-    costs less than ``stop``; the evaluator calls it as the module says.
+    gives a 2-D block's rows, bit for bit, up to and including the first
+    row that costs less than ``stop``, as the TD-TSP and portfolio
+    decoders do; the evaluator calls it as the module says.
     """
 
     @property

@@ -48,7 +48,8 @@ class GenericMipInstance:
     """Data of one instance.
 
     ``n_integer`` leading variables are integral; the rest are
-    continuous.  ``rows`` may be empty (box-constrained problem).
+    continuous.  It is an ``int`` or numpy integer, not a bool, in
+    [0, n].  ``rows`` may be empty (box-constrained problem).
     """
 
     costs: np.ndarray
@@ -69,11 +70,12 @@ class GenericMipInstance:
             raise ValueError(f"rhs length {b.shape[0]} does not match {a.shape[0]} rows")
         if not all(np.isfinite(v).all() for v in (c, l, u, a, b)):
             raise ValueError("costs, bounds, rows and rhs must be finite")
-        if not 0 <= self.n_integer <= c.shape[0]:
-            raise ValueError(f"n_integer outside [0, {c.shape[0]}]: {self.n_integer}")
+        p = self.n_integer
+        # A bool is an int too; a float, however whole, cannot slice.
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p <= c.shape[0]:
+            raise ValueError(f"n_integer must be an integer in [0, {c.shape[0]}], got {p!r}")
         if np.any(l > u):
             raise ValueError("lower bound above upper bound")
-        p = self.n_integer
         if p and (np.any(l[:p] != np.floor(l[:p])) or np.any(u[:p] != np.floor(u[:p]))):
             raise ValueError("integer variables need integral bounds")
         object.__setattr__(self, "costs", c)

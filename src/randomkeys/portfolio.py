@@ -18,6 +18,13 @@ and builds no :class:`PortfolioSolution`.  On an instance whose bounds
 are all [0, 1] the kernel skips the affine bound map, and with
 non-negative weight keys of a finite sum it also skips the penalty
 expression: it is exactly ``+0.0`` there (see :func:`decode_portfolio`).
+
+:meth:`PortfolioDecoder.cost_rows` costs a block of key vectors for the
+evaluator.  One selection helper picks the assets of each row, for the
+kernel and for ``cost_rows`` alike; ``cost_rows`` then computes the
+numeric part once per block, with the same pairwise row sums and the
+same BLAS calls per row as the kernel.  Its costs equal those of
+``cost`` row by row, bit for bit; the tests check this byte for byte.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .budget import is_count
 from .errors import OracleGuardError
 
 __all__ = [
@@ -51,8 +59,9 @@ INFEASIBILITY_OFFSET = 1e3
 class PortfolioInstance:
     """Instance data; scalar bounds broadcast to all assets.
 
-    Requires a symmetric covariance, 0 <= lower <= upper <= 1, and
-    K * min(lower) <= 1 <= K * max(upper) so that some K-subset can
+    Requires a symmetric covariance, a cardinality K in [1, n] that is
+    an ``int`` or numpy integer (not a bool), 0 <= lower <= upper <= 1,
+    and K * min(lower) <= 1 <= K * max(upper) so that some K-subset can
     carry a unit budget at all.  The instance keeps its own read-only
     copies of the arrays, so that the fields derived from them below
     cannot go stale.
@@ -88,11 +97,11 @@ class PortfolioInstance:
         # Written so that a NaN bound fails it too.
         if not (np.all(0 <= lower) and np.all(lower <= upper) and np.all(upper <= 1)):
             raise ValueError("need 0 <= lower <= upper <= 1 per asset")
-        if not 1 <= self.cardinality <= n:
-            raise ValueError(f"cardinality outside [1, {n}]: {self.cardinality}")
+        k = self.cardinality
+        if not (is_count(k) and k <= n):
+            raise ValueError(f"cardinality must be an integer in [1, {n}], got {k!r}")
         if not 0.0 <= self.risk_aversion <= 1.0:
             raise ValueError(f"risk_aversion outside [0, 1]: {self.risk_aversion}")
-        k = self.cardinality
         if k * float(lower.min()) > 1.0 or k * float(upper.max()) < 1.0:
             raise ValueError("no K-subset can meet the unit budget within bounds")
         for array in (mu, sigma, lower, upper):
@@ -165,6 +174,21 @@ def decode_portfolio(instance: PortfolioInstance, keys: np.ndarray) -> Portfolio
     )
 
 
+def _select(instance: PortfolioInstance, keys: list[float]) -> list[int]:
+    """The assets that the selection keys ``keys`` pick in turn, as
+    :func:`decode_portfolio` describes; a NaN or infinite key raises."""
+    remaining = list(instance._assets)
+    m = len(remaining)
+    chosen: list[int] = []
+    for key in keys:
+        position = math.ceil(key * m)
+        if not 0 < position <= m:
+            position = 1 if position < 1 else m
+        chosen.append(remaining.pop(position - 1))
+        m -= 1
+    return chosen
+
+
 def _decode(
     instance: PortfolioInstance, keys: np.ndarray
 ) -> tuple[list[int], np.ndarray, float, float, float, float, float]:
@@ -173,8 +197,8 @@ def _decode(
     describes.  It refuses keys of any shape but (2K,), so one check
     serves both :func:`decode_portfolio` and :meth:`PortfolioDecoder.cost`.
 
-    The keys are read into a list once, for the selection loop and the
-    non-negative test.  On unit bounds the penalty path uses the scalar
+    The keys are read into a list once, for the selection helper and
+    the non-negative test.  On unit bounds the penalty path uses the scalar
     bounds 0 and 1, so the kernel gathers no bounds at all there.  The
     risk and return stay a covariance ``take`` pair, two matrix products
     and a dot with the picked means: their bits depend on BLAS, so any
@@ -183,16 +207,7 @@ def _decode(
     if keys.shape != (2 * k,):
         raise ValueError(f"expected {2 * k} keys, got shape {keys.shape}")
     key_list = keys.tolist()
-    remaining = list(instance._assets)
-    m = len(remaining)
-    chosen: list[int] = []
-    for key in key_list[:k]:
-        position = math.ceil(key * m)
-        if not 0 < position <= m:
-            position = 1 if position < 1 else m
-        chosen.append(remaining.pop(position - 1))
-        m -= 1
-
+    chosen = _select(instance, key_list[:k])
     idx = np.array(chosen, dtype=np.intp)
     weight_keys = keys[k:]
     unit = instance._unit_bounds
@@ -283,6 +298,57 @@ class PortfolioDecoder:
 
     def cost(self, keys: np.ndarray) -> float:
         return _decode(self.instance, keys)[-1]
+
+    def cost_rows(self, block: np.ndarray, stop: float = -math.inf) -> list[float]:
+        """The floats that ``cost`` gives the rows of a non-empty
+        ``block`` in turn, bit for bit, up to and including the first
+        row that costs less than ``stop``.
+
+        Each row selects its assets in Python; the weights, risks,
+        returns and penalties of the block's rows are then computed at
+        once, by row sums and stacked products that make the same
+        pairwise sums and BLAS calls per row as ``cost``.  A row that
+        ``cost`` would split equally, or on unit bounds penalize, is
+        costed by ``cost``, and so is every row of a block with a key
+        that is not finite, so that no key past the stop row raises.
+        """
+        inst = self.instance
+        k = inst.cardinality
+        if block.ndim != 2 or block.shape[1] != 2 * k:
+            raise ValueError(f"expected rows of {2 * k} keys, got shape {block.shape}")
+        slow, fast = [True] * len(block), iter(())
+        if np.isfinite(block).all():
+            idx = np.array([_select(inst, row[:k]) for row in block.tolist()], np.intp)
+            keys, unit = block[:, k:], inst._unit_bounds
+            lo, hi = (0.0, 1.0) if unit else (inst.lower[idx], inst.upper[idx])
+            raw = keys + 0.0 if unit else lo + (hi - lo) * keys
+            totals = np.add.reduce(raw, axis=1)
+            odd = ~((0.0 < totals) & (totals < math.inf))
+            if unit:
+                odd |= (keys < 0.0).any(axis=1)
+            if odd.any():
+                idx, raw, totals = idx[~odd], raw[~odd], totals[~odd]
+            weights = raw / totals[:, None]
+            sub_cov = inst.covariance[idx[:, :, None], idx[:, None, :]]
+            risk = (weights[:, None, :] @ sub_cov @ weights[:, :, None]).ravel()
+            mean_return = (inst.means[idx][:, None, :] @ weights[:, :, None]).ravel()
+            lam = inst.risk_aversion
+            objective = lam * risk - (1.0 - lam) * mean_return
+            penalty = 0.0
+            if not unit:
+                lo, hi = inst.lower[idx], inst.upper[idx]
+                excess = np.maximum(0.0, weights - hi) + np.maximum(0.0, lo - weights)
+                penalty = np.add.reduce(excess, axis=1)
+            # The offset term is 0.0 where there is no penalty, which
+            # leaves a sum that ``+ 0.0`` has made not -0.0 unchanged.
+            cost = objective + BOUND_PENALTY_WEIGHT * penalty + INFEASIBILITY_OFFSET * (penalty > 0.0)
+            slow, fast = odd.tolist(), iter(cost.tolist())
+        costs = []
+        for row, own in enumerate(slow):
+            costs.append(self.cost(block[row]) if own else next(fast))
+            if costs[-1] < stop:
+                break
+        return costs
 
     def decode(self, keys: np.ndarray) -> PortfolioSolution:
         return decode_portfolio(self.instance, keys)

@@ -18,12 +18,14 @@ block, SA for its 100 calibration neighbours, and Nelder-Mead, inside
 ILS's and VNS's descents, for its initial simplex and for each shrink.
 The evaluator charges a block as it would its rows asked for one by
 one, with the same costs, best and call count, so a block ask saves a
-round trip per row; on a decoder with ``cost_rows``, as the TD-TSP one,
-a block under a call limit also shares one argsort and skips the route
-walk of a row in the order of the row before.  Every vector
-of a block is drawn before the ask, in the order in which one ask per
-vector would draw them, so the draw stream is that of row-by-row asks;
-Nelder-Mead's blocks draw nothing.
+round trip per row; on a decoder with ``cost_rows``, as the TD-TSP and
+portfolio ones, a block under a call limit, with or without a target,
+is also costed in one call: the TD-TSP decoder shares one argsort and
+skips the route walk of a row in the order of the row before, and the
+portfolio decoder computes the block's weights, risks and returns at
+once.  Every vector of a block is drawn before the ask, in the order
+in which one ask per vector would draw them, so the draw stream is
+that of row-by-row asks; Nelder-Mead's blocks draw nothing.
 
 ILS and VNS run one loop, a ladder of shake strengths of which ILS has
 a single rung: shake, descend with ``yield from rvnd``, keep if better.

@@ -6,13 +6,14 @@ import pytest
 from randomkeys import (
     DecoderError,
     Evaluator,
+    PortfolioDecoder,
     RunBudget,
     TdTspDecoder,
     generate_tdtsp_instance,
 )
 from randomkeys import budget as budget_module
 from randomkeys.localsearch import rvnd
-from conftest import answer
+from conftest import answer, toy_portfolio
 
 
 class CountingDecoder:
@@ -470,6 +471,26 @@ def test_target_reached_mid_block_charges_the_rows_up_to_it(decoder_type):
     assert ev.charge_block(block) == [] and ev.charge(KEYS) is None
     assert (decoder.calls, len(getattr(decoder, "blocks", []))) == decodes
     assert ev.calls == 4
+
+
+def test_portfolio_target_run_stops_its_block_at_the_first_row_at_or_below_the_target():
+    instance = toy_portfolio(30, 5, seed=7)
+
+    class BlocksOnly(PortfolioDecoder):
+        def cost(self, keys):
+            raise AssertionError("a block row was charged through cost")
+
+    block = np.random.default_rng(8).random((20, 10))
+    costs = [PortfolioDecoder(instance).cost(row) for row in block]
+    target = min(costs[:12])
+    at = costs.index(target)
+    assert 0 < at < 11
+    ev = Evaluator(BlocksOnly(instance), RunBudget(decoder_calls=100), target_cost=target)
+    assert ev.charge_block(block, "nm") == costs[: at + 1]
+    assert ev.calls == at + 1 and ev.reached_target
+    assert (ev.best.cost, ev.best.decoded_at, ev.best.origin) == (target, at + 1, "nm")
+    assert ev.best.keys.tobytes() == block[at].tobytes()
+    assert ev.charge_block(block) == [] and ev.calls == at + 1
 
 
 @pytest.mark.parametrize(

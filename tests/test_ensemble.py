@@ -8,6 +8,7 @@ from randomkeys import (
     BrkgaParams,
     DecoderError,
     IlsParams,
+    PortfolioDecoder,
     RunBudget,
     SaParams,
     TdTspDecoder,
@@ -16,6 +17,7 @@ from randomkeys import (
     run_ensemble,
 )
 from randomkeys.keys import KEY_MAX
+from conftest import toy_portfolio
 
 
 class SphereDecoder:
@@ -348,6 +350,39 @@ def test_block_asks_report_as_row_by_row_asks(seed, calls):
     assert (blocks.best_cost, blocks.time_to_best, blocks.decoder_calls, blocks.searcher) == (
         rows.best_cost, rows.time_to_best, rows.decoder_calls, rows.searcher
     )
+
+
+class RowPath:
+    """A decoder's ``dimension`` and ``cost`` without its ``cost_rows``,
+    so that the evaluator charges every block of a run row by row."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dimension = inner.dimension
+
+    def cost(self, keys):
+        return self.inner.cost(keys)
+
+
+@pytest.mark.parametrize("target", [None, "reached", -1.0], ids=["none", "reached", "never"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_portfolio_block_path_reports_as_the_row_path(seed, target):
+    instance = toy_portfolio(30, 5, seed)
+    budget = RunBudget(decoder_calls=2500)
+    if target == "reached":
+        # A cost that the run reaches before its budget ends.
+        target = run_ensemble(RowPath(PortfolioDecoder(instance)), ALL_SEARCHERS,
+                              RunBudget(decoder_calls=1000), seed).best_cost
+    blocks = run_ensemble(PortfolioDecoder(instance), ALL_SEARCHERS, budget, seed,
+                          deterministic=True, target_cost=target)
+    rows = run_ensemble(RowPath(PortfolioDecoder(instance)), ALL_SEARCHERS, budget, seed,
+                        deterministic=True, target_cost=target)
+    assert blocks.best_keys.tobytes() == rows.best_keys.tobytes()
+    assert (blocks.best_cost, blocks.time_to_best, blocks.decoder_calls, blocks.searcher) == (
+        rows.best_cost, rows.time_to_best, rows.decoder_calls, rows.searcher
+    )
+    reached = target is not None and rows.best_cost <= target
+    assert reached == (rows.decoder_calls < 2500) == (target not in (None, -1.0))
 
 
 def is_initial_simplex(block):

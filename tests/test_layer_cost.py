@@ -36,6 +36,7 @@ def test_layer_cost_prints_every_figure():
         "budget.charge_block.us_row_tdtsp50_shrink",
         "budget.charge_block.us_row_tdtsp50_random",
         "budget.charge_block.us_row_tdtsp6_target",
+        "budget.charge_block.us_row_portfolio225",
         "nelder_mead.ask_us_d20",
         "nelder_mead.ask_us_d50",
         "nelder_mead.ask_us_tdtsp50",

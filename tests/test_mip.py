@@ -94,6 +94,23 @@ def test_validation_rejects_bad_instances():
                 GenericMipInstance(n_integer=0, **data)
 
 
+@pytest.mark.parametrize("n_integer", [1.5, 1.0, True, False, "1", -1, 3])
+def test_n_integer_must_be_an_integer_count_of_the_variables(n_integer):
+    # A float used to pass and then fail at cost as a slice index, and
+    # True was taken for 1.
+    with pytest.raises(ValueError, match="n_integer must be an integer in"):
+        box_instance([0, 0], [1, 1], n_integer=n_integer)
+
+
+@pytest.mark.parametrize("n_integer", [0, 2, np.int64(1), np.int32(2)])
+def test_n_integer_takes_ints_and_numpy_integers(n_integer):
+    inst = box_instance([0, 0], [1, 1], n_integer=n_integer)
+    keys = np.array([0.9, 0.4])
+    x = map_keys_to_assignment(inst, keys)
+    assert x.tolist() == [1.0, 0.0][:n_integer] + [0.9, 0.4][n_integer:]
+    assert isinstance(MipDecoder(inst).cost(keys), float)
+
+
 def test_brute_force_matches_naive_enumeration():
     rng = np.random.default_rng(23)
     inst = box_instance(

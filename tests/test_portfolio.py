@@ -353,3 +353,141 @@ def test_decoder_matches_reference_with_buy_in_bounds():
         assert_same_decode(inst, rng.random(10)).penalty > 0.0 for _ in range(300)
     )
     assert 0 < penalized < 300
+
+
+@pytest.mark.parametrize("cardinality", [2.0, 2.5, True, "2", None, 0, 4])
+def test_cardinality_must_be_an_integer_count_of_the_assets(cardinality):
+    # A float used to pass and then fail at cost as a slice index, and
+    # True was taken for 1.
+    with pytest.raises(ValueError, match="cardinality must be an integer in"):
+        PortfolioInstance(means=np.array([0.01, 0.02, 0.03]), covariance=np.eye(3),
+                          cardinality=cardinality, risk_aversion=0.5)
+
+
+@pytest.mark.parametrize("cardinality", [np.int64(2), np.int32(3), 1])
+def test_cardinality_takes_ints_and_numpy_integers(cardinality):
+    inst = PortfolioInstance(means=np.array([0.01, 0.02, 0.03]), covariance=np.eye(3),
+                             cardinality=cardinality, risk_aversion=0.5)
+    decoder = PortfolioDecoder(inst)
+    assert decoder.dimension == 2 * cardinality
+    keys = np.linspace(0.1, 0.9, decoder.dimension)
+    assert len(decode_portfolio(inst, keys).assets) == cardinality
+    assert decoder.cost(keys) == decode_portfolio(inst, keys).cost
+
+
+def row_costs(decoder, block, stop=-math.inf):
+    """What ``cost`` gives the rows of ``block`` one at a time, up to
+    and including the first row that costs less than ``stop``."""
+    costs = []
+    for row in block:
+        costs.append(decoder.cost(row))
+        if costs[-1] < stop:
+            break
+    return costs
+
+
+def probe_blocks(k, rng):
+    """Blocks of 2K-key rows that probe ``cost_rows``: random rows, as
+    many as BRKGA and SA ask for among them, Nelder-Mead-like shrinks, negative weight keys, all-zero weight
+    keys (the equal split), signed zeros, keys at ``KEY_MAX`` and
+    1-row blocks."""
+    d = 2 * k
+    best = rng.random(d)
+    simplex = np.clip(best + 0.05 * np.eye(d), 0.0, KEY_MAX)
+    negative = rng.random((8, d))
+    negative[::2, k + rng.integers(k)] = -rng.uniform(1e-6, 0.5)
+    zero_split = rng.random((6, d))
+    zero_split[1::2, k:] = 0.0
+    zero_split[3, k:] = -0.0
+    signed = rng.random((8, d))
+    signed[rng.random((8, d)) < 0.4] = -0.0
+    signed[rng.random((8, d)) < 0.2] = 0.0
+    edges = rng.choice([0.0, -0.0, KEY_MAX], size=(8, d))
+    edges[0] = KEY_MAX
+    return [
+        rng.random((12, d)),
+        rng.random((100, d)),
+        simplex,
+        best + 0.5 * (simplex - best),
+        best + 0.25 * (simplex - best),
+        negative,
+        zero_split,
+        signed,
+        edges,
+        rng.random((1, d)),
+        edges[:1],
+        zero_split[1:2],
+    ]
+
+
+PROBE_INSTANCES = {
+    "unit": lambda: toy_portfolio(40, 10, seed=60),
+    "unit-k1": lambda: toy_portfolio(9, 1, seed=61),
+    "buy-in": lambda: bounded_instance(62, lower=0.05, upper=1.0),
+    "buy-in-capped": lambda: bounded_instance(63, lower=0.02, upper=0.4),
+    "capped": lambda: bounded_instance(64, lower=0.0, upper=np.linspace(0.25, 1.0, 12)),
+}
+
+
+def as_bytes(costs):
+    assert all(type(cost) is float for cost in costs)
+    return np.array(costs, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", PROBE_INSTANCES)
+def test_cost_rows_gives_the_bits_of_cost_row_by_row_at_every_stop(name):
+    inst = PROBE_INSTANCES[name]()
+    decoder = PortfolioDecoder(inst)
+    rng = np.random.default_rng(65)
+    penalized = 0
+    for block in probe_blocks(inst.cardinality, rng) + probe_blocks(inst.cardinality, rng):
+        whole = row_costs(decoder, block)
+        penalized += sum(cost >= INFEASIBILITY_OFFSET for cost in whole)
+        lowest = min(whole)
+        # Never fires, fires at the first row at or below the lowest
+        # cost, and fires at the first row below a middle row's cost.
+        for stop in (-math.inf, lowest, math.nextafter(lowest, math.inf), whole[len(block) // 2]):
+            want = row_costs(decoder, block, stop)
+            assert as_bytes(decoder.cost_rows(block, stop)) == as_bytes(want), stop
+        assert decoder.cost_rows(block, math.nextafter(lowest, math.inf))[-1] == lowest
+    # A negative weight key is penalized, except at K = 1, where it
+    # makes the total negative and so the split equal; bounds below one
+    # or above zero penalize other rows too.
+    assert (penalized > 0) == (inst.cardinality > 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 3, 15], ids=["first-pick", "pick", "weight"])
+def test_a_non_finite_key_after_the_stop_row_never_raises(bad, column):
+    decoder = PortfolioDecoder(toy_portfolio(40, 10, seed=67))
+    block = np.random.default_rng(68).random((6, 20))
+    costs = [decoder.cost(row) for row in block]
+    first = int(np.argmin(costs[:3]))
+    stop = math.nextafter(costs[first], math.inf)
+    for after in range(first + 1, 6):
+        broken = block.copy()
+        broken[after, column] = bad
+        assert as_bytes(decoder.cost_rows(broken, stop)) == as_bytes(costs[: first + 1])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_selection_key_at_or_before_the_stop_row_raises_as_cost_does(bad):
+    decoder = PortfolioDecoder(toy_portfolio(40, 10, seed=67))
+    block = np.random.default_rng(68).random((6, 20))
+    costs = [decoder.cost(row) for row in block]
+    stop = math.nextafter(min(costs), math.inf)
+    for at in range(int(np.argmin(costs)) + 1):
+        broken = block.copy()
+        broken[at, 4] = bad
+        with pytest.raises(Exception) as want:
+            decoder.cost(broken[at])
+        with pytest.raises(type(want.value)):
+            decoder.cost_rows(broken, stop)
+
+
+def test_cost_rows_refuses_rows_of_another_shape(ten_asset_instance):
+    decoder = PortfolioDecoder(ten_asset_instance)
+    keys = np.array([0.81, 0.32, 0.54, 0.29, 0.15, 0.91])
+    for wrong in (keys, keys[None, :5], np.tile(keys, (2, 2)), keys[None, None, :]):
+        with pytest.raises(ValueError, match=r"expected rows of 6 keys, got shape"):
+            decoder.cost_rows(wrong)

@@ -27,6 +27,11 @@ Prints one JSON object:
   and shrinks, whose rows mostly repeat the visiting order of the row
   before; the second fixed random ``(80, 50)`` blocks, as BRKGA asks
   for, whose rows each have a new order;
+- ``budget.charge_block.us_row_portfolio225``: CPU microseconds per
+  row of ``Evaluator.charge_block`` under a call limit, on the decoder
+  of ``portfolio.cost.us``, which costs such blocks with ``cost_rows``,
+  for the 20-row blocks, initial simplexes and shrinks, that
+  Nelder-Mead descents from fixed random starts ask for;
 - ``budget.charge_block.us_row_tdtsp6_target``: the same on the
   6-customer, 3-interval TD-TSP decoder of ``tdtsp.cost.us_n6``, under
   a call limit and a target below every cost, so that ``cost_rows`` is
@@ -185,7 +190,8 @@ def _oracle_ms(clock: HostClock, n: int, slots: int, count: int, repeats: int) -
 
 def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     """The figures the module docstring lists: ``calls`` portfolio
-    decodes, ``calls`` shakes per shake row, ``calls`` charges and
+    decodes, the blocks of ``descents`` descents per portfolio charging
+    row, ``calls`` shakes per shake row, ``calls`` charges and
     ``calls // 100`` blocks (at least one) per charging row, the
     descents' blocks and ``calls // 80`` random blocks (at least one) per
     50-customer TD-TSP charging row, ``calls // 100`` (at least one) for
@@ -201,6 +207,16 @@ def layer_costs(calls: int = 2000, descents: int = 4, repeats: int = 7) -> dict:
     keys = list(rng.random((calls, decoder.dimension)))
     rows["portfolio.cost.us"] = _median_us(
         clock, lambda: [decoder.cost(k) for k in keys], calls, repeats
+    )
+    # A generator of its own, so that the rows below draw as before.
+    picks = np.random.default_rng(225)
+    simplexes: list = []
+    for x in picks.random((descents, decoder.dimension)):
+        _descend((x, decoder.cost(x)), decoder.cost, picks, simplexes)
+    charging = Evaluator(decoder, RunBudget(decoder_calls=2**62))
+    rows["budget.charge_block.us_row_portfolio225"] = _median_us(
+        clock, lambda: [charging.charge_block(block) for block in simplexes],
+        sum(map(len, simplexes)), repeats,
     )
 
     config = ShakeConfig()
